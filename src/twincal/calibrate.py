@@ -66,7 +66,8 @@ class PreparedPair:
 
     ``human`` has one column per feature question; ``twin`` has the same
     columns plus the target column, all dense. Identity stats mark a raw
-    (non-standardized) preparation.
+    (non-standardized) preparation. ``twin_imputed`` is the imputed twin on
+    its own scale: the leave-one-out baseline and gate fallback.
     """
 
     human: np.ndarray
@@ -76,6 +77,7 @@ class PreparedPair:
     impute_rank_human: int
     impute_rank_twin: int
     standardized: bool
+    twin_imputed: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -149,34 +151,87 @@ def prepare_pair(
     standardization is a no-op and downstream fits run on the raw scale.
     """
     human_dense, rank_h = impute_dense(human, rank, rank_grid, seed)
-    twin_dense, rank_t = impute_dense(twin, rank, rank_grid, seed)
+    twin_imputed, rank_t = impute_dense(twin, rank, rank_grid, seed)
     if standardize:
         h_std, h_stats = standardize_columns(MaskedMatrix.from_dense(human_dense))
-        t_std, t_stats = standardize_columns(MaskedMatrix.from_dense(twin_dense))
+        t_std, t_stats = standardize_columns(MaskedMatrix.from_dense(twin_imputed))
         human_dense, twin_dense = h_std.values, t_std.values
     else:
+        twin_dense = twin_imputed
         h_stats = ColumnStats.identity(human.n_cols)
         t_stats = ColumnStats.identity(twin.n_cols)
     return PreparedPair(
-        human_dense, twin_dense, h_stats, t_stats, rank_h, rank_t, standardize
+        human_dense, twin_dense, h_stats, t_stats, rank_h, rank_t, standardize,
+        twin_imputed,
     )
 
 
 def _fit_family(cfg: RegressConfig, x: np.ndarray, y: np.ndarray):
-    if cfg.family == "ridge":
-        return regress.fit_ridge(x, y, cfg.lam)
-    if cfg.family == "lasso":
-        return regress.fit_elastic_net(x, y, cfg.alpha, 1.0)
-    if cfg.family == "en":
-        return regress.fit_elastic_net(x, y, cfg.alpha, cfg.l1_ratio)
-    if cfg.family == "sc":
-        return regress.fit_simplex(x, y, cfg.lam)
+    """A one-target fit for the families without a shared-Gram solver."""
     if cfg.family == "si":
         rank = cfg.rank if cfg.rank is not None else min(x.shape)
         return regress.fit_si(x, y, min(rank, min(x.shape)), cfg.lam)
     if cfg.family == "nn":
         return regress.fit_nn(x, y, cfg)
     raise DataError(f"unknown regression family {cfg.family!r}")
+
+
+def _gram_coefficients(twin: np.ndarray, cfg: RegressConfig, targets: np.ndarray):
+    """Coefficients (m x t, zero at each target's own row) and intercepts.
+
+    Every target regresses on the other columns of ``twin``, so all of them
+    share one Gram matrix: centered for ridge and elastic net, uncentered
+    for the zero-intercept simplex family.
+    """
+    n = twin.shape[0]
+    if cfg.family == "sc":
+        means = np.zeros(twin.shape[1])
+        centered = twin
+    else:
+        means = twin.mean(axis=0)
+        centered = twin - means
+    gram = centered.T @ centered / n
+    cross = gram[:, targets]
+    if cfg.family == "ridge":
+        coef = regress.ridge_coefficients(gram, cross, cfg.lam, targets)
+    elif cfg.family == "sc":
+        coef = regress.simplex_coefficients(gram, cross, cfg.lam, targets)
+    else:
+        l1_ratio = 1.0 if cfg.family == "lasso" else cfg.l1_ratio
+        coef = regress.elastic_net_coefficients(gram, cross, cfg.alpha, l1_ratio, targets)
+    return coef, means[targets] - means @ coef
+
+
+def _transfer(
+    twin: np.ndarray, human: np.ndarray, cfg: RegressConfig, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The leave-one-out engine: fit each target on the twin, apply to the human.
+
+    Target column j of ``twin`` is regressed on its other columns, and the
+    fit is applied to the same columns of ``human`` (its column j, if any,
+    is ignored). Returns the per-target train MSEs and the human predictions
+    (n_human x len(targets)), both on the fitting scale. Linear families
+    solve every target at once from the shared Gram matrix, so fits and
+    transfers are one matrix product each; si and nn fit target by target.
+    """
+    if cfg.family in ("si", "nn"):
+        cols = np.arange(twin.shape[1])
+        fitted = np.empty((twin.shape[0], len(targets)))
+        pred = np.empty((human.shape[0], len(targets)))
+        for c, j in enumerate(targets):
+            feats = cols != j
+            model = _fit_family(cfg, twin[:, feats], twin[:, j])
+            fitted[:, c] = regress.predict(model, twin[:, feats])
+            pred[:, c] = regress.predict(model, human[:, feats])
+    else:
+        coef, intercepts = _gram_coefficients(twin, cfg, targets)
+        fitted = twin @ coef
+        fitted += intercepts
+        pred = human @ coef
+        pred += intercepts
+    # in place: the n x t residuals are the largest temporaries of the engine
+    fitted -= twin[:, targets]
+    return np.mean(np.square(fitted, out=fitted), axis=0), pred
 
 
 def _oriented(task: CalibrationTask) -> CalibrationTask:
@@ -215,14 +270,11 @@ def fit_and_transfer(
             seed=task.seed,
         )
     j = task.target_index
-    features = np.arange(pair.twin.shape[1]) != j
-    x_twin = pair.twin[:, features]
-    y_twin = pair.twin[:, j]
-    model = _fit_family(task.method, x_twin, y_twin)
-    train_mse = float(np.mean((regress.predict(model, x_twin) - y_twin) ** 2))
-    pred_std = regress.predict(model, pair.human)
-    prediction = pair.twin_stats.invert_column(pred_std, j)
-    return prediction, TransferDiagnostic(train_mse)
+    # the human matrix has no target column; a zero one aligns it with the twin
+    human = np.insert(pair.human, j, 0.0, axis=1)
+    train_mses, pred = _transfer(pair.twin, human, task.method, np.array([j]))
+    prediction = pair.twin_stats.invert_column(pred[:, 0], j)
+    return prediction, TransferDiagnostic(float(train_mses[0]))
 
 
 def adaptive_transfer(
@@ -374,9 +426,9 @@ def _loo_predictions(
     """Per-target predictions, train MSEs, and fallbacks for a matched pair.
 
     Both matrices are imputed once up front (the protocol imputes each side
-    separately before the leave-one-out loop); regression methods then fit on
-    standardized columns per target while completion methods consume the raw
-    masked matrices.
+    separately before the leave-one-out loop); regression methods then fit
+    every target through the shared-Gram engine on the prepared pair, while
+    completion methods consume the raw masked matrices target by target.
     """
     if human.shape != twin.shape:
         raise DataError(
@@ -385,53 +437,75 @@ def _loo_predictions(
             "held-out column, drop it (synth writes twin_features.csv for this)"
         )
     n, m = human.shape
-    regression = isinstance(method, RegressConfig)
+    cols = np.arange(m)
+    if isinstance(method, RegressConfig):
+        pair = prepare_pair(human, twin, rank=impute_rank, rank_grid=rank_grid,
+                            standardize=standardize, seed=seed)
+        train_mses, pred = _transfer(pair.twin, pair.human, method, cols)
+        return pair.twin_stats.invert(pred), train_mses, pair.twin_imputed
 
     twin_dense, _ = impute_dense(twin, impute_rank, rank_grid, seed)
-    if regression:
-        human_dense, _ = impute_dense(human, impute_rank, rank_grid, seed)
-        if standardize:
-            h_std, h_stats = standardize_columns(MaskedMatrix.from_dense(human_dense))
-            t_std, t_stats = standardize_columns(MaskedMatrix.from_dense(twin_dense))
-            h_mat, t_mat = h_std.values, t_std.values
-        else:
-            h_mat, t_mat = human_dense, twin_dense
-            h_stats = ColumnStats.identity(m)
-            t_stats = ColumnStats.identity(m)
-
     predictions = np.empty((n, m))
-    train_mses = np.full(m, np.nan)
-    cols = np.arange(m)
     for j in range(m):
         feats = cols != j
-        if regression:
-            model = _fit_family(method, t_mat[:, feats], t_mat[:, j])
-            fitted = regress.predict(model, t_mat[:, feats])
-            train_mses[j] = float(np.mean((fitted - t_mat[:, j]) ** 2))
-            predictions[:, j] = t_stats.invert_column(
-                regress.predict(model, h_mat[:, feats]), j
-            )
-        else:
-            sub_human = MaskedMatrix(human.values[:, feats], human.mask[:, feats])
-            order = np.concatenate([cols[feats], [j]])
-            sub_values = twin.values[:, order]
-            sub_mask = twin.mask[:, order]
+        sub_human = MaskedMatrix(human.values[:, feats], human.mask[:, feats])
+        order = np.concatenate([cols[feats], [j]])
+        sub_values = twin.values[:, order]
+        sub_mask = twin.mask[:, order]
+        if method.method is CompletionMethod.SYNTHETIC_PRIOR:
+            # the warm start needs a complete twin column; use the imputed one
+            sub_values = sub_values.copy()
+            sub_mask = sub_mask.copy()
+            sub_values[:, m - 1] = twin_dense[:, j]
+            sub_mask[:, m - 1] = True
+        stask = StackedTask(
+            sub_human, MaskedMatrix(sub_values, sub_mask), target_col=m - 1
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
             if method.method is CompletionMethod.SYNTHETIC_PRIOR:
-                # the warm start needs a complete twin column; use the imputed one
-                sub_values = sub_values.copy()
-                sub_mask = sub_mask.copy()
-                sub_values[:, m - 1] = twin_dense[:, j]
-                sub_mask[:, m - 1] = True
-            stask = StackedTask(
-                sub_human, MaskedMatrix(sub_values, sub_mask), target_col=m - 1
-            )
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ConvergenceWarning)
-                if method.method is CompletionMethod.SYNTHETIC_PRIOR:
-                    predictions[:, j] = synthetic_prior_impute(stask, method)
-                else:
-                    predictions[:, j] = stacked_complete(stask, method)
-    return predictions, train_mses, twin_dense
+                predictions[:, j] = synthetic_prior_impute(stask, method)
+            else:
+                predictions[:, j] = stacked_complete(stask, method)
+    return predictions, np.full(m, np.nan), twin_dense
+
+
+def _pearson_or_none(a: np.ndarray, b: np.ndarray) -> float | None:
+    try:
+        return pearson(a, b)
+    except (UndefinedCorrelationError, DataError):
+        return None
+
+
+def _correlations(human: MaskedMatrix, predictions: np.ndarray, twin_dense: np.ndarray):
+    """Per target, the prediction's and the twin baseline's Pearson correlation
+    with the observed human column (None where undefined)."""
+    out = []
+    for j in range(human.n_cols):
+        obs = human.mask[:, j]
+        truth = human.values[obs, j]
+        out.append((_pearson_or_none(predictions[obs, j], truth),
+                    _pearson_or_none(twin_dense[obs, j], truth)))
+    return out
+
+
+def _gate(correlations, train_mses: np.ndarray, tau: float | None) -> list[TargetResult]:
+    """Per-target results with predictions gated by train MSE < ``tau``.
+
+    A gated-off target is scored by its twin baseline; a target whose scored
+    or baseline correlation is undefined is skipped.
+    """
+    results = []
+    for j, (corr, baseline) in enumerate(correlations):
+        transferred = tau is None or bool(train_mses[j] < tau)
+        if not transferred:
+            corr = baseline
+        train_mse = None if np.isnan(train_mses[j]) else float(train_mses[j])
+        if corr is None or baseline is None:
+            results.append(TargetResult(j, None, None, train_mse, transferred, True))
+        else:
+            results.append(TargetResult(j, corr, baseline, train_mse, transferred, False))
+    return results
 
 
 def loo_evaluate(
@@ -455,8 +529,9 @@ def loo_evaluate(
     over its observed entries. Targets whose method or baseline correlation
     is undefined (constant vectors) are skipped and counted, not imputed.
     With ``tau`` set, regression predictions are gated per target by the
-    synthetic-system training MSE. The loop is sequential but every target is
-    an independent pure computation ordered by index.
+    synthetic-system training MSE. Regression methods fit every target at
+    once through the shared-Gram engine; completion methods run target by
+    target.
     """
     orientation = Orientation(orientation)
     if orientation is Orientation.NEW_USER:
@@ -470,29 +545,13 @@ def loo_evaluate(
         impute_rank=impute_rank, rank_grid=rank_grid,
         standardize=standardize, seed=seed,
     )
-    n, m = human.shape
-    results = []
-    final = predictions.copy()
-    for j in range(m):
-        transferred = True
-        if tau is not None and not (train_mses[j] < tau):
-            final[:, j] = twin_dense[:, j]
-            transferred = False
-        obs = human.mask[:, j]
-        truth = human.values[obs, j]
-        train_mse = None if np.isnan(train_mses[j]) else float(train_mses[j])
-        try:
-            corr = pearson(final[obs, j], truth)
-            baseline = pearson(twin_dense[obs, j], truth)
-            results.append(
-                TargetResult(j, corr, baseline, train_mse, transferred, False)
-            )
-        except (UndefinedCorrelationError, DataError):
-            results.append(TargetResult(j, None, None, train_mse, transferred, True))
-
+    results = _gate(_correlations(human, predictions, twin_dense), train_mses, tau)
     label = _method_label(method) + ("" if tau is None else f"+tau={tau:g}")
     report = _aggregate(results, fisher_z, orientation, label)
     if return_predictions:
+        gated = np.array([not r.transferred for r in results])
+        final = predictions.copy()
+        final[:, gated] = twin_dense[:, gated]
         return report, final
     return report
 
@@ -512,9 +571,10 @@ def sweep_thresholds(
 ) -> list[dict]:
     """Evaluate the adaptive gate across a grid of thresholds.
 
-    Fits once per target and reuses the predictions for every tau, so the
-    sweep costs one leave-one-out pass. Returns one record per tau with the
-    gated mean correlation and the number of transferred targets.
+    Runs one leave-one-out pass and scores each target once, then re-gates
+    those scores for every tau exactly as :func:`loo_evaluate` gates them.
+    Returns one record per tau with the gated mean correlation and the
+    number of transferred targets.
     """
     orientation = Orientation(orientation)
     h = human.transpose() if orientation is Orientation.NEW_USER else human
@@ -526,29 +586,18 @@ def sweep_thresholds(
         impute_rank=impute_rank, rank_grid=rank_grid,
         standardize=standardize, seed=seed,
     )
-    n, m = h.shape
+    correlations = _correlations(h, predictions, twin_dense)
     records = []
     for tau in taus:
-        corrs = []
-        transferred = 0
-        skipped = 0
-        for j in range(m):
-            use_cal = bool(train_mses[j] < tau)
-            transferred += use_cal
-            pred = predictions[:, j] if use_cal else twin_dense[:, j]
-            obs = h.mask[:, j]
-            try:
-                corrs.append(pearson(pred[obs], h.values[obs, j]))
-            except (UndefinedCorrelationError, DataError):
-                skipped += 1
-        mean, se = mean_correlation(np.array(corrs), fisher_z) if corrs else (np.nan, np.nan)
+        results = _gate(correlations, train_mses, tau)
+        report = _aggregate(results, fisher_z, orientation, _method_label(method))
         records.append(
             {
                 "tau": float(tau),
-                "mean": mean,
-                "se": se,
-                "n_transferred": transferred,
-                "skipped": skipped,
+                "mean": report.mean,
+                "se": report.se,
+                "n_transferred": sum(r.transferred for r in results),
+                "skipped": report.skipped_count,
             }
         )
     return records

@@ -3,9 +3,10 @@
 Every subcommand reads an optional JSON config file, applies environment
 overrides (``SYNDIGITS_*``) and then command-line flags (flags win), runs one
 pipeline, and writes plot-ready CSV/JSON artifacts to the output directory.
-All outputs are byte-deterministic given the same config and seed. Failures
-print a machine-readable error JSON to stdout and exit nonzero (2 for bad
-inputs, 1 otherwise).
+All outputs are byte-deterministic given the same config and seed, and JSON
+artifacts are strict JSON (non-finite numbers are written as null). Failures
+print a machine-readable one-line error JSON to stdout and exit nonzero (2
+for bad inputs, 1 otherwise).
 """
 
 from __future__ import annotations
@@ -104,9 +105,22 @@ def _out_dir(args, config: dict) -> Path:
     return path
 
 
-def _write_json(path: Path, payload) -> None:
+def _finite_or_null(value, keep_inf: bool):
+    """``value`` with NaN (and, unless ``keep_inf``, +-inf) floats as None."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v, keep_inf) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v, keep_inf) for v in value]
+    if isinstance(value, float) and not np.isfinite(value):
+        return value if keep_inf and not np.isnan(value) else None
+    return value
+
+
+def _write_json(path: Path, payload, *, keep_inf: bool = False) -> None:
+    """Write strict JSON; ``keep_inf`` writes infinities as ``Infinity``."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(payload, keep_inf), fh, indent=2,
+                  sort_keys=True, allow_nan=keep_inf)
         fh.write("\n")
 
 
@@ -194,7 +208,9 @@ def cmd_eval_sweep(args) -> int:
             rec["n_transferred"], rec["skipped"],
         ])
     _write_csv(out / "sweep.csv", rows)
-    _write_json(out / "sweep.json", records)
+    # a tau grid point of inf is echoed as Infinity, which readers of the
+    # sweep compare with the float grid they asked for
+    _write_json(out / "sweep.json", records, keep_inf=True)
     return 0
 
 
@@ -433,9 +449,10 @@ def main(argv=None) -> int:
             payload["path"] = exc.path
         print(json.dumps(payload, sort_keys=True))
         return exc.exit_code
-    except (DataError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError, FloatingPointError) as exc:
+        # DataError marks bad input; np.linalg.LinAlgError is a ValueError
         print(json.dumps({"error": str(exc), "kind": type(exc).__name__}, sort_keys=True))
-        return 1
+        return 2 if isinstance(exc, DataError) else 1
 
 
 if __name__ == "__main__":

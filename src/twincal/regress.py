@@ -6,6 +6,12 @@ Every family exposes a ``fit_*`` function returning an immutable model with a
 families except the simplex-constrained one fit on column-centered data and
 recover the intercept afterward; the simplex family keeps convex-combination
 semantics with a fixed zero intercept.
+
+Ridge, elastic net and simplex regression each have one solver,
+``*_coefficients``, that works from a Gram matrix and fits many targets at
+once; it also solves the leave-one-out design, where every column of a
+matrix is regressed on the others through one shared Gram matrix. The
+``fit_*`` functions are its one-target case.
 """
 
 from __future__ import annotations
@@ -24,6 +30,9 @@ __all__ = [
     "fit_ridge",
     "fit_elastic_net",
     "fit_simplex",
+    "ridge_coefficients",
+    "elastic_net_coefficients",
+    "simplex_coefficients",
     "fit_si",
     "fit_nn",
     "predict",
@@ -115,6 +124,97 @@ def _as_xy(x, y):
     return x, y
 
 
+def _not_converged(message: str, converged: np.ndarray) -> None:
+    """One ConvergenceWarning per target that hit its iteration cap."""
+    for _ in range(int(np.count_nonzero(~converged))):
+        warnings.warn(message, ConvergenceWarning, stacklevel=4)
+
+
+def ridge_coefficients(
+    gram: np.ndarray, cross: np.ndarray, lam: float, exclude: np.ndarray | None = None
+) -> np.ndarray:
+    """l2-penalized least squares for every column of ``cross`` at once.
+
+    ``gram`` is the p x p feature Gram matrix X'X/n and ``cross`` the p x t
+    matrix X'Y/n; column c of the result solves (gram + lam I) b = cross[:, c].
+    With ``exclude`` the design is leave-one-out: target c is feature
+    ``exclude[c]`` itself (``cross[:, c] == gram[:, exclude[c]]``) and is
+    regressed on the other features. All such targets share P = (gram + lam
+    I)^-1, and target k's coefficients are -P[:, k] / P[k, k] with 0 at k
+    (the neighbourhood-regression identity).
+    """
+    system = gram + lam * np.eye(gram.shape[0])
+    try:
+        if exclude is None:
+            return np.linalg.solve(system, cross)
+        inv = np.linalg.inv(system)
+    except np.linalg.LinAlgError:
+        raise DataError("singular system; use lam > 0") from None
+    cols = np.arange(len(exclude))
+    coef = -inv[:, exclude] / inv[exclude, exclude]
+    coef[exclude, cols] = 0.0
+    return coef
+
+
+def elastic_net_coefficients(
+    gram: np.ndarray,
+    cross: np.ndarray,
+    alpha: float,
+    l1_ratio: float,
+    exclude: np.ndarray | None = None,
+    *,
+    max_iters: int = 2000,
+    tol: float = 1e-7,
+) -> np.ndarray:
+    """Cyclic coordinate descent for every column of ``cross`` at once.
+
+    Each column c minimizes (1/2) b'Gb - b'cross[:, c] + penalty, the
+    covariance form of (1/2n)||y - Xb||^2 + penalty; see
+    :func:`fit_elastic_net` for the penalty. ``gram``, ``cross`` and
+    ``exclude`` are as in :func:`ridge_coefficients`; an excluded coordinate
+    stays 0. Coordinate k of every still-running target is updated in one
+    vector step, and a target stops after the first sweep whose largest
+    coefficient change is below ``tol``, so each target follows the iterates
+    of its own single-target fit. Constant (zero-variance) features keep
+    coefficient 0. One ConvergenceWarning is raised per target that is still
+    running after ``max_iters`` sweeps.
+    """
+    p, t = cross.shape
+    col_sq = np.diag(gram).copy()
+    denom = col_sq + alpha * (1.0 - l1_ratio)
+    thresh = alpha * l1_ratio
+    free = np.flatnonzero(col_sq != 0.0)
+
+    coef = np.zeros((p, t))
+    converged = np.zeros(t, dtype=bool)
+    running = np.arange(t)                  # targets still iterating
+    beta = np.zeros((p, t))                 # their coefficients, one column each
+    corr = cross
+    held = None if exclude is None else np.asarray(exclude)
+    for _ in range(max_iters):
+        max_delta = np.zeros(running.size)
+        for k in free:
+            rho = corr[k] - gram[k] @ beta + col_sq[k] * beta[k]
+            new = np.sign(rho) * np.maximum(np.abs(rho) - thresh, 0.0) / denom[k]
+            if held is not None:
+                new[held == k] = 0.0
+            np.maximum(max_delta, np.abs(new - beta[k]), out=max_delta)
+            beta[k] = new
+        done = max_delta < tol
+        if done.any():
+            coef[:, running[done]] = beta[:, done]
+            converged[running[done]] = True
+            keep = ~done
+            running, beta, corr = running[keep], beta[:, keep], corr[:, keep]
+            if held is not None:
+                held = held[keep]
+            if not running.size:
+                break
+    coef[:, running] = beta
+    _not_converged(f"elastic net did not converge within {max_iters} sweeps", converged)
+    return coef
+
+
 def fit_ridge(
     x: np.ndarray, y: np.ndarray, lam: float, *, fit_intercept: bool = True
 ) -> LinearModel:
@@ -123,12 +223,8 @@ def fit_ridge(
     if lam < 0:
         raise DataError("lam must be nonnegative")
     xc, yc, x_mean, y_mean = _center(x, y, fit_intercept)
-    n, m = x.shape
-    gram = xc.T @ xc / n + lam * np.eye(m)
-    try:
-        beta = np.linalg.solve(gram, xc.T @ yc / n)
-    except np.linalg.LinAlgError:
-        raise DataError("singular system; use lam > 0") from None
+    n = x.shape[0]
+    beta = ridge_coefficients(xc.T @ xc / n, (xc.T @ yc / n)[:, None], lam)[:, 0]
     return LinearModel(beta, y_mean - float(x_mean @ beta), "ridge")
 
 
@@ -148,54 +244,122 @@ def fit_elastic_net(
     l1_ratio = 1 is the lasso. Updates run in covariance form (Gram matrix
     precomputed) and stop when the largest coefficient change in a sweep
     drops below ``tol``. Constant (zero-variance) columns keep coefficient 0.
+    This is the one-target case of :func:`elastic_net_coefficients`.
     """
     x, y = _as_xy(x, y)
     if alpha < 0 or not 0.0 <= l1_ratio <= 1.0:
         raise DataError("alpha must be >= 0 and l1_ratio in [0, 1]")
     xc, yc, x_mean, y_mean = _center(x, y, fit_intercept)
-    n, m = x.shape
-    gram = xc.T @ xc / n
-    corr = xc.T @ yc / n
-    col_sq = np.diag(gram).copy()
-    denom = col_sq + alpha * (1.0 - l1_ratio)
-    thresh = alpha * l1_ratio
-
-    beta = np.zeros(m)
-    converged = False
-    for _ in range(max_iters):
-        max_delta = 0.0
-        for j in range(m):
-            if col_sq[j] == 0.0:
-                continue
-            rho = corr[j] - gram[j] @ beta + col_sq[j] * beta[j]
-            new = np.sign(rho) * max(abs(rho) - thresh, 0.0) / denom[j]
-            delta = new - beta[j]
-            if delta != 0.0:
-                beta[j] = new
-                if abs(delta) > max_delta:
-                    max_delta = abs(delta)
-        if max_delta < tol:
-            converged = True
-            break
-    if not converged:
-        warnings.warn(
-            f"elastic net did not converge within {max_iters} sweeps",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
+    n = x.shape[0]
+    beta = elastic_net_coefficients(
+        xc.T @ xc / n, (xc.T @ yc / n)[:, None], alpha, l1_ratio,
+        max_iters=max_iters, tol=tol,
+    )[:, 0]
     family = "lasso" if l1_ratio == 1.0 else "en"
     return LinearModel(beta, y_mean - float(x_mean @ beta), family)
+
+
+def _project_rows(v: np.ndarray) -> np.ndarray:
+    """Project each row of ``v`` onto the simplex over its finite entries.
+
+    Entries of -inf (a coordinate held out of a target's support) project
+    to exactly 0. Sort algorithm, one vectorized pass for all rows.
+    """
+    width = int(np.isfinite(v[0]).sum())
+    u = np.sort(v, axis=1)[:, ::-1][:, :width]
+    css = np.cumsum(u, axis=1) - 1.0
+    idx = np.arange(1, width + 1)
+    # rho is the last index with u - css/idx > 0 (the first always qualifies)
+    rho = width - np.argmax((u - css / idx > 0)[:, ::-1], axis=1)
+    theta = css[np.arange(len(v)), rho - 1] / rho
+    return np.maximum(v - theta[:, None], 0.0)
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex (sort algorithm)."""
     v = np.asarray(v, dtype=np.float64)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    rho = np.max(idx[u - css / idx > 0])
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
+    return _project_rows(v[None, :])[0]
+
+
+def simplex_coefficients(
+    gram: np.ndarray,
+    cross: np.ndarray,
+    lam: float,
+    exclude: np.ndarray | None = None,
+    *,
+    max_iters: int = 5000,
+    tol: float = 1e-12,
+) -> np.ndarray:
+    """Projected gradient over the simplex for every column of ``cross`` at once.
+
+    Column c minimizes (1/2) b'Gb - b'cross[:, c] + (lam/2)||b||^2 over
+    b >= 0, sum(b) = 1 (uncentered ``gram``; see :func:`fit_simplex`), with
+    ``exclude`` as in :func:`ridge_coefficients`: an excluded coordinate is
+    outside the target's simplex. Each target takes steps 1/L with L the top
+    eigenvalue of its own Gram (excluded row and column removed) plus lam,
+    keeps its best iterate, and stops once a step moves no coefficient by
+    ``tol`` or more. One ConvergenceWarning is raised per target that is
+    still running after ``max_iters`` steps; a best iterate off the simplex
+    raises :class:`DataError`.
+    """
+    p, t = cross.shape
+    lips = np.empty(t)
+    for c in range(t):
+        sub = gram
+        if exclude is not None:
+            keep = np.arange(p) != exclude[c]
+            sub = gram[np.ix_(keep, keep)]
+        lips[c] = float(np.linalg.eigvalsh(sub)[-1]) + lam
+    step = 1.0 / np.maximum(lips, 1e-12)
+
+    # iterates are one row per target; an excluded coordinate sits at -inf
+    # before each projection and at exactly 0 after it
+    corr = np.ascontiguousarray(cross.T)
+    width = p if exclude is None else p - 1
+    beta = np.full((t, p), 1.0 / width)
+    held = None
+    if exclude is not None:
+        held = (np.arange(t), np.asarray(exclude))
+        beta[held] = 0.0
+
+    def objective(b, gb):
+        # (1/2n)||y - Xb||^2 + (lam/2)||b||^2 less the constant y'y/2n
+        return np.sum(b * (0.5 * gb - corr + 0.5 * lam * b), axis=1)
+
+    gb = beta @ gram
+    best = beta.copy()
+    best_obj = objective(beta, gb)
+    out = np.empty((t, p))
+    converged = np.zeros(t, dtype=bool)
+    running = np.arange(t)
+    for _ in range(max_iters):
+        trial = beta - step[:, None] * (gb - corr + lam * beta)
+        if held is not None:
+            trial[held] = -np.inf
+        new = _project_rows(trial)
+        gb = new @ gram
+        obj = objective(new, gb)
+        better = obj < best_obj
+        best_obj[better] = obj[better]
+        best[better] = new[better]
+        done = np.max(np.abs(new - beta), axis=1) < tol
+        beta = new
+        if done.any():
+            out[running[done]] = best[done]
+            converged[running[done]] = True
+            keep = ~done
+            running = running[keep]
+            beta, gb, best, best_obj = beta[keep], gb[keep], best[keep], best_obj[keep]
+            corr, step = corr[keep], step[keep]
+            if held is not None:
+                held = (np.arange(running.size), held[1][keep])
+            if not running.size:
+                break
+    out[running] = best
+    _not_converged(f"simplex fit did not converge within {max_iters} steps", converged)
+    if np.any(out.min(axis=1) < -1e-12) or np.any(np.abs(out.sum(axis=1) - 1.0) > 1e-8):
+        raise DataError("simplex projection produced an infeasible point")
+    return out.T
 
 
 def fit_simplex(
@@ -212,44 +376,16 @@ def fit_simplex(
     sum(b) = 1 (intercept fixed at 0: the prediction stays a convex
     combination of the columns). Step size 1/L with L the top eigenvalue of
     X'X/n + lam; returns the best feasible iterate, warning on
-    non-convergence.
+    non-convergence. This is the one-target case of
+    :func:`simplex_coefficients`.
     """
     x, y = _as_xy(x, y)
     if lam < 0:
         raise DataError("lam must be nonnegative")
-    n, m = x.shape
-    gram = x.T @ x / n
-    corr = x.T @ y / n
-    lips = float(np.linalg.eigvalsh(gram)[-1]) + lam
-    step = 1.0 / max(lips, 1e-12)
-
-    def objective(b: np.ndarray) -> float:
-        r = y - x @ b
-        return float(0.5 * (r @ r) / n + 0.5 * lam * (b @ b))
-
-    beta = np.full(m, 1.0 / m)
-    best_beta, best_obj = beta, objective(beta)
-    converged = False
-    for _ in range(max_iters):
-        grad = gram @ beta - corr + lam * beta
-        new = project_simplex(beta - step * grad)
-        obj = objective(new)
-        if obj < best_obj:
-            best_obj, best_beta = obj, new
-        if np.max(np.abs(new - beta)) < tol:
-            beta = new
-            converged = True
-            break
-        beta = new
-    if not converged:
-        warnings.warn(
-            f"simplex fit did not converge within {max_iters} steps",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
-    beta = best_beta
-    if beta.min() < -1e-12 or abs(beta.sum() - 1.0) > 1e-8:
-        raise DataError("simplex projection produced an infeasible point")
+    n = x.shape[0]
+    beta = simplex_coefficients(
+        x.T @ x / n, (x.T @ y / n)[:, None], lam, max_iters=max_iters, tol=tol
+    )[:, 0]
     return LinearModel(beta, 0.0, "sc")
 
 

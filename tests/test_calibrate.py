@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scalar_oracles as oracle
 
 from twincal.calibrate import (
     CalibrationTask,
@@ -270,3 +271,78 @@ class TestSweep:
         assert records[1]["mean"] == pytest.approx(always.mean, abs=1e-12)
         assert records[0]["n_transferred"] == 0
         assert records[1]["n_transferred"] == 10
+
+
+class TestLooEngine:
+    # stated before comparing: the shared-Gram engine reproduces per-target
+    # fits to rounding, except the simplex family's best-iterate choice
+    # (see tests/test_regress.py)
+    TOLS = {"ridge": 1e-10, "lasso": 1e-10, "en": 1e-10, "sc": 1e-6}
+    ORACLES = {
+        "ridge": lambda x, y: oracle.ridge(x, y, 0.5),
+        "lasso": lambda x, y: oracle.elastic_net(x, y, 0.05, 1.0),
+        "en": lambda x, y: oracle.elastic_net(x, y, 0.1, 0.3),
+        "sc": lambda x, y: oracle.simplex(x, y, 0.01),
+    }
+    CONFIGS = {
+        "ridge": RegressConfig(family="ridge", lam=0.5),
+        "lasso": RegressConfig(family="lasso", alpha=0.05),
+        "en": RegressConfig(family="en", alpha=0.1, l1_ratio=0.3),
+        "sc": RegressConfig(family="sc", lam=0.01),
+    }
+
+    @pytest.mark.filterwarnings("ignore::twincal.matcore.ConvergenceWarning")
+    @pytest.mark.parametrize("family", ["ridge", "lasso", "en", "sc"])
+    def test_loo_matches_per_target_fits(self, family):
+        _, human, twin, _ = generate_latent_world(
+            50, 8, 3, seed=24, alignment="linear_distortion", noise_sigma=0.1,
+        )
+        values = twin.values[:, :8].copy()
+        values[:, 2] = 1.5  # a constant twin column
+        twin_features = MaskedMatrix.from_dense(values)
+        report, pred = loo_evaluate(human, twin_features, self.CONFIGS[family],
+                                    standardize=False, return_predictions=True)
+        tol = self.TOLS[family]
+        for j in range(8):
+            feats = np.arange(8) != j
+            beta, icpt, _ = self.ORACLES[family](values[:, feats], values[:, j])
+            fitted = values[:, feats] @ beta + icpt
+            mse = float(np.mean((fitted - values[:, j]) ** 2))
+            assert abs(report.per_target[j].train_mse - mse) <= tol
+            expected = human.values[:, feats] @ beta + icpt
+            assert np.max(np.abs(pred[:, j] - expected)) <= tol
+            # the single-target entry point runs the same engine
+            task = CalibrationTask(MaskedMatrix.from_dense(human.values[:, feats]),
+                                   twin_features, target_index=j,
+                                   method=self.CONFIGS[family], standardize=False)
+            single, diag = fit_and_transfer(task)
+            assert np.max(np.abs(single - expected)) <= tol
+            assert abs(diag.train_mse - mse) <= tol
+
+    def test_sweep_regates_loo_target_for_target(self):
+        # one tau per gating step, so each target's gate flips on its own;
+        # a constant human column makes one target skipped at every tau
+        _, human, twin, _ = generate_latent_world(
+            40, 9, 3, seed=25, alignment="linear_distortion", noise_sigma=0.2,
+        )
+        values = human.values.copy()
+        values[:, 4] = 2.0
+        human = MaskedMatrix(values, human.mask)
+        twin_features = MaskedMatrix.from_dense(twin.values[:, :9])
+        method = RegressConfig(family="ridge", lam=0.3)
+        ungated = loo_evaluate(human, twin_features, method)
+        mses = sorted(r.train_mse for r in ungated.per_target)
+        taus = [0.0] + [m * (1 + 1e-9) for m in mses] + [np.inf]
+        records = sweep_thresholds(human, twin_features, method, taus)
+
+        inf_record = records[-1]
+        assert inf_record["mean"] == ungated.mean
+        assert inf_record["se"] == ungated.se
+        assert inf_record["skipped"] == ungated.skipped_count == 1
+        assert inf_record["n_transferred"] == 9
+        for tau, record in zip(taus, records):
+            gated = loo_evaluate(human, twin_features, method, tau=tau)
+            assert record["mean"] == gated.mean
+            assert record["se"] == gated.se
+            assert record["skipped"] == gated.skipped_count
+            assert record["n_transferred"] == sum(r.transferred for r in gated.per_target)

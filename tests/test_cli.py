@@ -287,3 +287,55 @@ class TestOrientationAndGatingFlags:
         report = loo_evaluate(human, twin_features,
                               CompletionConfig("hsv", rank=2), "new_user")
         assert report.mean > 0.99
+
+
+class TestFailureModes:
+    def test_ragged_csv_exit_2(self, tmp_path, capsys):
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text(",c0,c1\nr0,1,2\nr1,3\n")
+        rc = main(["calibrate", "--human", str(ragged), "--twin", str(ragged),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["kind"] == "DataError"
+        assert "row 2 has 2 cells, expected 3" in payload["error"]
+
+    @pytest.mark.parametrize("error", [FloatingPointError, np.linalg.LinAlgError])
+    def test_solver_failure_is_error_json_exit_1(self, tmp_path, capsys, monkeypatch, error):
+        import twincal.regress
+
+        def failing_fit(x, y, cfg):
+            raise error("diverged")
+
+        monkeypatch.setattr(twincal.regress, "fit_nn", failing_fit)
+        hp, tp = write_pair(tmp_path, alignment="identical")
+        rc = main(["calibrate", "--human", str(hp), "--twin", str(tp),
+                   "--method", "nn", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        lines = captured.out.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "diverged", "kind": error.__name__}
+        assert "Traceback" not in captured.err
+
+    def test_all_skipped_report_is_strict_json(self, tmp_path):
+        # a constant human matrix leaves every correlation undefined, so the
+        # aggregate means are NaN; they must be written as null, not NaN
+        _, _, twin, _ = generate_latent_world(30, 6, 2, seed=23)
+        hp, tp = tmp_path / "h.csv", tmp_path / "t.csv"
+        write_matrix_csv(hp, np.full((30, 6), 3.0))
+        write_matrix_csv(tp, MaskedMatrix(twin.values[:, :6], twin.mask[:, :6]))
+        out = tmp_path / "o"
+        rc = main(["calibrate", "--human", str(hp), "--twin", str(tp),
+                   "--method", "ridge", "--out", str(out)])
+        assert rc == 0
+
+        def reject(token):
+            raise ValueError(f"non-strict JSON token {token}")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        assert report["skipped_count"] == 6
+        assert report["mean"] is None and report["se"] is None
+        assert report["baseline_mean"] is None and report["pct_improvement"] is None

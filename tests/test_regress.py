@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+import scalar_oracles as oracle
 
-from twincal.matcore import DataError
+from twincal.matcore import ConvergenceWarning, DataError
 from twincal.regress import (
     LinearModel,
     RegressConfig,
+    elastic_net_coefficients,
     fit_elastic_net,
     fit_nn,
     fit_ridge,
@@ -13,6 +17,8 @@ from twincal.regress import (
     nn_loss_and_grad,
     predict,
     project_simplex,
+    ridge_coefficients,
+    simplex_coefficients,
 )
 
 
@@ -312,3 +318,129 @@ class TestConfig:
     def test_l1_ratio_range(self):
         with pytest.raises(DataError):
             RegressConfig(family="en", l1_ratio=1.5)
+
+
+# ---------------------------------------------------------------------------
+# Batched leave-one-out kernels against the scalar one-target loops.
+# ---------------------------------------------------------------------------
+
+# Tolerances fixed before comparing. Ridge, lasso and elastic net follow the
+# oracle's arithmetic except for the summation order of Gram products, so
+# they agree to rounding. The simplex kernel compares iterates by a Gram-form
+# objective instead of the residual form, which may pick a neighbouring best
+# iterate among ones whose objectives tie to rounding.
+EXACTISH_TOL = 1e-10
+SIMPLEX_TOL = 1e-6
+
+
+def loo_world(n=60, m=9, seed=30):
+    """A seeded low-rank twin design with one constant column (column 3)."""
+    rng = np.random.default_rng(seed)
+    t = rng.normal(size=(n, 3)) @ rng.normal(size=(3, m)) + 0.3 * rng.normal(size=(n, m))
+    t[:, 3] = 2.5
+    return t
+
+
+def loo_oracle(t, fit):
+    """Per-target oracle coefficients (m x m, zero diagonal), intercepts, flags."""
+    m = t.shape[1]
+    coef = np.zeros((m, m))
+    intercepts = np.zeros(m)
+    converged = np.zeros(m, dtype=bool)
+    for j in range(m):
+        feats = np.arange(m) != j
+        beta, intercepts[j], converged[j] = fit(t[:, feats], t[:, j])
+        coef[feats, j] = beta
+    return coef, intercepts, converged
+
+
+def loo_batched(t, kernel, centered=True):
+    """The same fits from one shared Gram matrix, warnings recorded."""
+    means = t.mean(axis=0) if centered else np.zeros(t.shape[1])
+    tc = t - means
+    gram = tc.T @ tc / t.shape[0]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ConvergenceWarning)
+        coef = kernel(gram, gram.copy(), np.arange(t.shape[1]))
+    n_warn = sum(issubclass(w.category, ConvergenceWarning) for w in caught)
+    return coef, means - means @ coef, n_warn
+
+
+FAMILIES_VS_ORACLE = {
+    "ridge": (
+        lambda x, y: oracle.ridge(x, y, 0.5),
+        lambda g, c, e: ridge_coefficients(g, c, 0.5, e),
+        True, EXACTISH_TOL,
+    ),
+    "lasso": (
+        lambda x, y: oracle.elastic_net(x, y, 0.05, 1.0, max_iters=40),
+        lambda g, c, e: elastic_net_coefficients(g, c, 0.05, 1.0, e, max_iters=40),
+        True, EXACTISH_TOL,
+    ),
+    "en": (
+        lambda x, y: oracle.elastic_net(x, y, 0.1, 0.3, max_iters=40),
+        lambda g, c, e: elastic_net_coefficients(g, c, 0.1, 0.3, e, max_iters=40),
+        True, EXACTISH_TOL,
+    ),
+    "sc": (
+        lambda x, y: oracle.simplex(x, y, 0.01, max_iters=300),
+        lambda g, c, e: simplex_coefficients(g, c, 0.01, e, max_iters=300),
+        False, SIMPLEX_TOL,
+    ),
+}
+
+
+class TestBatchedLooKernels:
+    @pytest.mark.parametrize("family", sorted(FAMILIES_VS_ORACLE))
+    def test_matches_scalar_oracle(self, family):
+        one_fit, kernel, centered, tol = FAMILIES_VS_ORACLE[family]
+        t = loo_world()
+        human = t + np.random.default_rng(31).normal(scale=0.2, size=t.shape)
+        ref_coef, ref_icpt, ref_conv = loo_oracle(t, one_fit)
+        coef, icpt, n_warn = loo_batched(t, kernel, centered)
+
+        assert np.all(np.diag(coef) == 0.0)
+        assert np.max(np.abs(coef - ref_coef)) <= tol
+        assert np.max(np.abs(icpt - ref_icpt)) <= tol
+        if family != "sc":
+            # the constant column is never used as a feature
+            assert np.all(np.delete(coef[3], 3) == 0.0)
+        # train MSEs and human transfers, each one matrix product
+        fitted, ref_fitted = t @ coef + icpt, t @ ref_coef + ref_icpt
+        mse = np.mean((fitted - t) ** 2, axis=0)
+        ref_mse = np.mean((ref_fitted - t) ** 2, axis=0)
+        assert np.max(np.abs(mse - ref_mse)) <= tol
+        pred, ref_pred = human @ coef + icpt, human @ ref_coef + ref_icpt
+        assert np.max(np.abs(pred - ref_pred)) <= tol
+        # one warning per target the oracle leaves unconverged
+        assert n_warn == np.count_nonzero(~ref_conv)
+        if family in ("lasso", "en", "sc"):
+            assert 0 < n_warn < t.shape[1], "caps should split converged/unconverged"
+
+    @pytest.mark.filterwarnings("ignore::twincal.matcore.ConvergenceWarning")
+    def test_one_target_fits_are_the_kernel(self):
+        t = loo_world()
+        x, y = np.delete(t, 5, axis=1), t[:, 5]
+        for fit, ref in [
+            (fit_ridge(x, y, 0.5), oracle.ridge(x, y, 0.5)),
+            (fit_elastic_net(x, y, 0.1, 0.3), oracle.elastic_net(x, y, 0.1, 0.3)),
+            (fit_simplex(x, y, 0.01, max_iters=300), oracle.simplex(x, y, 0.01, 300)),
+        ]:
+            assert np.max(np.abs(fit.coefficients - ref[0])) <= SIMPLEX_TOL
+            assert abs(fit.intercept - ref[1]) <= SIMPLEX_TOL
+
+    def test_projection_matches_oracle(self):
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            v = rng.normal(scale=2.0, size=7)
+            assert np.array_equal(project_simplex(v), oracle.project_simplex(v))
+
+    def test_simplex_feasibility_error(self, monkeypatch):
+        import twincal.regress as regress
+
+        # a broken projection that returns the all-ones vector, the exact
+        # (off-simplex) fit of y = x @ 1, must not come back as a model
+        monkeypatch.setattr(regress, "_project_rows", lambda v: np.ones(v.shape))
+        x = random_xy(20, 4, seed=33)[0]
+        with pytest.raises(DataError, match="infeasible"):
+            fit_simplex(x, x.sum(axis=1), max_iters=3)
