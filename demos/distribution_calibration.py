@@ -44,8 +44,8 @@ for variant in EnsembleVariant:
     print(f"  {variant.value:>22}: {tv.mean():.4f}")
 
 print("\n-- held-out target question --")
-pred = tc.predict_distribution(fitted, samples[:, 40], 5)
-base_pred = tc.predict_distribution(baseline, samples[:, 40], 5)
+pred = tc.ensemble_distribution(fitted, samples[:, 40], 5)
+base_pred = tc.ensemble_distribution(baseline, samples[:, 40], 5)
 print("  true      ", np.round(target_marginal.probs, 3))
 print("  calibrated", np.round(pred.probs, 3))
 print("  baseline  ", np.round(base_pred.probs, 3))

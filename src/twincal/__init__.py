@@ -41,7 +41,6 @@ from .diagnostics import (
 from .distcal import (
     Categorical,
     Discrepancy,
-    DiscrepancySpec,
     EnsembleVariant,
     EnsembleWeights,
     MirrorDescentConfig,
@@ -49,7 +48,6 @@ from .distcal import (
     discrepancy,
     ensemble_distribution,
     fit_weights,
-    predict_distribution,
     split_questions,
     uniform_baseline,
     variance_ratio,
@@ -60,13 +58,11 @@ from .matcore import (
     DataError,
     EmptyColumnError,
     MaskedMatrix,
-    SvdResult,
     UndefinedCorrelationError,
     mean_correlation,
     pearson,
     read_matrix_csv,
     standardize_columns,
-    svd_topk,
     write_matrix_csv,
 )
 from .profiles import PROFILES, method_config, profile_names

@@ -82,15 +82,9 @@ class PreparedPair:
 
 @dataclass(frozen=True)
 class TransferDiagnostic:
-    """Synthetic-system fit quality and the resulting gating decision."""
+    """Synthetic-system fit quality: the in-sample MSE the gate compares with tau."""
 
     train_mse: float
-    threshold: float = np.inf
-    transferred: bool = True
-
-    def __post_init__(self) -> None:
-        if self.transferred != (self.train_mse < self.threshold):
-            raise DataError("transferred must equal train_mse < threshold")
 
 
 @dataclass(frozen=True)
@@ -286,8 +280,7 @@ def adaptive_transfer(
     fallback (normally the raw twin target column) otherwise; tau = 0 always
     falls back, tau = inf always transfers.
     """
-    if tau < 0:
-        raise DataError("tau must be nonnegative")
+    _check_tau(tau)
     fallback = np.asarray(fallback, dtype=np.float64)
     prediction, diag = fit_and_transfer(task)
     if fallback.shape != prediction.shape:
@@ -489,6 +482,11 @@ def _correlations(human: MaskedMatrix, predictions: np.ndarray, twin_dense: np.n
     return out
 
 
+def _check_tau(tau: float) -> None:
+    if not tau >= 0:
+        raise DataError(f"tau must be nonnegative, got {tau!r}")
+
+
 def _gate(correlations, train_mses: np.ndarray, tau: float | None) -> list[TargetResult]:
     """Per-target results with predictions gated by train MSE < ``tau``.
 
@@ -537,8 +535,10 @@ def loo_evaluate(
     if orientation is Orientation.NEW_USER:
         human = human.transpose()
         twin = twin.transpose()
-    if tau is not None and not isinstance(method, RegressConfig):
-        raise DataError("adaptive gating applies to regression methods only")
+    if tau is not None:
+        if not isinstance(method, RegressConfig):
+            raise DataError("adaptive gating applies to regression methods only")
+        _check_tau(tau)
 
     predictions, train_mses, twin_dense = _loo_predictions(
         human, twin, method,
@@ -581,6 +581,9 @@ def sweep_thresholds(
     t = twin.transpose() if orientation is Orientation.NEW_USER else twin
     if not isinstance(method, RegressConfig):
         raise DataError("sweep_thresholds requires a regression method")
+    taus = list(taus)
+    for tau in taus:
+        _check_tau(tau)
     predictions, train_mses, twin_dense = _loo_predictions(
         h, t, method,
         impute_rank=impute_rank, rank_grid=rank_grid,

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibrate import Orientation, loo_evaluate, sweep_thresholds
-from .diagnostics import SubspaceAxis, alignment_report, variance_explained
+from .diagnostics import SubspaceAxis, alignment_report
 from .distcal import Categorical, MirrorDescentConfig, cross_table
 from .matcore import DataError, MaskedMatrix, read_matrix_csv, write_matrix_csv
 from .profiles import method_config, profile_names
@@ -86,7 +86,12 @@ def _resolve(key: str, cli_value, config: dict, default=None):
     else:
         return default
     coerce = _COERCERS.get(key)
-    return coerce(value) if coerce and value is not None else value
+    if coerce is None or value is None:
+        return value
+    try:
+        return coerce(value)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"invalid value for {key!r}: {value!r}") from exc
 
 
 def _require_matrix(path: str | None, role: str) -> MaskedMatrix:
@@ -235,8 +240,7 @@ def cmd_diagnose(args) -> int:
     )
     _write_json(out / "alignment.json", report.to_json_dict())
 
-    curve_h = variance_explained(human, impute_rank=config.get("impute_rank"), seed=seed)
-    curve_t = variance_explained(twin, impute_rank=config.get("impute_rank"), seed=seed)
+    curve_h, curve_t = report.variance_curves()
     rows = [["k", "human", "twin"]]
     for k in range(max(len(curve_h), len(curve_t))):
         rows.append([
@@ -264,7 +268,6 @@ def cmd_distcal(args) -> int:
         max_iters=int(md.get("max_iters", 2000)),
         tol=float(md.get("tol", 1e-8)),
         epsilon_floor=float(md.get("epsilon_floor", 1e-9)),
-        seed=seed,
     )
     out = _out_dir(args, config)
 

@@ -47,7 +47,7 @@ class CompletionConfig:
 
     ``tol`` is the relative Frobenius-change stopping criterion on the
     low-rank reconstruction. All solvers are deterministic given the input
-    and config; ``seed`` is carried for config-file compatibility.
+    and config.
     """
 
     method: CompletionMethod
@@ -55,7 +55,6 @@ class CompletionConfig:
     lam: float = 0.0
     max_iters: int = 200
     tol: float = 1e-5
-    seed: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "method", CompletionMethod(self.method))

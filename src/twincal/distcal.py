@@ -19,14 +19,12 @@ from .matcore import DataError
 __all__ = [
     "Categorical",
     "Discrepancy",
-    "DiscrepancySpec",
     "EnsembleVariant",
     "EnsembleWeights",
     "MirrorDescentConfig",
     "discrepancy",
     "ensemble_distribution",
     "fit_weights",
-    "predict_distribution",
     "variance_ratio",
     "uniform_baseline",
     "split_questions",
@@ -92,16 +90,6 @@ class Discrepancy(str, Enum):
     CDF_L2 = "cdf_l2"
 
 
-@dataclass(frozen=True)
-class DiscrepancySpec:
-    """Which divergence/distance to use as objective or metric."""
-
-    kind: Discrepancy
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", Discrepancy(self.kind))
-
-
 class EnsembleVariant(str, Enum):
     PERSONAS_AND_DUMMIES = "personas_and_dummies"
     PERSONAS_ONLY = "personas_only"
@@ -145,8 +133,7 @@ class MirrorDescentConfig:
     objectives have no crisp convergence test, so the optimizer always
     returns its best iterate, stopping early only when the best objective
     has not improved by a relative ``tol`` for ``stall_patience`` steps.
-    The deterministic uniform initialization does not consume ``seed``;
-    the field rides along in config files.
+    The initialization is deterministic (uniform), so no seed is needed.
     """
 
     eta0: float = 1.0
@@ -154,7 +141,6 @@ class MirrorDescentConfig:
     max_iters: int = 2000
     tol: float = 1e-8
     epsilon_floor: float = 1e-9
-    seed: int = 0
     stall_patience: int = 200   # stop early after this many non-improving iters
 
     def __post_init__(self) -> None:
@@ -236,7 +222,7 @@ def _grads_wrt_q(kind: Discrepancy, p: np.ndarray, q: np.ndarray, eps: float) ->
 
 
 def discrepancy(
-    spec: DiscrepancySpec | Discrepancy | str,
+    spec: Discrepancy | str,
     p: Categorical,
     q: Categorical,
     *,
@@ -248,7 +234,7 @@ def discrepancy(
     empty-support mixtures produce finite (if huge) values instead of
     dividing by zero.
     """
-    kind = spec.kind if isinstance(spec, DiscrepancySpec) else Discrepancy(spec)
+    kind = Discrepancy(spec)
     if p.n_categories != q.n_categories:
         raise DataError("distributions must share the category count")
     value = float(_values(kind, p.probs[None, :], q.probs[None, :], epsilon_floor)[0])
@@ -268,13 +254,6 @@ def ensemble_distribution(
     probs = np.bincount(codes - 1, weights=weights.w, minlength=n_categories)
     probs = probs + weights.pi
     return Categorical(probs / probs.sum())
-
-
-def predict_distribution(
-    weights: EnsembleWeights, twin_target_col: np.ndarray, n_categories: int
-) -> Categorical:
-    """Apply fitted ensemble weights to the held-out question's twin answers."""
-    return ensemble_distribution(weights, twin_target_col, n_categories)
 
 
 def uniform_baseline(n_twins: int, n_categories: int) -> EnsembleWeights:
@@ -331,7 +310,7 @@ def objective_and_gradient(
     pi: np.ndarray,
     p_train,
     twin_cols: np.ndarray,
-    spec: DiscrepancySpec | Discrepancy | str,
+    spec: Discrepancy | str,
     *,
     epsilon_floor: float = 1e-9,
     _onehot_cache: np.ndarray | None = None,
@@ -343,7 +322,7 @@ def objective_and_gradient(
     Exposed separately so the analytic gradients can be checked against
     finite differences.
     """
-    kind = spec.kind if isinstance(spec, DiscrepancySpec) else Discrepancy(spec)
+    kind = Discrepancy(spec)
     p = _stack_probs(p_train)
     m, n_cat = p.shape
     twin_cols = np.asarray(twin_cols, dtype=np.int64)
@@ -422,7 +401,7 @@ def _mirror_descent_run(
 def fit_weights(
     p_train,
     twin_cols: np.ndarray,
-    spec: DiscrepancySpec | Discrepancy | str,
+    spec: Discrepancy | str,
     variant: EnsembleVariant | str = EnsembleVariant.PERSONAS_AND_DUMMIES,
     cfg: MirrorDescentConfig | None = None,
 ) -> EnsembleWeights:
@@ -437,7 +416,7 @@ def fit_weights(
     """
     cfg = cfg or MirrorDescentConfig()
     variant = EnsembleVariant(variant)
-    kind = spec.kind if isinstance(spec, DiscrepancySpec) else Discrepancy(spec)
+    kind = Discrepancy(spec)
     p = _stack_probs(p_train)
     m, n_cat = p.shape
     twin_cols = np.asarray(twin_cols, dtype=np.int64)

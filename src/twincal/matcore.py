@@ -21,11 +21,9 @@ __all__ = [
     "ConvergenceWarning",
     "MaskedMatrix",
     "ColumnStats",
-    "SvdResult",
     "standardize_columns",
     "pearson",
     "mean_correlation",
-    "svd_topk",
     "write_matrix_csv",
     "read_matrix_csv",
 ]
@@ -158,19 +156,6 @@ class ColumnStats:
         return x * self.stds[j] + self.means[j]
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Rank-k factorization with orthonormal factors and sorted spectrum."""
-
-    left_vectors: np.ndarray      # n x k
-    singular_values: np.ndarray   # k, nonincreasing, >= 0
-    right_vectors: np.ndarray     # m x k
-
-    def reconstruct(self) -> np.ndarray:
-        """Best rank-k approximation of the (demeaned) input matrix."""
-        return (self.left_vectors * self.singular_values) @ self.right_vectors.T
-
-
 def standardize_columns(matrix: MaskedMatrix) -> tuple[MaskedMatrix, ColumnStats]:
     """Standardize each column to observed mean 0 and population std 1.
 
@@ -252,26 +237,6 @@ def mean_correlation(
         mean = float(corrs.mean())
         se = 0.0 if corrs.size == 1 else float(corrs.std(ddof=1) / np.sqrt(corrs.size))
     return mean, se
-
-
-def svd_topk(matrix: np.ndarray, k: int) -> SvdResult:
-    """Top-k SVD of a fully observed matrix after demeaning its columns.
-
-    The factorization refers to the column-demeaned matrix, so at
-    k = min(n, m) the squared singular values sum to its squared Frobenius
-    norm and the rank-k reconstruction is Frobenius-optimal.
-    """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise DataError("svd_topk expects a 2-d matrix")
-    if not np.all(np.isfinite(matrix)):
-        raise DataError("svd_topk requires a fully observed matrix; impute first")
-    n, m = matrix.shape
-    if not 1 <= k <= min(n, m):
-        raise DataError(f"k={k} out of range for a {n}x{m} matrix")
-    demeaned = matrix - matrix.mean(axis=0)
-    left, sv, right_t = np.linalg.svd(demeaned, full_matrices=False)
-    return SvdResult(left[:, :k], sv[:k], right_t[:k].T)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ materializes them as a :class:`RegressConfig` or :class:`CompletionConfig`.
 
 from __future__ import annotations
 
-from .completion import CompletionConfig, CompletionMethod
+from dataclasses import fields
+
+from .completion import CompletionConfig
 from .matcore import DataError
 from .regress import RegressConfig
 
@@ -84,7 +86,8 @@ def method_config(
 
     Regression methods yield a :class:`RegressConfig`, completion methods a
     :class:`CompletionConfig`. Explicit ``overrides`` win over the profile's
-    stored values.
+    stored values; a name the config does not have raises :class:`DataError`.
+    ``seed`` reaches regression configs only (it seeds the network family).
     """
     params: dict = {}
     if profile is not None:
@@ -97,13 +100,18 @@ def method_config(
         params.update(PROFILES[profile][method])
     if overrides:
         params.update(overrides)
-    params.setdefault("seed", seed)
 
     if method in REGRESSION_METHODS:
-        return RegressConfig(family=method, **params)
-    if method in COMPLETION_METHODS:
-        return CompletionConfig(method=CompletionMethod(method), **params)
-    raise DataError(
-        f"unknown method {method!r}; expected one of "
-        f"{REGRESSION_METHODS + COMPLETION_METHODS}"
-    )
+        cls, selector = RegressConfig, "family"
+        params.setdefault("seed", seed)
+    elif method in COMPLETION_METHODS:
+        cls, selector = CompletionConfig, "method"
+    else:
+        raise DataError(
+            f"unknown method {method!r}; expected one of "
+            f"{REGRESSION_METHODS + COMPLETION_METHODS}"
+        )
+    unknown = sorted(set(params) - ({f.name for f in fields(cls)} - {selector}))
+    if unknown:
+        raise DataError(f"unknown parameters for method {method!r}: {unknown}")
+    return cls(**{selector: method}, **params)

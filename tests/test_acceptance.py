@@ -217,7 +217,7 @@ def test_06_distributional_calibration_with_error_bound():
 
         cal_tv = mean_tv(fitted)
         base_tv = mean_tv(baseline)
-        target_pred = tc.predict_distribution(fitted, samples[:, 40], 5)
+        target_pred = tc.ensemble_distribution(fitted, samples[:, 40], 5)
         target_tv = tc.discrepancy("tv", p_target, target_pred)
         bound = tc.tv_error_bound(world, alpha=0.05)
         bound_holds += target_tv <= bound

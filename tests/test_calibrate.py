@@ -4,7 +4,6 @@ import scalar_oracles as oracle
 
 from twincal.calibrate import (
     CalibrationTask,
-    TransferDiagnostic,
     adaptive_transfer,
     calibrate_new_user,
     fit_and_transfer,
@@ -37,7 +36,6 @@ class TestFitAndTransfer:
         rel = np.linalg.norm(pred - target) / np.linalg.norm(target)
         assert rel < 1e-6
         assert diag.train_mse < 1e-10
-        assert diag.transferred
 
     def test_rotated_superset_exact_on_raw_scale(self):
         world, human, twin, target = generate_latent_world(
@@ -108,10 +106,6 @@ class TestAdaptiveTransfer:
         above = adaptive_transfer(task, diag.train_mse * 2 + 1e-12, fallback)
         below = adaptive_transfer(task, diag.train_mse / 2, fallback)
         assert not np.array_equal(above, below)
-
-    def test_diagnostic_invariant(self):
-        with pytest.raises(DataError):
-            TransferDiagnostic(train_mse=1.0, threshold=0.5, transferred=True)
 
 
 class TestNewUser:
@@ -271,6 +265,18 @@ class TestSweep:
         assert records[1]["mean"] == pytest.approx(always.mean, abs=1e-12)
         assert records[0]["n_transferred"] == 0
         assert records[1]["n_transferred"] == 10
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan])
+    def test_negative_or_nan_tau_rejected(self, bad):
+        _, human, twin, _ = generate_latent_world(20, 6, 2, seed=20)
+        twin_features = MaskedMatrix.from_dense(twin.values[:, :6])
+        with pytest.raises(DataError, match="tau"):
+            loo_evaluate(human, twin_features, RIDGE, tau=bad)
+        with pytest.raises(DataError, match="tau"):
+            sweep_thresholds(human, twin_features, RIDGE, [0.0, bad, np.inf])
+        task, _ = identical_task(n=20, m=6, seed=20)
+        with pytest.raises(DataError, match="tau"):
+            adaptive_transfer(task, bad, task.twin.values[:, task.target_index])
 
 
 class TestLooEngine:

@@ -320,6 +320,51 @@ class TestFailureModes:
         assert json.loads(lines[0]) == {"error": "diverged", "kind": error.__name__}
         assert "Traceback" not in captured.err
 
+    def _one_error_line(self, capsys):
+        captured = capsys.readouterr()
+        lines = captured.out.strip().splitlines()
+        assert len(lines) == 1
+        assert "Traceback" not in captured.err
+        return json.loads(lines[0])
+
+    def test_malformed_env_seed_exit_2(self, tmp_path, capsys, monkeypatch):
+        hp, tp = write_pair(tmp_path, alignment="identical")
+        monkeypatch.setenv("SYNDIGITS_SEED", "abc")
+        rc = main(["calibrate", "--human", str(hp), "--twin", str(tp),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        payload = self._one_error_line(capsys)
+        assert "'seed'" in payload["error"] and "'abc'" in payload["error"]
+
+    def test_unknown_method_params_exit_2(self, tmp_path, capsys):
+        hp, tp = write_pair(tmp_path, alignment="identical")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": {"bogus": 1, "lam": 1.0, "zzz": 2}}))
+        rc = main(["calibrate", "--config", str(cfg), "--human", str(hp),
+                   "--twin", str(tp), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        payload = self._one_error_line(capsys)
+        assert payload["kind"] == "DataError"
+        assert "['bogus', 'zzz']" in payload["error"]
+
+    def test_negative_tau_exit_2(self, tmp_path, capsys):
+        hp, tp = write_pair(tmp_path, alignment="identical")
+        rc = main(["calibrate", "--human", str(hp), "--twin", str(tp),
+                   "--method", "ridge", "--tau", "-1", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        payload = self._one_error_line(capsys)
+        assert payload["kind"] == "DataError" and "tau" in payload["error"]
+
+    def test_zero_variance_diagnose_exit_2(self, tmp_path, capsys):
+        hp = tmp_path / "zero.csv"
+        write_matrix_csv(hp, np.zeros((20, 6)))
+        rc = main(["diagnose", "--human", str(hp), "--twin", str(hp),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        payload = self._one_error_line(capsys)
+        assert payload == {"error": "matrix has zero variance after demeaning",
+                           "kind": "DataError"}
+
     def test_all_skipped_report_is_strict_json(self, tmp_path):
         # a constant human matrix leaves every correlation undefined, so the
         # aggregate means are NaN; they must be written as null, not NaN

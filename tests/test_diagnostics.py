@@ -1,14 +1,31 @@
+import json
+
 import numpy as np
 import pytest
 
+import twincal.completion
+import twincal.diagnostics
+from twincal.cli import main
 from twincal.diagnostics import (
     alignment_report,
     principal_angle_cosines,
     projection_frobenius,
     variance_explained,
 )
-from twincal.matcore import DataError, MaskedMatrix
+from twincal.matcore import DataError, MaskedMatrix, write_matrix_csv
 from twincal.synth import generate_latent_world
+
+# distances against the explicit-projector oracle; cosines against the same
+# cross-Gram SVD the library takes
+DIST_TOL = 1e-12
+COS_TOL = 1e-12
+
+
+def oracle_projector_distance(a, b, k):
+    """Reference: ||Qa Qa' - Qb Qb'||_F with both n x n projectors built."""
+    qa = np.linalg.svd(a, full_matrices=False)[0][:, :k]
+    qb = np.linalg.svd(b, full_matrices=False)[0][:, :k]
+    return float(np.linalg.norm(qa @ qa.T - qb @ qb.T))
 
 
 def basis_from(*columns):
@@ -91,6 +108,103 @@ class TestProjectionFrobenius:
             via_cos = np.sqrt(max(2 * k - 2 * np.sum(cos**2), 0.0))
             assert abs(direct**2 - via_cos**2) < 1e-8
             assert direct <= np.sqrt(2 * k) + 1e-8
+
+
+class TestExplicitProjectorOracle:
+    def test_projection_frobenius_matches_oracle(self):
+        rng = np.random.default_rng(15)
+        for _ in range(10):
+            a = rng.normal(size=(16, 7))
+            b = a + rng.normal(scale=0.3, size=(16, 7))
+            for k in range(1, 8):
+                assert abs(projection_frobenius(a, b, k)
+                           - oracle_projector_distance(a, b, k)) < DIST_TOL
+
+    @pytest.mark.parametrize("axis", ["row_space", "column_space"])
+    def test_every_report_curve_matches_oracle(self, axis):
+        seed = 3
+        _, human, twin, _ = generate_latent_world(30, 14, 3, seed=16,
+                                                  alignment="linear_distortion",
+                                                  noise_sigma=0.1)
+        h = human.values - human.values.mean(axis=0)
+        t = twin.values[:, :14] - twin.values[:, :14].mean(axis=0)
+        report = alignment_report(h, t, axis, seed=seed, rank=3)
+        # the baselines as the report draws them: one Gaussian matrix of the
+        # twin's shape, then one permutation per human column
+        rng = np.random.default_rng(seed)
+        gaussian = rng.normal(size=t.shape)
+        gaussian -= gaussian.mean(axis=0)
+        shuffled = h.copy()
+        for j in range(shuffled.shape[1]):
+            shuffled[:, j] = shuffled[rng.permutation(shuffled.shape[0]), j]
+        orient = (lambda x: x.T) if axis == "row_space" else (lambda x: x)
+        curves = [
+            (report.cosines, report.proj_frobenius, t),
+            (report.gaussian_cosines, report.gaussian_proj_frobenius, gaussian),
+            (report.shuffled_cosines, report.shuffled_proj_frobenius, shuffled),
+        ]
+        assert report.r_max == 5
+        for cos, dist, other in curves:
+            a, b = orient(h), orient(other)
+            for k in range(1, report.r_max + 1):
+                assert abs(dist[k - 1] - oracle_projector_distance(a, b, k)) < DIST_TOL
+            qa = np.linalg.svd(a, full_matrices=False)[0][:, :report.r_max]
+            qb = np.linalg.svd(b, full_matrices=False)[0][:, :report.r_max]
+            oracle_cos = np.clip(np.linalg.svd(qa.T @ qb, compute_uv=False), 0, 1)
+            assert np.max(np.abs(cos - oracle_cos)) < COS_TOL
+
+
+class TestDiagnoseCommand:
+    @staticmethod
+    def masked_pair(tmp_path):
+        _, human, twin, _ = generate_latent_world(40, 12, 3, seed=17,
+                                                  noise_sigma=0.1,
+                                                  missing_frac=0.15)
+        twin = MaskedMatrix(twin.values[:, :12], twin.mask[:, :12])
+        hp, tp = tmp_path / "human.csv", tmp_path / "twin.csv"
+        write_matrix_csv(hp, human)
+        write_matrix_csv(tp, twin)
+        return hp, tp, human, twin
+
+    def test_variance_csv_matches_variance_explained(self, tmp_path):
+        hp, tp, human, twin = self.masked_pair(tmp_path)
+        out = tmp_path / "out"
+        assert main(["diagnose", "--human", str(hp), "--twin", str(tp),
+                     "--seed", "2", "--out", str(out)]) == 0
+        rows = (out / "variance_explained.csv").read_text().splitlines()
+        table = np.array([[float(x) for x in row.split(",")] for row in rows[1:]])
+        assert np.array_equal(table[:, 0], np.arange(1, 13))
+        # the CSV curve comes from the report's spectra (one SVD of each
+        # matrix, transposed for the row-space axis), the function from its
+        # own SVD: equal up to rounding
+        assert np.max(np.abs(table[:, 1] - variance_explained(human, seed=2))) < 1e-12
+        assert np.max(np.abs(table[:, 2] - variance_explained(twin, seed=2))) < 1e-12
+
+    def test_rank_search_and_imputation_once_per_matrix(self, tmp_path, monkeypatch):
+        hp, tp, human, _ = self.masked_pair(tmp_path)
+        searched, imputed = [], []
+        estimate = twincal.completion.estimate_effective_rank
+        impute = twincal.diagnostics.impute_dense
+
+        def counting_estimate(matrix, *args, **kwargs):
+            searched.append(float(np.nansum(matrix.values)))
+            return estimate(matrix, *args, **kwargs)
+
+        def counting_impute(matrix, *args, **kwargs):
+            imputed.append(float(np.nansum(matrix.values)))
+            return impute(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(twincal.completion, "estimate_effective_rank", counting_estimate)
+        monkeypatch.setattr(twincal.diagnostics, "estimate_effective_rank", counting_estimate)
+        monkeypatch.setattr(twincal.diagnostics, "impute_dense", counting_impute)
+        out = tmp_path / "out"
+        assert main(["diagnose", "--human", str(hp), "--twin", str(tp),
+                     "--out", str(out)]) == 0
+        assert len(searched) == 2 and len(set(searched)) == 2
+        assert len(imputed) == 2 and set(imputed) == set(searched)
+        # the reused human estimate is the rank the report states
+        rank = json.loads((out / "alignment.json").read_text())["rank"]
+        assert rank == estimate(human, range(1, 9), seed=0)
 
 
 class TestAlignmentReport:
@@ -176,6 +290,40 @@ class TestVarianceExplained:
         curve = variance_explained(rng.normal(size=(20, 10)))
         assert np.all(np.diff(curve) >= -1e-12)
         assert curve[-1] == pytest.approx(1.0, abs=1e-10)
+
+    def test_spectrum_sums_to_demeaned_norm(self):
+        rng = np.random.default_rng(4)
+        m = rng.normal(size=(20, 10))
+        demeaned = m - m.mean(axis=0)
+        report = alignment_report(m, m + 0.1 * rng.normal(size=(20, 10)),
+                                  "row_space", rank=2)
+        assert abs(np.sum(report.human_spectrum**2)
+                   - np.linalg.norm(demeaned) ** 2) < 1e-8
+        curve_h, _ = report.variance_curves()
+        assert curve_h[-1] == pytest.approx(1.0, abs=1e-10)
+        assert np.max(np.abs(curve_h - variance_explained(m))) < 1e-12
+
+    def test_curve_matches_dense_svd_of_demeaned(self):
+        rng = np.random.default_rng(2)
+        m = rng.normal(size=(9, 6))
+        sv = np.linalg.svd(m - m.mean(axis=0), compute_uv=False)
+        expected = np.cumsum(sv**2) / np.sum(sv**2)
+        assert np.allclose(variance_explained(m), expected, atol=1e-12)
+
+    def test_spectrum_nonincreasing_curve_nondecreasing(self):
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(15, 12))
+        report = alignment_report(m, rng.normal(size=(15, 12)), "column_space", rank=3)
+        for spectrum, curve in zip((report.human_spectrum, report.twin_spectrum),
+                                   report.variance_curves()):
+            assert spectrum.shape == (12,)
+            assert np.all(np.diff(spectrum) <= 1e-12)
+            assert np.all(np.diff(curve) >= -1e-12)
+            assert curve[-1] == pytest.approx(1.0, abs=1e-10)
+
+    def test_non_finite_dense_input_rejected(self):
+        with pytest.raises(DataError):
+            variance_explained(np.array([[1.0, np.nan], [2.0, 3.0]]))
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(DataError):

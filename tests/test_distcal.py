@@ -4,7 +4,6 @@ import pytest
 from twincal.distcal import (
     Categorical,
     Discrepancy,
-    DiscrepancySpec,
     EnsembleVariant,
     EnsembleWeights,
     MirrorDescentConfig,
@@ -13,7 +12,6 @@ from twincal.distcal import (
     ensemble_distribution,
     fit_weights,
     objective_and_gradient,
-    predict_distribution,
     split_questions,
     uniform_baseline,
     variance_ratio,
@@ -112,9 +110,11 @@ class TestDiscrepancy:
             discrepancy("tv", cat(1.0), cat(0.5, 0.5))
 
     def test_spec_wrapper(self):
-        spec = DiscrepancySpec("kl")
-        assert spec.kind is Discrepancy.KL
-        assert discrepancy(spec, cat(0.5, 0.5), cat(0.5, 0.5)) == 0.0
+        # the spec is the enum member or its string value, nothing else
+        p, q = cat(0.5, 0.5), cat(0.25, 0.75)
+        assert discrepancy(Discrepancy.KL, p, q) == discrepancy("kl", p, q)
+        with pytest.raises(ValueError):
+            discrepancy("not-a-measure", p, q)
 
 
 class TestEnsembleDistribution:
@@ -258,18 +258,18 @@ class TestPredictAndBaseline:
         w = EnsembleWeights(np.zeros(5), np.full(4, 0.25),
                             EnsembleVariant.DUMMIES_ONLY)
         rng = np.random.default_rng(10)
-        p = predict_distribution(w, rng.integers(1, 5, size=5), 4)
+        p = ensemble_distribution(w, rng.integers(1, 5, size=5), 4)
         assert np.allclose(p.probs, 0.25)
 
     def test_concentrated_twin_prediction(self):
         w = EnsembleWeights(np.array([0.0, 1.0, 0.0]), np.zeros(3),
                             EnsembleVariant.PERSONAS_ONLY)
-        p = predict_distribution(w, np.array([1, 2, 3]), 3)
+        p = ensemble_distribution(w, np.array([1, 2, 3]), 3)
         assert np.allclose(p.probs, [0, 1, 0])
 
     def test_baseline_is_empirical_twin_distribution(self):
         col = np.array([1, 1, 2, 4])
-        p = predict_distribution(uniform_baseline(4, 4), col, 4)
+        p = ensemble_distribution(uniform_baseline(4, 4), col, 4)
         assert np.allclose(p.probs, [0.5, 0.25, 0.0, 0.25])
 
 

@@ -11,7 +11,6 @@ from twincal.matcore import (
     pearson,
     read_matrix_csv,
     standardize_columns,
-    svd_topk,
     write_matrix_csv,
 )
 
@@ -151,56 +150,6 @@ class TestMeanCorrelation:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             mean_correlation(np.array([]))
-
-
-class TestSvdTopk:
-    def test_orthonormality(self):
-        rng = np.random.default_rng(2)
-        res = svd_topk(rng.normal(size=(9, 6)), 3)
-        assert np.allclose(res.left_vectors.T @ res.left_vectors, np.eye(3), atol=1e-8)
-        assert np.allclose(res.right_vectors.T @ res.right_vectors, np.eye(3), atol=1e-8)
-        # matches a direct dense SVD of the demeaned matrix
-        demeaned = rng.normal(size=(9, 6))
-        expected = np.linalg.svd(demeaned - demeaned.mean(0), compute_uv=False)
-        got = svd_topk(demeaned, 6).singular_values
-        assert np.allclose(got, expected, atol=1e-10)
-
-    def test_exact_rank_one(self):
-        rng = np.random.default_rng(3)
-        m = np.outer(rng.normal(size=8) + 2, rng.normal(size=5) + 1)
-        res = svd_topk(m, 1)
-        demeaned = m - m.mean(axis=0)
-        assert np.linalg.norm(res.reconstruct() - demeaned) < 1e-10
-
-    def test_full_rank_variance_identity(self):
-        rng = np.random.default_rng(4)
-        m = rng.normal(size=(20, 10))
-        res = svd_topk(m, 10)
-        total = np.sum(res.singular_values**2)
-        demeaned = m - m.mean(axis=0)
-        assert abs(total - np.linalg.norm(demeaned) ** 2) < 1e-8
-        cumulative = np.cumsum(res.singular_values**2) / total
-        assert cumulative[-1] == pytest.approx(1.0, abs=1e-10)
-
-    def test_spectrum_nonincreasing_and_error_monotone(self):
-        rng = np.random.default_rng(5)
-        m = rng.normal(size=(15, 12))
-        demeaned = m - m.mean(axis=0)
-        sv = svd_topk(m, 12).singular_values
-        assert np.all(np.diff(sv) <= 1e-12)
-        errors = [
-            np.linalg.norm(svd_topk(m, k).reconstruct() - demeaned)
-            for k in range(1, 13)
-        ]
-        assert np.all(np.diff(errors) <= 1e-10)
-
-    def test_k_out_of_range(self):
-        with pytest.raises(DataError):
-            svd_topk(np.zeros((3, 3)), 4)
-
-    def test_masked_input_rejected(self):
-        with pytest.raises(DataError):
-            svd_topk(np.array([[1.0, np.nan]]), 1)
 
 
 class TestCsvRoundTrip:
