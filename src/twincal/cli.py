@@ -29,12 +29,6 @@ from .synth import generate_discrete_world, generate_latent_world
 
 ENV_PREFIX = "SYNDIGITS_"
 
-_ENV_KEYS = (
-    "human", "twin", "method", "profile", "orientation", "tau",
-    "fisher_z", "seed", "out", "axis", "standardize",
-)
-
-
 class CliError(Exception):
     def __init__(self, message: str, *, exit_code: int = 2, path: str | None = None):
         super().__init__(message)
@@ -58,29 +52,41 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _env_overrides() -> dict:
-    out = {}
-    for key in _ENV_KEYS:
-        raw = os.environ.get(ENV_PREFIX + key.upper())
-        if raw is not None:
-            out[key] = raw
-    return out
+_BOOL_WORDS = {"true": True, "1": True, "yes": True,
+               "false": False, "0": False, "no": False}
+
+
+def _to_bool(value) -> bool:
+    """A JSON bool, or true/false/1/0/yes/no in any case."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, str) and value.lower() in _BOOL_WORDS:
+        return _BOOL_WORDS[value.lower()]
+    raise ValueError(value)
+
+
+def _to_seed(value) -> int:
+    """An int, or a string holding one; bools and floats are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(value)
+    return int(value)
 
 
 _COERCERS = {
-    "seed": int,
+    "seed": _to_seed,
     "tau": float,
-    "fisher_z": lambda v: v if isinstance(v, bool) else str(v).lower() in ("1", "true", "yes"),
-    "standardize": lambda v: v if isinstance(v, bool) else str(v).lower() in ("1", "true", "yes"),
+    "fisher_z": _to_bool,
+    "standardize": _to_bool,
 }
 
 
 def _resolve(key: str, cli_value, config: dict, default=None):
     """Precedence: explicit CLI flag > environment variable > config > default."""
+    env_value = os.environ.get(ENV_PREFIX + key.upper())
     if cli_value is not None:
         value = cli_value
-    elif key in _env_overrides():
-        value = _env_overrides()[key]
+    elif env_value is not None:
+        value = env_value
     elif key in config:
         value = config[key]
     else:
@@ -279,7 +285,10 @@ def cmd_distcal(args) -> int:
         observed, _ = human.column(j)
         if observed.size == 0:
             raise CliError(f"human column {j} has no observed responses")
-        p_all.append(Categorical.from_codes(observed.astype(np.int64), n_categories))
+        codes = observed.astype(np.int64)
+        if np.any(observed != codes):
+            raise CliError(f"human column {j} must hold integer category codes")
+        p_all.append(Categorical.from_codes(codes, n_categories))
 
     table = cross_table(
         p_all, twin_codes, n_categories,

@@ -223,7 +223,7 @@ def _als_objective(
 
 
 def _als_sweeps(matrix: MaskedMatrix, cfg: CompletionConfig):
-    """Yield (A, B, objective) after each alternating half-step.
+    """Yield the factors (A, B) after each alternating half-step.
 
     Factors start from the rank-r SVD of the column-mean-filled matrix:
     deterministic, and immune to the saddle stalls random factors hit on
@@ -242,9 +242,9 @@ def _als_sweeps(matrix: MaskedMatrix, cfg: CompletionConfig):
     b = right_t[: cfg.rank].T * root
     for _ in range(cfg.max_iters):
         a = _als_half_step(values, mask, b, cfg.lam)
-        yield a, b, _als_objective(values, mask, a, b, cfg.lam)
+        yield a, b
         b = _als_half_step(values.T, mask.T, a, cfg.lam)
-        yield a, b, _als_objective(values, mask, a, b, cfg.lam)
+        yield a, b
 
 
 def als_impute(matrix: MaskedMatrix, cfg: CompletionConfig) -> np.ndarray:
@@ -259,7 +259,7 @@ def als_impute(matrix: MaskedMatrix, cfg: CompletionConfig) -> np.ndarray:
     recon_prev: np.ndarray | None = None
     converged = False
     recon = None
-    for a, b, _ in _als_sweeps(matrix, cfg):
+    for a, b in _als_sweeps(matrix, cfg):
         recon = a @ b.T
         if recon_prev is not None:
             denom = max(float(np.linalg.norm(recon_prev)), 1e-12)

@@ -221,6 +221,12 @@ def _grads_wrt_q(kind: Discrepancy, p: np.ndarray, q: np.ndarray, eps: float) ->
     raise DataError(f"unknown discrepancy {kind!r}")
 
 
+def _scores(kind: Discrepancy, p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:
+    """Row discrepancies as reported: rounding below zero is clamped, except chi2."""
+    values = _values(kind, p, q, eps)
+    return values if kind is Discrepancy.CHI_SQUARE else np.maximum(values, 0.0)
+
+
 def discrepancy(
     spec: Discrepancy | str,
     p: Categorical,
@@ -237,23 +243,77 @@ def discrepancy(
     kind = Discrepancy(spec)
     if p.n_categories != q.n_categories:
         raise DataError("distributions must share the category count")
-    value = float(_values(kind, p.probs[None, :], q.probs[None, :], epsilon_floor)[0])
-    return max(value, 0.0) if kind is not Discrepancy.CHI_SQUARE else value
+    return float(_scores(kind, p.probs[None, :], q.probs[None, :], epsilon_floor)[0])
+
+
+def _prepare(p_list, twin_cols: np.ndarray, n_categories: int | None = None):
+    """Stacked (m, K) distributions and checked (n, m) codes: the one input check."""
+    rows = [p.probs if isinstance(p, Categorical) else Categorical(p).probs
+            for p in p_list]
+    sizes = {row.size for row in rows} | ({n_categories} if n_categories else set())
+    if len(sizes) != 1:
+        raise DataError("distributions must share the category count")
+    n_cat = sizes.pop()
+    p = np.stack(rows, axis=0)
+    m = p.shape[0]
+    codes = np.asarray(twin_cols, dtype=np.int64)
+    if codes.ndim != 2 or codes.shape[1] != m:
+        raise DataError(f"twin_cols shape {codes.shape} incompatible with {m} questions")
+    _check_codes(codes, n_cat)
+    return p, codes
+
+
+class _MixtureMap:
+    """q_j = sum_i w_i * onehot(answer_ij) + pi for every question j at once.
+
+    Each answer owns one cell of the flattened (m, K) table: q is one weighted
+    bincount over the cells, the gradient in w one gather. Subgradient steps
+    on TV, KS and the CDF objectives turn last-bit changes in q into other
+    iterates, so sums keep the order of the one-hot ``einsum`` this replaced:
+    per cell, even and odd twins in two partial sums, each over blocks of
+    eight twins last to first, then the rest in order; questions in order.
+    """
+
+    def __init__(self, codes: np.ndarray, n_categories: int) -> None:
+        n, m = codes.shape
+        self.n_cells = m * n_categories
+        self.cells = codes - 1 + n_categories * np.arange(m)
+        full = n - n % 8
+        self.order = np.concatenate(
+            [np.arange(full).reshape(-1, 8)[:, ::-1].ravel(), np.arange(full, n)]
+        )
+        lanes = self.n_cells * (self.order % 2)[:, None]
+        self.lane_cells = (self.cells[self.order] + lanes).ravel()
+        self.rows = np.repeat(np.arange(n), m)
+
+    def mixture(self, w: np.ndarray, pi: np.ndarray) -> np.ndarray:
+        """Unnormalized (m, K) mixture: twin weights binned by answer, plus pi."""
+        m = self.cells.shape[1]
+        q = np.bincount(self.lane_cells, weights=np.repeat(w[self.order], m),
+                        minlength=2 * self.n_cells)
+        return (q[: self.n_cells] + q[self.n_cells:]).reshape(m, pi.size) + pi
+
+    def adjoint(self, gq: np.ndarray) -> np.ndarray:
+        """Per twin, the sum of gq over the questions at the twin's answers."""
+        return np.bincount(self.rows, weights=gq.ravel()[self.cells].ravel(),
+                           minlength=self.cells.shape[0])
+
+    def predictions(self, weights: EnsembleWeights) -> np.ndarray:
+        """Predicted distribution of every question, rows normalized."""
+        if self.cells.shape[0] != weights.w.size:
+            raise DataError(f"twin column length {self.cells.shape[0]} "
+                            f"!= weight count {weights.w.size}")
+        q = self.mixture(weights.w, weights.pi)
+        return q / q.sum(axis=1, keepdims=True)
 
 
 def ensemble_distribution(
     weights: EnsembleWeights, twin_col: np.ndarray, n_categories: int
 ) -> Categorical:
     """Mixture of twin answer point-masses plus dummy members for one question."""
-    codes = np.asarray(twin_col, dtype=np.int64)
+    codes = np.asarray(twin_col, dtype=np.int64)[:, None]
     _check_codes(codes, n_categories)
-    if codes.size != weights.w.size:
-        raise DataError(
-            f"twin column length {codes.size} != weight count {weights.w.size}"
-        )
-    probs = np.bincount(codes - 1, weights=weights.w, minlength=n_categories)
-    probs = probs + weights.pi
-    return Categorical(probs / probs.sum())
+    return Categorical(_MixtureMap(codes, n_categories).predictions(weights)[0])
 
 
 def uniform_baseline(n_twins: int, n_categories: int) -> EnsembleWeights:
@@ -292,17 +352,12 @@ def split_questions(
 # Mirror-descent fitting.
 # ---------------------------------------------------------------------------
 
-def _onehot(twin_cols: np.ndarray, n_categories: int) -> np.ndarray:
-    """(m, K, n) indicator tensor of the twin answers."""
-    n, m = twin_cols.shape
-    out = np.zeros((m, n_categories, n))
-    out[np.arange(m)[:, None], twin_cols.T - 1, np.arange(n)[None, :]] = 1.0
-    return out
-
-
-def _stack_probs(p_train) -> np.ndarray:
-    rows = [p.probs if isinstance(p, Categorical) else np.asarray(p) for p in p_train]
-    return np.stack(rows, axis=0)
+def _objective(w, pi, p, mix: _MixtureMap, kind: Discrepancy, eps: float):
+    """Mean discrepancy over the rows of p and its gradient in (w, pi)."""
+    q = mix.mixture(w, pi)
+    gq = _grads_wrt_q(kind, p, q, eps)
+    grad_w = mix.adjoint(gq) / p.shape[0]
+    return float(_values(kind, p, q, eps).mean()), grad_w, gq.mean(axis=0)
 
 
 def objective_and_gradient(
@@ -313,7 +368,6 @@ def objective_and_gradient(
     spec: Discrepancy | str,
     *,
     epsilon_floor: float = 1e-9,
-    _onehot_cache: np.ndarray | None = None,
 ):
     """Average discrepancy over training questions and its (sub)gradient.
 
@@ -323,43 +377,21 @@ def objective_and_gradient(
     finite differences.
     """
     kind = Discrepancy(spec)
-    p = _stack_probs(p_train)
-    m, n_cat = p.shape
-    twin_cols = np.asarray(twin_cols, dtype=np.int64)
-    _check_codes(twin_cols, n_cat)
-    onehot = _onehot_cache if _onehot_cache is not None else _onehot(twin_cols, n_cat)
-
-    q = np.einsum("mkn,n->mk", onehot, w) + pi[None, :]
-    values = _values(kind, p, q, epsilon_floor)
-    gq = _grads_wrt_q(kind, p, q, epsilon_floor)
-    grad_w = np.einsum("mkn,mk->n", onehot, gq) / m
-    grad_pi = gq.mean(axis=0)
-    return float(values.mean()), grad_w, grad_pi
+    p, codes = _prepare(p_train, twin_cols)
+    return _objective(w, pi, p, _MixtureMap(codes, p.shape[1]), kind, epsilon_floor)
 
 
-def _mirror_descent_run(
-    w0: np.ndarray,
-    pi0: np.ndarray,
-    use_w: bool,
-    use_pi: bool,
-    p: np.ndarray,
-    twin_cols: np.ndarray,
-    onehot: np.ndarray,
-    kind: Discrepancy,
-    cfg: MirrorDescentConfig,
-):
+def _mirror_descent_run(start, p: np.ndarray, mix: _MixtureMap, kind: Discrepancy,
+                        cfg: MirrorDescentConfig):
     """One exponentiated-gradient run; returns (best_obj, best_w, best_pi, trace)."""
+    w0, pi0, use_w, use_pi = start
     w, pi = w0.copy(), pi0.copy()
     best_obj = np.inf
     best_w, best_pi = w.copy(), pi.copy()
     trace = np.empty(cfg.max_iters)
     stale = 0
-    n_iters = 0
     for t in range(1, cfg.max_iters + 1):
-        obj, grad_w, grad_pi = objective_and_gradient(
-            w, pi, p, twin_cols, kind,
-            epsilon_floor=cfg.epsilon_floor, _onehot_cache=onehot,
-        )
+        obj, grad_w, grad_pi = _objective(w, pi, p, mix, kind, cfg.epsilon_floor)
         if not np.isfinite(obj) or (use_w and not np.all(np.isfinite(grad_w))) or (
             use_pi and not np.all(np.isfinite(grad_pi))
         ):
@@ -367,7 +399,6 @@ def _mirror_descent_run(
                 f"non-finite mirror-descent objective/gradient at iteration {t}"
             )
         trace[t - 1] = obj
-        n_iters = t
         if obj < best_obj - cfg.tol * max(1.0, abs(best_obj)):
             stale = 0
         else:
@@ -395,7 +426,37 @@ def _mirror_descent_run(
             raise FloatingPointError("mirror-descent weights collapsed to zero")
         w /= total
         pi /= total
-    return best_obj, best_w, best_pi, trace[:n_iters].copy()
+    return best_obj, best_w, best_pi, trace[:t].copy()
+
+
+def _fit_variants(p, codes, kind: Discrepancy, variants, cfg: MirrorDescentConfig):
+    """Fitted weights of each variant in turn, running each needed start once.
+
+    A restricted variant is the run from its own face; the joint variant is
+    the best of the joint, personas and dummies runs, the first on ties.
+    """
+    variants = [EnsembleVariant(v) for v in variants]
+    n, n_cat = codes.shape[0], p.shape[1]
+    mix = _MixtureMap(codes, n_cat)
+    joint = EnsembleVariant.PERSONAS_AND_DUMMIES
+    share = 1.0 / (n + n_cat)
+    starts = {
+        joint: (np.full(n, share), np.full(n_cat, share), True, True),
+        EnsembleVariant.PERSONAS_ONLY: (np.full(n, 1.0 / n), np.zeros(n_cat), True, False),
+        EnsembleVariant.DUMMIES_ONLY: (np.zeros(n), np.full(n_cat, 1.0 / n_cat), False, True),
+    }
+    needed = starts if joint in variants else variants
+    runs = {
+        start: _mirror_descent_run(starts[start], p, mix, kind, cfg)
+        for start in starts if start in needed
+    }
+    if joint in runs:
+        runs[joint] = min(runs.values(), key=lambda run: run[0])
+    fitted = []
+    for variant in variants:
+        _, best_w, best_pi, trace = runs[variant]
+        fitted.append(EnsembleWeights(best_w, best_pi, variant, trace=trace))
+    return fitted
 
 
 def fit_weights(
@@ -414,45 +475,9 @@ def fit_weights(
     personas face, and the dummies face) and keeps the best run, so its
     fitted objective never lands above either restricted variant's.
     """
-    cfg = cfg or MirrorDescentConfig()
-    variant = EnsembleVariant(variant)
     kind = Discrepancy(spec)
-    p = _stack_probs(p_train)
-    m, n_cat = p.shape
-    twin_cols = np.asarray(twin_cols, dtype=np.int64)
-    if twin_cols.ndim != 2 or twin_cols.shape[1] != m:
-        raise DataError(
-            f"twin_cols shape {twin_cols.shape} incompatible with {m} training questions"
-        )
-    _check_codes(twin_cols, n_cat)
-    n = twin_cols.shape[0]
-    onehot = _onehot(twin_cols, n_cat)
-
-    zeros_w, zeros_pi = np.zeros(n), np.zeros(n_cat)
-    personas_start = (np.full(n, 1.0 / n), zeros_pi, True, False)
-    dummies_start = (zeros_w, np.full(n_cat, 1.0 / n_cat), False, True)
-    joint_start = (
-        np.full(n, 1.0 / (n + n_cat)),
-        np.full(n_cat, 1.0 / (n + n_cat)),
-        True,
-        True,
-    )
-    if variant is EnsembleVariant.PERSONAS_ONLY:
-        starts = [personas_start]
-    elif variant is EnsembleVariant.DUMMIES_ONLY:
-        starts = [dummies_start]
-    else:
-        starts = [joint_start, personas_start, dummies_start]
-
-    best = None
-    for w0, pi0, use_w, use_pi in starts:
-        run = _mirror_descent_run(
-            w0, pi0, use_w, use_pi, p, twin_cols, onehot, kind, cfg
-        )
-        if best is None or run[0] < best[0]:
-            best = run
-    _, best_w, best_pi, trace = best
-    return EnsembleWeights(best_w, best_pi, variant, trace=trace)
+    p, codes = _prepare(p_train, twin_cols)
+    return _fit_variants(p, codes, kind, [variant], cfg or MirrorDescentConfig())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +489,6 @@ CROSS_TABLE_METRICS = tuple(Discrepancy)
 
 
 def _mean_se(values: np.ndarray) -> dict:
-    values = np.asarray(values, dtype=np.float64)
     se = 0.0 if values.size <= 1 else float(values.std(ddof=1) / np.sqrt(values.size))
     return {"mean": float(values.mean()), "se": se}
 
@@ -479,13 +503,9 @@ def evaluate_on_questions(
     epsilon_floor: float = 1e-9,
 ) -> np.ndarray:
     """Per-question discrepancy of the ensemble prediction against truth."""
-    twin_cols = np.asarray(twin_cols, dtype=np.int64)
-    out = np.empty(twin_cols.shape[1])
-    for j in range(twin_cols.shape[1]):
-        pred = ensemble_distribution(weights, twin_cols[:, j], n_categories)
-        truth = p_list[j] if isinstance(p_list[j], Categorical) else Categorical(p_list[j])
-        out[j] = discrepancy(metric, truth, pred, epsilon_floor=epsilon_floor)
-    return out
+    p, codes = _prepare(p_list, twin_cols, n_categories)
+    q = _MixtureMap(codes, n_categories).predictions(weights)
+    return _scores(Discrepancy(metric), p, q, epsilon_floor)
 
 
 def cross_table(
@@ -503,22 +523,24 @@ def cross_table(
 
     Questions are split train/test with a seeded shuffle; each fitted
     ensemble (and the uniform baseline) is evaluated on the held-out
-    questions under all discrepancy measures. Returns a JSON-ready dict that
-    also carries the fitted weights.
+    questions under all discrepancy measures. Each objective runs each
+    mirror-descent start once (see ``fit_weights``). Returns a JSON-ready
+    dict that also carries the fitted weights.
     """
     cfg = cfg or MirrorDescentConfig()
-    twin_cols = np.asarray(twin_cols, dtype=np.int64)
-    m = twin_cols.shape[1]
-    if len(p_all) != m:
-        raise DataError(f"{len(p_all)} distributions for {m} twin columns")
-    train_idx, test_idx = split_questions(m, test_frac, seed)
-    p_train = [p_all[j] for j in train_idx]
-    p_test = [p_all[j] for j in test_idx]
-    cols_train = twin_cols[:, train_idx]
-    cols_test = twin_cols[:, test_idx]
+    p, codes = _prepare(p_all, twin_cols, n_categories)
+    train_idx, test_idx = split_questions(codes.shape[1], test_frac, seed)
+    test_map = _MixtureMap(codes[:, test_idx], n_categories)
+
+    def test_metrics(weights: EnsembleWeights) -> dict:
+        q = test_map.predictions(weights)
+        return {
+            metric.value: _mean_se(_scores(metric, p[test_idx], q, cfg.epsilon_floor))
+            for metric in CROSS_TABLE_METRICS
+        }
 
     table: dict = {
-        "n_twins": int(twin_cols.shape[0]),
+        "n_twins": int(codes.shape[0]),
         "n_categories": int(n_categories),
         "train_questions": [int(j) for j in train_idx],
         "test_questions": [int(j) for j in test_idx],
@@ -526,37 +548,14 @@ def cross_table(
     }
     for objective in objectives:
         objective = Discrepancy(objective)
-        row: dict = {}
-        for variant in variants:
-            variant = EnsembleVariant(variant)
-            weights = fit_weights(p_train, cols_train, objective, variant, cfg)
-            metrics = {
-                metric.value: _mean_se(
-                    evaluate_on_questions(
-                        weights, p_test, cols_test, n_categories, metric,
-                        epsilon_floor=cfg.epsilon_floor,
-                    )
-                )
-                for metric in CROSS_TABLE_METRICS
-            }
-            row[variant.value] = {
+        fitted = _fit_variants(p[train_idx], codes[:, train_idx], objective, variants, cfg)
+        table["rows"][objective.value] = {
+            weights.variant.value: {
                 "train_objective_value": float(np.min(weights.trace)),
-                "test_metrics": metrics,
-                "weights": {
-                    "w": weights.w.tolist(),
-                    "pi": weights.pi.tolist(),
-                },
+                "test_metrics": test_metrics(weights),
+                "weights": {"w": weights.w.tolist(), "pi": weights.pi.tolist()},
             }
-        table["rows"][objective.value] = row
-
-    baseline = uniform_baseline(twin_cols.shape[0], n_categories)
-    table["baseline"] = {
-        metric.value: _mean_se(
-            evaluate_on_questions(
-                baseline, p_test, cols_test, n_categories, metric,
-                epsilon_floor=cfg.epsilon_floor,
-            )
-        )
-        for metric in CROSS_TABLE_METRICS
-    }
+            for weights in fitted
+        }
+    table["baseline"] = test_metrics(uniform_baseline(codes.shape[0], n_categories))
     return table

@@ -293,17 +293,32 @@ def read_matrix_csv(path, *, return_labels: bool = False):
     row_labels = []
     values = np.full((len(rows) - 1, m), np.nan)
     mask = np.zeros((len(rows) - 1, m), dtype=bool)
-    for i, row in enumerate(rows[1:]):
-        if len(row) != m + 1:
-            raise DataError(f"{path}: row {i + 1} has {len(row)} cells, expected {m + 1}")
-        row_labels.append(row[0])
-        for j, cell in enumerate(row[1:]):
-            cell = cell.strip()
-            if cell == "" or cell.upper() == "NA":
-                continue
-            values[i, j] = float(cell)
-            mask[i, j] = True
-    matrix = MaskedMatrix(values, mask)
+    try:
+        for i, row in enumerate(rows[1:]):
+            if len(row) != m + 1:
+                raise DataError(f"{path}: row {i + 1} has {len(row)} cells, expected {m + 1}")
+            row_labels.append(row[0])
+            for j, cell in enumerate(row[1:]):
+                cell = cell.strip()
+                if cell == "" or cell.upper() == "NA":
+                    continue
+                values[i, j] = float(cell)
+                mask[i, j] = True
+    except DataError:
+        raise
+    except ValueError:
+        raise DataError(
+            f"{path}: row {i + 1}, column {col_labels[j]!r}: not a number: {cell!r}"
+        ) from None
+    try:
+        matrix = MaskedMatrix(values, mask)
+    except DataError:
+        # only a non-finite cell (inf, nan) fails here; name the first one
+        i, j = np.argwhere(mask & ~np.isfinite(values))[0]
+        raise DataError(
+            f"{path}: row {i + 1}, column {col_labels[j]!r}: "
+            f"non-finite value {float(values[i, j])!r}"
+        ) from None
     if return_labels:
         return matrix, row_labels, col_labels
     return matrix

@@ -1,0 +1,30 @@
+"""The one-hot tensor form of the ensemble mixture map, kept as a reference oracle.
+
+``twincal.distcal`` builds the mixture q_j = sum_i w_i * onehot(answer_ij) + pi
+of every question with one weighted bincount over the answers' cells, and the
+gradient in w with one gather over the same cells. This is the formula it
+replaced: an explicit (m, K, n) indicator tensor contracted by ``einsum``.
+"""
+
+import numpy as np
+
+from twincal.distcal import Discrepancy, _grads_wrt_q, _values
+
+
+def onehot(twin_cols, n_categories):
+    """(m, K, n) indicator tensor of the twin answers (codes 1..K)."""
+    n, m = twin_cols.shape
+    out = np.zeros((m, n_categories, n))
+    out[np.arange(m)[:, None], twin_cols.T - 1, np.arange(n)[None, :]] = 1.0
+    return out
+
+
+def objective_and_gradient(w, pi, p, twin_cols, kind, epsilon_floor=1e-9):
+    """Mean discrepancy over the rows of p and its gradients in w and pi."""
+    kind = Discrepancy(kind)
+    m, n_categories = p.shape
+    indicators = onehot(twin_cols, n_categories)
+    q = np.einsum("mkn,n->mk", indicators, w) + pi[None, :]
+    gq = _grads_wrt_q(kind, p, q, epsilon_floor)
+    grad_w = np.einsum("mkn,mk->n", indicators, gq) / m
+    return float(_values(kind, p, q, epsilon_floor).mean()), grad_w, gq.mean(axis=0)

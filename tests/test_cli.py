@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from twincal.cli import main
+from twincal.cli import _resolve, main
 from twincal.matcore import MaskedMatrix, read_matrix_csv, write_matrix_csv
 from twincal.profiles import method_config
 from twincal.synth import generate_discrete_world, generate_latent_world
@@ -240,6 +240,21 @@ class TestDistcalCommand:
         )
 
 
+    def test_non_integer_human_code_exit_2(self, tmp_path, capsys):
+        world, marginals, samples, _ = generate_discrete_world(20, 4, 3, seed=5)
+        human = np.ones((30, 4))
+        human[7, 2] = 2.5
+        hp, tp = tmp_path / "h.csv", tmp_path / "t.csv"
+        write_matrix_csv(hp, human)
+        write_matrix_csv(tp, samples[:, :4].astype(float))
+        rc = main(["distcal", "--human", str(hp), "--twin", str(tp),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert "human column 2" in payload["error"]
+        assert not (tmp_path / "o" / "cross_table.json").exists()
+
+
 class TestEvalSweepCommand:
     def test_sweep_csv(self, tmp_path):
         hp, tp = write_pair(tmp_path, seed=8, noise_sigma=0.1,
@@ -384,3 +399,42 @@ class TestFailureModes:
         assert report["skipped_count"] == 6
         assert report["mean"] is None and report["se"] is None
         assert report["baseline_mean"] is None and report["pct_improvement"] is None
+
+    @pytest.mark.parametrize("source,key,value", [
+        ("env", "standardize", "ture"),
+        ("env", "fisher_z", "maybe"),
+        ("config", "standardize", 1),
+        ("config", "seed", 2.7),
+        ("config", "seed", True),
+    ])
+    def test_bad_seed_or_flag_value_exit_2(self, tmp_path, capsys, monkeypatch,
+                                           source, key, value):
+        hp, tp = write_pair(tmp_path, alignment="identical")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value} if source == "config" else {}))
+        if source == "env":
+            monkeypatch.setenv("SYNDIGITS_" + key.upper(), value)
+        rc = main(["calibrate", "--config", str(cfg), "--human", str(hp),
+                   "--twin", str(tp), "--method", "ridge", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        payload = self._one_error_line(capsys)
+        assert repr(key) in payload["error"] and repr(value) in payload["error"]
+
+    def test_accepted_seed_and_flag_spellings(self):
+        for raw, want in [("TRUE", True), ("Yes", True), ("1", True), (True, True),
+                          ("false", False), ("NO", False), ("0", False), (False, False)]:
+            assert _resolve("standardize", None, {"standardize": raw}) is want
+        assert _resolve("seed", None, {"seed": "7"}) == 7
+        assert _resolve("seed", None, {"seed": 7}) == 7
+
+    @pytest.mark.parametrize("cell,detail", [("abc", "not a number: 'abc'"),
+                                             ("inf", "non-finite value inf")])
+    def test_bad_csv_cell_names_its_place_exit_2(self, tmp_path, capsys, cell, detail):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f",c0,c1\nr0,1,2\nr1,3,{cell}\n")
+        rc = main(["calibrate", "--human", str(bad), "--twin", str(bad),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        payload = self._one_error_line(capsys)
+        assert payload["kind"] == "DataError"
+        assert payload["error"] == f"{bad}: row 2, column 'c1': {detail}"

@@ -7,6 +7,7 @@ from twincal.completion import (
     CompletionConfig,
     CompletionMethod,
     StackedTask,
+    _als_objective,
     _als_sweeps,
     als_impute,
     estimate_effective_rank,
@@ -135,9 +136,10 @@ class TestAls:
 
     def test_objective_nonincreasing_per_half_step(self):
         m = low_rank_masked(15, 10, 3, 0.3, seed=10)
+        values = np.where(m.mask, m.values, 0.0)
         objectives = []
-        for count, (_, _, obj) in enumerate(_als_sweeps(m, cfg("als", 3, lam=0.1))):
-            objectives.append(obj)
+        for count, (a, b) in enumerate(_als_sweeps(m, cfg("als", 3, lam=0.1))):
+            objectives.append(_als_objective(values, m.mask, a, b, 0.1))
             if count >= 40:
                 break
         assert np.all(np.diff(objectives) <= 1e-9)
@@ -145,7 +147,7 @@ class TestAls:
     def test_training_rmse_nonincreasing(self):
         m = low_rank_masked(15, 10, 2, 0.3, seed=11)
         rmses = []
-        for count, (a, b, _) in enumerate(_als_sweeps(m, cfg("als", 2, lam=1e-6))):
+        for count, (a, b) in enumerate(_als_sweeps(m, cfg("als", 2, lam=1e-6))):
             resid = np.where(m.mask, np.where(m.mask, m.values, 0) - a @ b.T, 0.0)
             rmses.append(np.sqrt((resid**2).sum() / m.mask.sum()))
             if count >= 30:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import onehot_oracle
+import twincal.distcal as distcal
 from twincal.distcal import (
     Categorical,
     Discrepancy,
@@ -10,6 +12,7 @@ from twincal.distcal import (
     cross_table,
     discrepancy,
     ensemble_distribution,
+    evaluate_on_questions,
     fit_weights,
     objective_and_gradient,
     split_questions,
@@ -312,3 +315,102 @@ class TestSplitAndCrossTable:
         assert len(row["weights"]["w"]) == 60
         assert set(table["baseline"]) == {d.value for d in Discrepancy}
         assert len(table["test_questions"]) == 2
+
+
+class TestMixtureMap:
+    """The bincount mixture map against the one-hot oracle and its callers."""
+
+    @pytest.mark.parametrize("kind", ALL)
+    def test_objective_matches_onehot_oracle(self, kind):
+        rng = np.random.default_rng(12)
+        n, m, k = 30, 9, 5
+        cols = rng.integers(1, k + 1, size=(n, m))
+        p_train = np.stack([rng.dirichlet(np.ones(k)) for _ in range(m)])
+        # weights in multiples of 1/1024 make q exact whatever the summation
+        # order, so subgradients at CDF ties (the last CDF entries are both
+        # 1) pick the same sign on both sides
+        counts = 1 + rng.multinomial(1024 - (n + k), rng.dirichlet(np.ones(n + k)))
+        w, pi = counts[:n] / 1024, counts[n:] / 1024
+        got = objective_and_gradient(w, pi, p_train, cols, kind)
+        want = onehot_oracle.objective_and_gradient(w, pi, p_train, cols, kind)
+        # tolerance: 1e-12 relative to max(1, |oracle|), for numpy builds
+        # whose einsum sums in another order than the map
+        for g, o in zip(got, want):
+            scale = max(1.0, float(np.max(np.abs(o))))
+            assert np.max(np.abs(np.asarray(g) - o)) <= 1e-12 * scale
+
+    def test_sums_keep_the_onehot_order(self):
+        # the non-smooth objectives turn last-bit changes in q into other
+        # iterates, so the map must round exactly as the one-hot einsum did
+        # (with a single twin einsum reduced the gradient in another order)
+        rng = np.random.default_rng(17)
+        for n in (2, 7, 8, 9, 250):
+            m, k = 6, 5
+            cols = rng.integers(1, k + 1, size=(n, m))
+            w, pi, gq = rng.random(n), rng.random(k), rng.normal(size=(m, k))
+            indicators = onehot_oracle.onehot(cols, k)
+            mix = distcal._MixtureMap(cols, k)
+            assert np.array_equal(mix.mixture(w, pi),
+                                  np.einsum("mkn,n->mk", indicators, w) + pi)
+            assert np.array_equal(mix.adjoint(gq), np.einsum("mkn,mk->n", indicators, gq))
+
+    def test_evaluate_matches_per_question_loop(self):
+        world, p_all, samples, _ = generate_discrete_world(70, 12, 5, seed=13)
+        cols = samples[:, :12]
+        raw = np.random.default_rng(14).dirichlet(np.ones(75))
+        weights = EnsembleWeights(raw[:70], raw[70:])
+        for metric in ALL:
+            loop = [
+                discrepancy(metric, p_all[j], ensemble_distribution(weights, cols[:, j], 5))
+                for j in range(12)
+            ]
+            got = evaluate_on_questions(weights, p_all, cols, 5, metric)
+            assert np.array_equal(got, loop)
+
+    def test_evaluate_rejects_bad_inputs(self):
+        weights = uniform_baseline(3, 2)
+        cols = np.array([[1, 2], [2, 2], [1, 1]])
+        good = [cat(0.5, 0.5), cat(0.2, 0.8)]
+        cases = [
+            ([cat(0.5, 0.5), cat(0.2, 0.3, 0.5)], cols),      # category counts differ
+            ([np.array([0.5, 0.5]), np.array([0.2, 0.9])], cols),  # not a distribution
+            (good, np.array([[1, 2], [3, 2], [1, 1]])),        # code out of range
+            (good, cols[:2]),                                   # twin count != weights
+            (good, cols[:, :1]),                                # question count
+        ]
+        for p_list, twin_cols in cases:
+            with pytest.raises(DataError):
+                evaluate_on_questions(weights, p_list, twin_cols, 2, "tv")
+
+    def test_cross_table_cells_are_fit_weights(self):
+        world, p_all, samples, _ = generate_discrete_world(40, 10, 4, seed=15)
+        cols = samples[:, :10]
+        cfg = MirrorDescentConfig(max_iters=60)
+        table = cross_table(p_all, cols, 4, cfg=cfg, seed=1)
+        train = table["train_questions"]
+        for objective in ALL:
+            for variant in EnsembleVariant:
+                cell = table["rows"][objective.value][variant.value]
+                alone = fit_weights([p_all[j] for j in train], cols[:, train],
+                                    objective, variant, cfg)
+                assert cell["weights"]["w"] == alone.w.tolist()
+                assert cell["weights"]["pi"] == alone.pi.tolist()
+                assert cell["train_objective_value"] == float(np.min(alone.trace))
+
+    def test_cross_table_runs_each_start_once(self, monkeypatch):
+        world, p_all, samples, _ = generate_discrete_world(30, 8, 3, seed=16)
+        calls = []
+        real_run = distcal._mirror_descent_run
+
+        def counted(*args):
+            calls.append(args[0][2:])
+            return real_run(*args)
+
+        monkeypatch.setattr(distcal, "_mirror_descent_run", counted)
+        cfg = MirrorDescentConfig(max_iters=20)
+        cross_table(p_all, samples[:, :8], 3, cfg=cfg)
+        assert len(calls) == 3 * len(ALL)
+        calls.clear()
+        cross_table(p_all, samples[:, :8], 3, cfg=cfg, objectives=["tv"],
+                    variants=[EnsembleVariant.PERSONAS_ONLY])
+        assert calls == [(True, False)]
