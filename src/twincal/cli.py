@@ -65,7 +65,7 @@ def _to_bool(value) -> bool:
     raise ValueError(value)
 
 
-def _to_seed(value) -> int:
+def _to_int(value) -> int:
     """An int, or a string holding one; bools and floats are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(value)
@@ -73,11 +73,23 @@ def _to_seed(value) -> int:
 
 
 _COERCERS = {
-    "seed": _to_seed,
+    "seed": _to_int,
     "tau": float,
     "fisher_z": _to_bool,
     "standardize": _to_bool,
 }
+
+# the config keys cmd_distcal reads under "mirror_descent"
+_MIRROR_DESCENT_KEYS = {
+    "eta0": float, "max_iters": _to_int, "tol": float, "epsilon_floor": float,
+}
+
+
+def _coerced(key: str, value, coerce):
+    try:
+        return coerce(value)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"invalid value for {key!r}: {value!r}") from exc
 
 
 def _resolve(key: str, cli_value, config: dict, default=None):
@@ -94,10 +106,13 @@ def _resolve(key: str, cli_value, config: dict, default=None):
     coerce = _COERCERS.get(key)
     if coerce is None or value is None:
         return value
-    try:
-        return coerce(value)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"invalid value for {key!r}: {value!r}") from exc
+    return _coerced(key, value, coerce)
+
+
+def _config_int(config: dict, key: str) -> int | None:
+    """An optional integer read from the config alone; null means unset."""
+    value = config.get(key)
+    return None if value is None else _coerced(key, value, _to_int)
 
 
 def _require_matrix(path: str | None, role: str) -> MaskedMatrix:
@@ -175,7 +190,7 @@ def cmd_calibrate(args) -> int:
         human, twin, method, orientation,
         fisher_z=fisher_z,
         tau=tau,
-        impute_rank=config.get("impute_rank"),
+        impute_rank=_config_int(config, "impute_rank"),
         standardize=_resolve("standardize", None, config, default=True),
         seed=seed,
         return_predictions=True,
@@ -208,7 +223,7 @@ def cmd_eval_sweep(args) -> int:
     records = sweep_thresholds(
         human, twin, method, taus, orientation,
         fisher_z=fisher_z,
-        impute_rank=config.get("impute_rank"),
+        impute_rank=_config_int(config, "impute_rank"),
         standardize=_resolve("standardize", None, config, default=True),
         seed=seed,
     )
@@ -242,7 +257,8 @@ def cmd_diagnose(args) -> int:
 
     report = alignment_report(
         human, twin, axis, seed,
-        rank=config.get("rank"), impute_rank=config.get("impute_rank"),
+        rank=_config_int(config, "rank"),
+        impute_rank=_config_int(config, "impute_rank"),
     )
     _write_json(out / "alignment.json", report.to_json_dict())
 
@@ -265,16 +281,19 @@ def cmd_distcal(args) -> int:
     twin = _require_matrix(_resolve("twin", args.twin, config), "twin")
     if not twin.is_fully_observed():
         raise CliError("twin category matrix must be fully observed")
-    n_categories = config.get("n_categories")
+    n_categories = _config_int(config, "n_categories")
     if n_categories is None:
         n_categories = int(np.nanmax(twin.values))
     md = config.get("mirror_descent", {})
-    md_cfg = MirrorDescentConfig(
-        eta0=float(md.get("eta0", 1.0)),
-        max_iters=int(md.get("max_iters", 2000)),
-        tol=float(md.get("tol", 1e-8)),
-        epsilon_floor=float(md.get("epsilon_floor", 1e-9)),
-    )
+    if not isinstance(md, dict):
+        raise CliError("'mirror_descent' must be a JSON object")
+    unknown = sorted(set(md) - set(_MIRROR_DESCENT_KEYS))
+    if unknown:
+        raise CliError(f"unknown mirror_descent keys: {unknown}; expected "
+                       f"{sorted(_MIRROR_DESCENT_KEYS)}")
+    md_cfg = MirrorDescentConfig(**{
+        k: _coerced(k, v, _MIRROR_DESCENT_KEYS[k]) for k, v in md.items()
+    })
     out = _out_dir(args, config)
 
     twin_codes = twin.values.astype(np.int64)
@@ -293,7 +312,7 @@ def cmd_distcal(args) -> int:
     table = cross_table(
         p_all, twin_codes, n_categories,
         cfg=md_cfg,
-        test_frac=float(config.get("test_frac", 0.2)),
+        test_frac=_coerced("test_frac", config.get("test_frac", 0.2), float),
         seed=seed,
     )
     _write_json(out / "cross_table.json", table)

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .matcore import ConvergenceWarning, DataError, MaskedMatrix
+from .matcore import ConvergenceWarning, DataError, MaskedMatrix, draw_covered_mask
 
 __all__ = [
     "CompletionMethod",
@@ -58,6 +58,8 @@ class CompletionConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "method", CompletionMethod(self.method))
+        if isinstance(self.rank, bool) or not isinstance(self.rank, (int, np.integer)):
+            raise DataError(f"rank must be an integer, got {self.rank!r}")
         if self.rank < 1:
             raise DataError(f"rank must be positive, got {self.rank}")
         if self.lam < 0:
@@ -103,36 +105,38 @@ def _check_rank(rank: int, shape: tuple[int, int]) -> None:
         raise DataError(f"rank {rank} exceeds min{shape}")
 
 
+def _mean_filled(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``values`` with each missing cell set to its column's observed mean
+    (0 for a column with no observed cell)."""
+    counts = np.maximum(mask.sum(axis=0), 1)
+    col_means = np.where(mask, values, 0.0).sum(axis=0) / counts
+    return np.where(mask, values, col_means)
+
+
+def _small_change(recon: np.ndarray, recon_prev: np.ndarray, tol: float) -> bool:
+    """The stop rule: relative Frobenius change of the reconstruction < tol."""
+    denom = max(float(np.linalg.norm(recon_prev)), 1e-12)
+    return float(np.linalg.norm(recon - recon_prev)) / denom < tol
+
+
 def _svd_impute(
-    matrix: MaskedMatrix,
+    values: np.ndarray,
+    mask: np.ndarray,
+    start: np.ndarray,
     rank: int,
     lam: float,
     max_iters: int,
     tol: float,
-    init_fill: np.ndarray | None = None,
-    require_coverage: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Shared iterate-SVD-and-refill loop behind hard/soft impute.
+    """The refill kernel behind hard/soft/synthetic-prior impute and the rank search.
 
-    Missing entries start at their column's observed mean (or ``init_fill``),
-    then alternate between a (soft-)thresholded rank-``rank`` SVD of the
-    filled matrix and refilling missing cells from the reconstruction.
-    Returns (filled, reconstruction, converged); observed cells of ``filled``
-    equal the input exactly.
+    From ``start`` (observed cells equal to ``values``), alternate between a
+    (soft-)thresholded rank-``rank`` SVD of the filled matrix and refilling
+    missing cells from the reconstruction. Returns (filled, reconstruction,
+    converged); observed cells of ``filled`` equal ``values`` exactly.
     """
-    _check_rank(rank, matrix.shape)
-    if require_coverage:
-        matrix.require_coverage()
-    values, mask = matrix.values, matrix.mask
-    if init_fill is None:
-        counts = np.maximum(mask.sum(axis=0), 1)
-        col_means = np.where(mask, values, 0.0).sum(axis=0) / counts
-        init_fill = np.broadcast_to(col_means, values.shape)
-    filled = np.where(mask, values, init_fill)
-
+    filled = recon = start
     recon_prev: np.ndarray | None = None
-    recon = filled
-    converged = False
     for _ in range(max_iters):
         left, sv, right_t = np.linalg.svd(filled, full_matrices=False)
         if lam > 0:
@@ -140,13 +144,10 @@ def _svd_impute(
         sv[rank:] = 0.0
         recon = (left * sv) @ right_t
         filled = np.where(mask, values, recon)
-        if recon_prev is not None:
-            denom = max(float(np.linalg.norm(recon_prev)), 1e-12)
-            if float(np.linalg.norm(recon - recon_prev)) / denom < tol:
-                converged = True
-                break
+        if recon_prev is not None and _small_change(recon, recon_prev, tol):
+            return filled, recon, True
         recon_prev = recon
-    return filled, recon, converged
+    return filled, recon, False
 
 
 def _warn_not_converged(name: str, max_iters: int) -> None:
@@ -158,6 +159,13 @@ def _warn_not_converged(name: str, max_iters: int) -> None:
     )
 
 
+def _checked_start(matrix: MaskedMatrix, rank: int) -> np.ndarray:
+    """Check the rank and the row/column coverage, then the column-mean start."""
+    _check_rank(rank, matrix.shape)
+    matrix.require_coverage()
+    return _mean_filled(matrix.values, matrix.mask)
+
+
 def hard_impute(matrix: MaskedMatrix, cfg: CompletionConfig) -> np.ndarray:
     """Rank-constrained iterative SVD imputation.
 
@@ -167,52 +175,46 @@ def hard_impute(matrix: MaskedMatrix, cfg: CompletionConfig) -> np.ndarray:
     if cfg.method is not CompletionMethod.HARD_SVD:
         raise DataError(f"expected method 'hsv', got {cfg.method.value!r}")
     filled, _, converged = _svd_impute(
-        matrix, cfg.rank, 0.0, cfg.max_iters, cfg.tol
+        matrix.values, matrix.mask, _checked_start(matrix, cfg.rank),
+        cfg.rank, 0.0, cfg.max_iters, cfg.tol,
     )
     if not converged:
         _warn_not_converged("hard_impute", cfg.max_iters)
     return filled
 
 
-def soft_impute(
-    matrix: MaskedMatrix, cfg: CompletionConfig, *, return_reconstruction: bool = False
-) -> np.ndarray:
+def soft_impute(matrix: MaskedMatrix, cfg: CompletionConfig) -> np.ndarray:
     """Like :func:`hard_impute` with singular values soft-thresholded by lam
-    before the rank truncation.
-
-    With ``return_reconstruction`` the shrunken low-rank model itself comes
-    back instead of the observed-overwritten fill; its nuclear norm is
-    nonincreasing in lam.
-    """
+    before the rank truncation."""
     if cfg.method is not CompletionMethod.SOFT_SVD:
         raise DataError(f"expected method 'ssv', got {cfg.method.value!r}")
-    filled, recon, converged = _svd_impute(
-        matrix, cfg.rank, cfg.lam, cfg.max_iters, cfg.tol
+    filled, _, converged = _svd_impute(
+        matrix.values, matrix.mask, _checked_start(matrix, cfg.rank),
+        cfg.rank, cfg.lam, cfg.max_iters, cfg.tol,
     )
     if not converged:
         _warn_not_converged("soft_impute", cfg.max_iters)
-    return recon if return_reconstruction else filled
+    return filled
 
 
 def _als_half_step(
-    target: np.ndarray, mask: np.ndarray, basis: np.ndarray, lam: float
+    target: np.ndarray, weights: np.ndarray, basis: np.ndarray, lam: float
 ) -> np.ndarray:
-    """Ridge-solve each row of ``target`` against the observed rows of ``basis``."""
-    rank = basis.shape[1]
-    out = np.empty((target.shape[0], rank))
-    eye = np.eye(rank)
-    for i in range(target.shape[0]):
-        obs = mask[i]
-        sub = basis[obs]
-        gram = sub.T @ sub + lam * eye
-        rhs = sub.T @ target[i, obs]
-        try:
-            out[i] = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError:
-            raise DataError(
-                "singular normal equations in ALS; use lam > 0"
-            ) from None
-    return out
+    """Ridge-solve each row of ``target`` against the observed rows of ``basis``.
+
+    ``weights`` is the 0/1 float mask and ``target`` is zero where it is 0.
+    Row i's normal matrix is the sum of the outer products of the basis rows
+    it observes, so one product of ``weights`` with those outer products
+    gives all of them as a (rows, r, r) stack, solved in one batched call.
+    """
+    n, rank = target.shape[0], basis.shape[1]
+    outer = (basis[:, :, None] * basis[:, None, :]).reshape(-1, rank * rank)
+    gram = (weights @ outer).reshape(n, rank, rank) + lam * np.eye(rank)
+    rhs = target @ basis
+    try:
+        return np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        raise DataError("singular normal equations in ALS; use lam > 0") from None
 
 
 def _als_objective(
@@ -229,21 +231,18 @@ def _als_sweeps(matrix: MaskedMatrix, cfg: CompletionConfig):
     deterministic, and immune to the saddle stalls random factors hit on
     matrices with an entirely missing column (the stacked-task shape).
     """
-    _check_rank(cfg.rank, matrix.shape)
-    matrix.require_coverage()
-    values = np.where(matrix.mask, matrix.values, 0.0)
-    mask = matrix.mask
-    counts = np.maximum(mask.sum(axis=0), 1)
-    col_means = values.sum(axis=0) / counts
-    filled = np.where(mask, values, col_means)
-    left, sv, right_t = np.linalg.svd(filled, full_matrices=False)
+    left, sv, right_t = np.linalg.svd(
+        _checked_start(matrix, cfg.rank), full_matrices=False
+    )
     root = np.sqrt(sv[: cfg.rank])
     a = left[:, : cfg.rank] * root
     b = right_t[: cfg.rank].T * root
+    values = np.where(matrix.mask, matrix.values, 0.0)
+    weights = matrix.mask.astype(np.float64)
     for _ in range(cfg.max_iters):
-        a = _als_half_step(values, mask, b, cfg.lam)
+        a = _als_half_step(values, weights, b, cfg.lam)
         yield a, b
-        b = _als_half_step(values.T, mask.T, a, cfg.lam)
+        b = _als_half_step(values.T, weights.T, a, cfg.lam)
         yield a, b
 
 
@@ -257,18 +256,12 @@ def als_impute(matrix: MaskedMatrix, cfg: CompletionConfig) -> np.ndarray:
     if cfg.method is not CompletionMethod.ALS:
         raise DataError(f"expected method 'als', got {cfg.method.value!r}")
     recon_prev: np.ndarray | None = None
-    converged = False
-    recon = None
     for a, b in _als_sweeps(matrix, cfg):
         recon = a @ b.T
-        if recon_prev is not None:
-            denom = max(float(np.linalg.norm(recon_prev)), 1e-12)
-            if float(np.linalg.norm(recon - recon_prev)) / denom < cfg.tol:
-                converged = True
-                break
+        if recon_prev is not None and _small_change(recon, recon_prev, cfg.tol):
+            return recon
         recon_prev = recon
-    if not converged:
-        _warn_not_converged("als_impute", cfg.max_iters)
+    _warn_not_converged("als_impute", cfg.max_iters)
     return recon
 
 
@@ -289,22 +282,14 @@ def synthetic_prior_impute(task: StackedTask, cfg: CompletionConfig) -> np.ndarr
         )
     task.human.require_coverage()
     n, m = task.human.shape
+    _check_rank(cfg.rank, (n, m + 1))
     twin_col = task.twin.values[:, task.target_col]
-
-    values = np.concatenate(
-        [np.where(task.human.mask, task.human.values, 0.0), twin_col[:, None]],
-        axis=1,
-    )
-    mask = np.concatenate([task.human.mask, np.zeros((n, 1), dtype=bool)], axis=1)
-    counts = np.maximum(mask.sum(axis=0), 1)
-    col_means = np.where(mask, values, 0.0).sum(axis=0) / counts
-    init = np.broadcast_to(col_means, values.shape).copy()
-    init[:, m] = twin_col
-
-    augmented = MaskedMatrix(np.where(mask, values, np.nan), mask)
+    values = np.column_stack([task.human.values, twin_col])
+    mask = np.column_stack([task.human.mask, np.zeros(n, dtype=bool)])
+    start = _mean_filled(values, mask)
+    start[:, m] = twin_col
     filled, _, converged = _svd_impute(
-        augmented, cfg.rank, 0.0, cfg.max_iters, cfg.tol,
-        init_fill=init, require_coverage=False,
+        values, mask, start, cfg.rank, 0.0, cfg.max_iters, cfg.tol
     )
     if not converged:
         _warn_not_converged("synthetic_prior_impute", cfg.max_iters)
@@ -352,12 +337,18 @@ def estimate_effective_rank(
 
     A seeded uniform sample of ``holdout_frac`` of the observed entries is
     masked out (resampling up to 10 times if that breaks row/column
-    coverage), hard impute runs at each grid rank, and the rank with the
-    smallest held-out RMSE wins; ties break toward the smaller rank.
+    coverage), the hard-SVD refill runs at each grid rank from one
+    column-mean start, and the rank with the smallest held-out RMSE wins;
+    ties break toward the smaller rank. An unconverged refill is scored as
+    it stands, without a warning.
     """
     grid = sorted(int(r) for r in rank_grid)
     if not grid:
         raise DataError("rank_grid must be nonempty")
+    if grid[0] < 1:
+        raise DataError(f"rank must be positive, got {grid[0]}")
+    if max_iters < 1 or tol <= 0:
+        raise DataError("max_iters and tol must be positive")
     if not 0.0 < holdout_frac <= 0.5:
         raise DataError("holdout_frac must lie in (0, 0.5]")
     _check_rank(grid[-1], matrix.shape)
@@ -366,32 +357,26 @@ def estimate_effective_rank(
     obs = np.argwhere(matrix.mask)
     n_hold = max(1, int(round(holdout_frac * len(obs))))
     rng = np.random.default_rng(seed)
-    train_mask = None
-    for _ in range(10):
-        pick = rng.choice(len(obs), size=n_hold, replace=False)
-        candidate = matrix.mask.copy()
-        candidate[obs[pick, 0], obs[pick, 1]] = False
-        if candidate.sum(axis=0).min() >= 1 and candidate.sum(axis=1).min() >= 1:
-            train_mask = candidate
-            hold_idx = obs[pick]
-            break
-    if train_mask is None:
-        raise DataError(
-            "could not sample a holdout preserving row/column coverage"
-        )
+    picks = []  # the held-out cells in draw order, the order the RMSE sums them
 
-    train = MaskedMatrix(np.where(train_mask, matrix.values, np.nan), train_mask)
-    truth = matrix.values[hold_idx[:, 0], hold_idx[:, 1]]
+    def draw() -> np.ndarray:
+        picks.append(rng.choice(len(obs), size=n_hold, replace=False))
+        candidate = matrix.mask.copy()
+        candidate[obs[picks[-1], 0], obs[picks[-1], 1]] = False
+        return candidate
+
+    train_mask = draw_covered_mask(
+        draw, "a holdout preserving row/column coverage"
+    )
+    rows, cols = obs[picks[-1]].T
+    truth = matrix.values[rows, cols]
+    start = _mean_filled(matrix.values, train_mask)
     rmses = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConvergenceWarning)
-        for rank in grid:
-            cfg = CompletionConfig(
-                CompletionMethod.HARD_SVD, rank=rank, max_iters=max_iters, tol=tol
-            )
-            filled = hard_impute(train, cfg)
-            pred = filled[hold_idx[:, 0], hold_idx[:, 1]]
-            rmses.append(float(np.sqrt(np.mean((pred - truth) ** 2))))
+    for rank in grid:
+        filled, _, _ = _svd_impute(
+            matrix.values, train_mask, start, rank, 0.0, max_iters, tol
+        )
+        rmses.append(float(np.sqrt(np.mean((filled[rows, cols] - truth) ** 2))))
     return grid[int(np.argmin(rmses))]
 
 

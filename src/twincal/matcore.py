@@ -20,6 +20,7 @@ __all__ = [
     "UndefinedCorrelationError",
     "ConvergenceWarning",
     "MaskedMatrix",
+    "draw_covered_mask",
     "ColumnStats",
     "standardize_columns",
     "pearson",
@@ -114,6 +115,16 @@ class MaskedMatrix:
         if np.any(row_counts == 0):
             i = int(np.flatnonzero(row_counts == 0)[0])
             raise EmptyColumnError(f"row {i} has no observed entries")
+
+
+def draw_covered_mask(draw, what: str) -> np.ndarray:
+    """First of up to 10 masks from ``draw()`` that leaves every row and column
+    an observed cell; raises :class:`DataError` naming ``what`` if none does."""
+    for _ in range(10):
+        mask = draw()
+        if mask.sum(axis=0).min() >= 1 and mask.sum(axis=1).min() >= 1:
+            return mask
+    raise DataError(f"could not sample {what}")
 
 
 @dataclass(frozen=True)

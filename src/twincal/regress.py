@@ -67,6 +67,10 @@ class RegressConfig:
             raise DataError("l1_ratio must lie in [0, 1]")
         if self.lam < 0 or self.alpha < 0 or self.weight_decay < 0:
             raise DataError("penalties must be nonnegative")
+        if self.rank is not None and (
+            isinstance(self.rank, bool) or not isinstance(self.rank, (int, np.integer))
+        ):
+            raise DataError(f"rank must be an integer, got {self.rank!r}")
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
 
 

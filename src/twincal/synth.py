@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .distcal import Categorical
-from .matcore import DataError, MaskedMatrix
+from .matcore import DataError, MaskedMatrix, draw_covered_mask
 
 __all__ = [
     "Alignment",
@@ -91,11 +91,10 @@ def _coverage_mask(
     """IID missingness mask that keeps at least one observation per row/column."""
     if missing_frac == 0.0:
         return np.ones(shape, dtype=bool)
-    for _ in range(10):
-        mask = rng.random(shape) >= missing_frac
-        if mask.sum(axis=0).min() >= 1 and mask.sum(axis=1).min() >= 1:
-            return mask
-    raise DataError("could not sample a missingness mask with full coverage")
+    return draw_covered_mask(
+        lambda: rng.random(shape) >= missing_frac,
+        "a missingness mask with full coverage",
+    )
 
 
 def generate_latent_world(

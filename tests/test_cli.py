@@ -438,3 +438,81 @@ class TestFailureModes:
         payload = self._one_error_line(capsys)
         assert payload["kind"] == "DataError"
         assert payload["error"] == f"{bad}: row 2, column 'c1': {detail}"
+
+    @pytest.mark.parametrize("command,config,flags", [
+        ("calibrate", {"impute_rank": "abc"}, ["--method", "ridge"]),
+        ("calibrate", {"impute_rank": 2.5}, ["--method", "ridge"]),
+        ("calibrate", {"impute_rank": True}, ["--method", "ridge"]),
+        ("eval-sweep", {"impute_rank": 2.5}, ["--method", "ridge", "--taus", "0,inf"]),
+        ("diagnose", {"rank": 2.5}, []),
+        ("diagnose", {"impute_rank": "abc"}, []),
+    ])
+    def test_non_integer_config_rank_exit_2(self, tmp_path, capsys, command, config, flags):
+        hp, tp = write_pair(tmp_path, alignment="identical", missing_frac=0.1)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        rc = main([command, "--config", str(cfg), "--human", str(hp), "--twin", str(tp),
+                   "--out", str(tmp_path / "o"), *flags])
+        assert rc == 2
+        payload = self._one_error_line(capsys)
+        (key, value), = config.items()
+        assert payload["error"] == f"invalid value for {key!r}: {value!r}"
+
+    @pytest.mark.parametrize("method,rank", [("hsv", 2.5), ("hsv", True), ("hsv", "2"),
+                                             ("si", 2.5), ("si", True)])
+    def test_non_integer_params_rank_exit_2(self, tmp_path, capsys, method, rank):
+        hp, tp = write_pair(tmp_path, alignment="identical")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": {"rank": rank}}))
+        rc = main(["calibrate", "--config", str(cfg), "--human", str(hp), "--twin", str(tp),
+                   "--method", method, "--orientation", "new_user",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        payload = self._one_error_line(capsys)
+        assert payload == {"error": f"rank must be an integer, got {rank!r}",
+                           "kind": "DataError"}
+
+
+class TestDistcalConfigValues:
+    def run(self, tmp_path, config):
+        _, _, samples, _ = generate_discrete_world(20, 4, 3, seed=5)
+        hp, tp = tmp_path / "h.csv", tmp_path / "t.csv"
+        write_matrix_csv(hp, np.ones((30, 4)))
+        write_matrix_csv(tp, samples[:, :4].astype(float))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        return main(["distcal", "--config", str(cfg), "--human", str(hp),
+                     "--twin", str(tp), "--out", str(tmp_path / "o")])
+
+    def error(self, capsys):
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        line, = captured.out.strip().splitlines()
+        return json.loads(line)["error"]
+
+    def test_unknown_mirror_descent_keys_exit_2(self, tmp_path, capsys):
+        rc = self.run(tmp_path, {"mirror_descent": {
+            "decay_power": 5.0, "stall_patience": -3, "max_iters": 5}})
+        assert rc == 2
+        assert "['decay_power', 'stall_patience']" in self.error(capsys)
+        assert not (tmp_path / "o" / "cross_table.json").exists()
+
+    def test_mirror_descent_not_an_object_exit_2(self, tmp_path, capsys):
+        assert self.run(tmp_path, {"mirror_descent": [1, 2]}) == 2
+        assert "'mirror_descent'" in self.error(capsys)
+
+    @pytest.mark.parametrize("key", ["eta0", "max_iters", "tol", "epsilon_floor"])
+    def test_non_numeric_mirror_descent_value_exit_2(self, tmp_path, capsys, key):
+        assert self.run(tmp_path, {"mirror_descent": {key: "x"}}) == 2
+        assert self.error(capsys) == f"invalid value for {key!r}: 'x'"
+
+    @pytest.mark.parametrize("key,value", [("test_frac", "x"), ("n_categories", "x"),
+                                           ("n_categories", 2.5)])
+    def test_non_numeric_top_level_value_exit_2(self, tmp_path, capsys, key, value):
+        assert self.run(tmp_path, {key: value}) == 2
+        assert self.error(capsys) == f"invalid value for {key!r}: {value!r}"
+
+    def test_accepted_values_run(self, tmp_path):
+        rc = self.run(tmp_path, {"n_categories": "3", "test_frac": "0.25",
+                                 "mirror_descent": {"max_iters": 5, "eta0": "0.5"}})
+        assert rc == 0

@@ -7,8 +7,11 @@ from twincal.completion import (
     CompletionConfig,
     CompletionMethod,
     StackedTask,
+    _als_half_step,
     _als_objective,
     _als_sweeps,
+    _mean_filled,
+    _svd_impute,
     als_impute,
     estimate_effective_rank,
     hard_impute,
@@ -34,6 +37,32 @@ def low_rank_masked(n, m, rank, missing_frac, seed, return_truth=False):
 
 def cfg(method, rank, **kw):
     return CompletionConfig(CompletionMethod(method), rank=rank, **kw)
+
+
+def soft_reconstruction(m, config):
+    """The shrunken low-rank model that soft_impute's refill kernel ends on."""
+    start = _mean_filled(m.values, m.mask)
+    _, recon, _ = _svd_impute(
+        m.values, m.mask, start, config.rank, config.lam, config.max_iters, config.tol
+    )
+    return recon
+
+
+def als_half_step_loop(target, mask, basis, lam):
+    """Reference oracle for ``_als_half_step``: one ridge solve per row."""
+    rank = basis.shape[1]
+    out = np.empty((target.shape[0], rank))
+    eye = np.eye(rank)
+    for i in range(target.shape[0]):
+        obs = mask[i] != 0  # a bool or a 0/1 float mask
+        sub = basis[obs]
+        gram = sub.T @ sub + lam * eye
+        rhs = sub.T @ target[i, obs]
+        try:
+            out[i] = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:
+            raise DataError("singular normal equations in ALS; use lam > 0") from None
+    return out
 
 
 class TestHardImpute:
@@ -98,7 +127,7 @@ class TestSoftImpute:
         )[0]
         config = cfg("ssv", 9, lam=10 * sigma1, max_iters=50)
         out = soft_impute(std, config)
-        recon = soft_impute(std, config, return_reconstruction=True)
+        recon = soft_reconstruction(std, config)
         assert np.max(np.abs(out[~std.mask])) < 1e-12
         assert np.max(np.abs(recon)) == 0.0
 
@@ -112,9 +141,8 @@ class TestSoftImpute:
         m = low_rank_masked(15, 12, 3, 0.25, seed=7)
         nucs = []
         for lam in [0.0, 0.5, 1.0, 2.0]:
-            recon = soft_impute(
-                m, cfg("ssv", 12, lam=lam, max_iters=300, tol=1e-9),
-                return_reconstruction=True,
+            recon = soft_reconstruction(
+                m, cfg("ssv", 12, lam=lam, max_iters=300, tol=1e-9)
             )
             nucs.append(np.linalg.svd(recon, compute_uv=False).sum())
         assert np.all(np.diff(nucs) <= 1e-8)
@@ -160,6 +188,68 @@ class TestAls:
         a = als_impute(m, cfg("als", 2, lam=0.1))
         b = als_impute(m, cfg("als", 2, lam=0.1))
         assert np.array_equal(a, b)
+
+
+class TestBatchedAlsHalfStep:
+    """The batched half-step against the per-row loop oracle."""
+
+    # the batched Gram sums the same products in another order
+    TOL = 1e-12
+
+    def world(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m, rank = 30, 12, 4
+        mask = rng.random((n, m)) >= 0.4
+        # rows observing fewer cells than the rank: ridge alone makes them solvable
+        mask[:3] = False
+        mask[0, 1] = True
+        mask[1, [2, 5]] = True
+        mask[2, [0, 3, 7]] = True
+        values = np.where(mask, rng.normal(size=(n, m)), 0.0)
+        return values, mask, rng.normal(size=(n, rank)), rng.normal(size=(m, rank))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_row_loop_in_both_orientations(self, seed):
+        values, mask, a, b = self.world(seed)
+        for target, obs, basis in [(values, mask, b), (values.T, mask.T, a)]:
+            batched = _als_half_step(target, obs.astype(np.float64), basis, 0.3)
+            oracle = als_half_step_loop(target, obs, basis, 0.3)
+            assert batched.shape == oracle.shape
+            assert np.all(np.abs(batched - oracle) <= self.TOL * np.maximum(1, np.abs(oracle)))
+
+    def test_singular_system_raises_data_error(self):
+        values, mask, _, b = self.world(0)
+        mask[0] = False  # a row observing nothing has a zero normal matrix
+        with pytest.raises(DataError, match="singular normal equations"):
+            _als_half_step(np.where(mask, values, 0.0), mask.astype(np.float64), b, 0.0)
+        with pytest.raises(DataError, match="singular normal equations"):
+            als_half_step_loop(np.where(mask, values, 0.0), mask, b, 0.0)
+
+    @pytest.mark.parametrize("rank,lam,max_iters,tol", [
+        (3, 0.1, 200, 1e-5),    # converges
+        (3, 0.1, 3, 1e-16),     # stops at the cap
+        (2, 1e-3, 500, 1e-10),
+        (4, 1.0, 10, 1e-5),
+    ])
+    def test_als_impute_matches_loop_and_warns_alike(self, monkeypatch, rank, lam,
+                                                     max_iters, tol):
+        import twincal.completion as completion
+
+        m = low_rank_masked(20, 14, 3, 0.3, seed=30 + rank)
+        config = cfg("als", rank, lam=lam, max_iters=max_iters, tol=tol)
+
+        def run():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                out = als_impute(m, config)
+            return out, sum(issubclass(w.category, ConvergenceWarning) for w in caught)
+
+        batched, batched_warnings = run()
+        monkeypatch.setattr(completion, "_als_half_step", als_half_step_loop)
+        oracle, oracle_warnings = run()
+        assert batched_warnings == oracle_warnings
+        # rounding differences compound over the sweeps, but stay near eps
+        assert np.all(np.abs(batched - oracle) <= 1e-12 * np.maximum(1, np.abs(oracle)))
 
 
 def stacked_world(n, m, rank, seed, twin_equals_human=True, mixing=None):
@@ -284,6 +374,19 @@ class TestEffectiveRank:
         m = low_rank_masked(10, 8, 2, 0.1, seed=26)
         with pytest.raises(DataError):
             estimate_effective_rank(m, [], seed=0)
+
+    def test_no_warning_when_refill_stops_at_its_cap(self):
+        m = low_rank_masked(30, 20, 3, 0.2, seed=29)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rank = estimate_effective_rank(m, range(1, 6), seed=0, max_iters=2, tol=1e-16)
+        assert rank in range(1, 6)
+
+    def test_diagonal_only_matrix_has_no_covered_holdout(self):
+        # every observed cell is the only one in its row: no holdout keeps coverage
+        m = MaskedMatrix(np.diag(np.arange(1.0, 7.0)), np.eye(6, dtype=bool))
+        with pytest.raises(DataError, match="holdout preserving row/column coverage"):
+            estimate_effective_rank(m, [1, 2], seed=0)
 
     def test_bad_holdout_frac(self):
         m = low_rank_masked(10, 8, 2, 0.1, seed=27)

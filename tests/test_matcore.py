@@ -7,6 +7,7 @@ from twincal.matcore import (
     EmptyColumnError,
     MaskedMatrix,
     UndefinedCorrelationError,
+    draw_covered_mask,
     mean_correlation,
     pearson,
     read_matrix_csv,
@@ -51,6 +52,26 @@ class TestMaskedMatrix:
         m = MaskedMatrix(source, np.ones((1, 2), dtype=bool))
         source[0, 0] = 99.0
         assert m.values[0, 0] == 1.0
+
+
+class TestDrawCoveredMask:
+    def test_returns_first_covering_draw(self):
+        empty_row = np.array([[True, True], [False, False]])
+        covered = np.array([[True, False], [False, True]])
+        draws = iter([empty_row, empty_row, covered, empty_row])
+        assert draw_covered_mask(lambda: next(draws), "x") is covered
+        assert next(draws) is empty_row
+
+    def test_gives_up_after_ten_draws(self):
+        calls = []
+
+        def draw():
+            calls.append(1)
+            return np.array([[True, False], [True, False]])  # column 1 empty
+
+        with pytest.raises(DataError, match="could not sample a test mask"):
+            draw_covered_mask(draw, "a test mask")
+        assert len(calls) == 10
 
 
 class TestStandardize:
