@@ -75,7 +75,6 @@ from .regress import (
     fit_ridge,
     fit_si,
     fit_simplex,
-    predict,
 )
 from .synth import (
     Alignment,

@@ -12,14 +12,13 @@ human target stats are unknowable since that column is entirely missing).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from . import regress
 from .completion import (
-    DEFAULT_RANK_GRID,
     CompletionConfig,
     CompletionMethod,
     StackedTask,
@@ -51,7 +50,6 @@ __all__ = [
     "calibrate_new_user",
     "loo_evaluate",
     "sweep_thresholds",
-    "DEFAULT_RANK_GRID",
 ]
 
 
@@ -135,7 +133,6 @@ def prepare_pair(
     twin: MaskedMatrix,
     *,
     rank: int | None = None,
-    rank_grid=DEFAULT_RANK_GRID,
     standardize: bool = True,
     seed: int = 0,
 ) -> PreparedPair:
@@ -144,8 +141,8 @@ def prepare_pair(
     With ``standardize`` off, identity stats are attached so de-
     standardization is a no-op and downstream fits run on the raw scale.
     """
-    human_dense, rank_h = impute_dense(human, rank, rank_grid, seed)
-    twin_imputed, rank_t = impute_dense(twin, rank, rank_grid, seed)
+    human_dense, rank_h = impute_dense(human, rank, seed)
+    twin_imputed, rank_t = impute_dense(twin, rank, seed)
     if standardize:
         h_std, h_stats = standardize_columns(MaskedMatrix.from_dense(human_dense))
         t_std, t_stats = standardize_columns(MaskedMatrix.from_dense(twin_imputed))
@@ -160,26 +157,17 @@ def prepare_pair(
     )
 
 
-def _fit_family(cfg: RegressConfig, x: np.ndarray, y: np.ndarray):
-    """A one-target fit for the families without a shared-Gram solver."""
-    if cfg.family == "si":
-        rank = cfg.rank if cfg.rank is not None else min(x.shape)
-        return regress.fit_si(x, y, min(rank, min(x.shape)), cfg.lam)
-    if cfg.family == "nn":
-        return regress.fit_nn(x, y, cfg)
-    raise DataError(f"unknown regression family {cfg.family!r}")
-
-
 def _gram_coefficients(twin: np.ndarray, cfg: RegressConfig, targets: np.ndarray):
     """Coefficients (m x t, zero at each target's own row) and intercepts.
 
     Every target regresses on the other columns of ``twin``, so all of them
-    share one Gram matrix: centered for ridge and elastic net, uncentered
-    for the zero-intercept simplex family.
+    share one Gram matrix: centered for ridge, elastic net and si,
+    uncentered for the zero-intercept simplex family. The si rank is
+    clamped to the n x (m-1) design of each target.
     """
-    n = twin.shape[0]
+    n, m = twin.shape
     if cfg.family == "sc":
-        means = np.zeros(twin.shape[1])
+        means = np.zeros(m)
         centered = twin
     else:
         means = twin.mean(axis=0)
@@ -190,6 +178,9 @@ def _gram_coefficients(twin: np.ndarray, cfg: RegressConfig, targets: np.ndarray
         coef = regress.ridge_coefficients(gram, cross, cfg.lam, targets)
     elif cfg.family == "sc":
         coef = regress.simplex_coefficients(gram, cross, cfg.lam, targets)
+    elif cfg.family == "si":
+        rank = min(n, m - 1) if cfg.rank is None else min(cfg.rank, n, m - 1)
+        coef = regress.si_coefficients(gram, cross, rank, cfg.lam, targets)
     else:
         l1_ratio = 1.0 if cfg.family == "lasso" else cfg.l1_ratio
         coef = regress.elastic_net_coefficients(gram, cross, cfg.alpha, l1_ratio, targets)
@@ -204,19 +195,15 @@ def _transfer(
     Target column j of ``twin`` is regressed on its other columns, and the
     fit is applied to the same columns of ``human`` (its column j, if any,
     is ignored). Returns the per-target train MSEs and the human predictions
-    (n_human x len(targets)), both on the fitting scale. Linear families
-    solve every target at once from the shared Gram matrix, so fits and
-    transfers are one matrix product each; si and nn fit target by target.
+    (n_human x len(targets)), both on the fitting scale. Every family fits
+    all targets in one call: nn as one stacked network, the linear ones from
+    the shared Gram matrix, so fits and transfers are one product each.
     """
-    if cfg.family in ("si", "nn"):
-        cols = np.arange(twin.shape[1])
-        fitted = np.empty((twin.shape[0], len(targets)))
-        pred = np.empty((human.shape[0], len(targets)))
-        for c, j in enumerate(targets):
-            feats = cols != j
-            model = _fit_family(cfg, twin[:, feats], twin[:, j])
-            fitted[:, c] = regress.predict(model, twin[:, feats])
-            pred[:, c] = regress.predict(model, human[:, feats])
+    if cfg.family == "nn":
+        net = regress.NnModel(*regress.nn_parameters(twin, twin[:, targets], cfg, targets))
+        # C order, as the linear product is, so the MSEs sum in the same order
+        fitted = np.ascontiguousarray(net.predict(twin).T)
+        pred = net.predict(human).T
     else:
         coef, intercepts = _gram_coefficients(twin, cfg, targets)
         fitted = twin @ coef
@@ -226,19 +213,6 @@ def _transfer(
     # in place: the n x t residuals are the largest temporaries of the engine
     fitted -= twin[:, targets]
     return np.mean(np.square(fitted, out=fitted), axis=0), pred
-
-
-def _oriented(task: CalibrationTask) -> CalibrationTask:
-    """Transpose a new-user task into new-question form."""
-    if task.orientation is Orientation.NEW_QUESTION:
-        return task
-    return replace(
-        task,
-        human=task.human.transpose(),
-        twin=task.twin.transpose(),
-        orientation=Orientation.NEW_QUESTION,
-        prepared=task.prepared,
-    )
 
 
 def fit_and_transfer(
@@ -251,14 +225,16 @@ def fit_and_transfer(
     and the human-matrix prediction is returned de-standardized with the twin
     target column's stats.
     """
-    task = _oriented(task)
     if not isinstance(task.method, RegressConfig):
         raise DataError("fit_and_transfer requires a regression method")
     pair = task.prepared
     if pair is None:
+        human, twin = task.human, task.twin
+        if task.orientation is Orientation.NEW_USER:
+            human, twin = human.transpose(), twin.transpose()
         pair = prepare_pair(
-            task.human,
-            task.twin,
+            human,
+            twin,
             rank=task.impute_rank,
             standardize=task.standardize,
             seed=task.seed,
@@ -412,7 +388,6 @@ def _loo_predictions(
     method,
     *,
     impute_rank: int | None,
-    rank_grid,
     standardize: bool,
     seed: int,
 ):
@@ -432,12 +407,12 @@ def _loo_predictions(
     n, m = human.shape
     cols = np.arange(m)
     if isinstance(method, RegressConfig):
-        pair = prepare_pair(human, twin, rank=impute_rank, rank_grid=rank_grid,
-                            standardize=standardize, seed=seed)
+        pair = prepare_pair(human, twin, rank=impute_rank, standardize=standardize,
+                            seed=seed)
         train_mses, pred = _transfer(pair.twin, pair.human, method, cols)
         return pair.twin_stats.invert(pred), train_mses, pair.twin_imputed
 
-    twin_dense, _ = impute_dense(twin, impute_rank, rank_grid, seed)
+    twin_dense, _ = impute_dense(twin, impute_rank, seed)
     predictions = np.empty((n, m))
     for j in range(m):
         feats = cols != j
@@ -515,7 +490,6 @@ def loo_evaluate(
     fisher_z: bool = False,
     tau: float | None = None,
     impute_rank: int | None = None,
-    rank_grid=DEFAULT_RANK_GRID,
     standardize: bool = True,
     seed: int = 0,
     return_predictions: bool = False,
@@ -542,8 +516,7 @@ def loo_evaluate(
 
     predictions, train_mses, twin_dense = _loo_predictions(
         human, twin, method,
-        impute_rank=impute_rank, rank_grid=rank_grid,
-        standardize=standardize, seed=seed,
+        impute_rank=impute_rank, standardize=standardize, seed=seed,
     )
     results = _gate(_correlations(human, predictions, twin_dense), train_mses, tau)
     label = _method_label(method) + ("" if tau is None else f"+tau={tau:g}")
@@ -565,7 +538,6 @@ def sweep_thresholds(
     *,
     fisher_z: bool = False,
     impute_rank: int | None = None,
-    rank_grid=DEFAULT_RANK_GRID,
     standardize: bool = True,
     seed: int = 0,
 ) -> list[dict]:
@@ -586,8 +558,7 @@ def sweep_thresholds(
         _check_tau(tau)
     predictions, train_mses, twin_dense = _loo_predictions(
         h, t, method,
-        impute_rank=impute_rank, rank_grid=rank_grid,
-        standardize=standardize, seed=seed,
+        impute_rank=impute_rank, standardize=standardize, seed=seed,
     )
     correlations = _correlations(h, predictions, twin_dense)
     records = []

@@ -85,6 +85,13 @@ _MIRROR_DESCENT_KEYS = {
 }
 
 
+# the integer arguments of each synth world generator, with their defaults
+_SYNTH_COUNTS = {
+    "latent": (("n", 200), ("m", 50), ("dim", 5)),
+    "discrete": (("n", 500), ("m", 40), ("n_categories", 5)),
+}
+
+
 def _coerced(key: str, value, coerce):
     try:
         return coerce(value)
@@ -213,11 +220,10 @@ def cmd_eval_sweep(args) -> int:
     human = _require_matrix(_resolve("human", args.human, config), "human")
     twin = _require_matrix(_resolve("twin", args.twin, config), "twin")
     _, method = _method_from_args(args, config, seed)
-    taus = config.get("taus")
-    if args.taus:
-        taus = [float(t) for t in args.taus.split(",")]
-    if not taus:
+    key, taus = ("--taus", args.taus.split(",")) if args.taus else ("taus", config.get("taus"))
+    if not isinstance(taus, list) or not taus:
         raise CliError("eval-sweep needs a nonempty tau grid ('taus' list or --taus)")
+    taus = [_coerced(key, t, float) for t in taus]
     out = _out_dir(args, config)
 
     records = sweep_thresholds(
@@ -336,18 +342,19 @@ def cmd_synth(args) -> int:
     seed = _resolve("seed", args.seed, config, default=0)
     params = dict(config.get("synth", {}))
     kind = params.pop("kind", args.kind or "latent")
+    if kind not in _SYNTH_COUNTS:
+        raise CliError(f"unknown synth kind {kind!r}; expected 'latent' or 'discrete'")
+    counts = [_coerced(key, params.pop(key, default), _to_int)
+              for key, default in _SYNTH_COUNTS[kind]]
+    generate = generate_latent_world if kind == "latent" else generate_discrete_world
     out = _out_dir(args, config)
+    try:
+        world, *data = generate(*counts, seed=seed, **params)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"invalid synth parameters: {exc}") from exc
 
     if kind == "latent":
-        n = int(params.pop("n", 200))
-        m = int(params.pop("m", 50))
-        dim = int(params.pop("dim", 5))
-        try:
-            world, human, twin, target = generate_latent_world(
-                n, m, dim, seed=seed, **params
-            )
-        except (TypeError, ValueError) as exc:
-            raise CliError(f"invalid synth parameters: {exc}") from exc
+        human, twin, target = data
         write_matrix_csv(out / "human.csv", human)
         write_matrix_csv(out / "twin.csv", twin)
         # the twin without its held-out target column, shaped for `calibrate`
@@ -373,24 +380,13 @@ def cmd_synth(args) -> int:
             "twin_target_embedding": world.twin_target_embedding.tolist(),
             "row_bias": None if world.row_bias is None else world.row_bias.tolist(),
         }
-        _write_json(out / "world.json", sidecar)
-        return 0
-
-    if kind == "discrete":
-        n = int(params.pop("n", 500))
-        m = int(params.pop("m", 40))
-        k = int(params.pop("n_categories", 5))
-        try:
-            world, marginals, samples, target = generate_discrete_world(
-                n, m, k, seed=seed, **params
-            )
-        except (TypeError, ValueError) as exc:
-            raise CliError(f"invalid synth parameters: {exc}") from exc
+    else:
+        marginals, samples, target = data
         write_matrix_csv(out / "twin_samples.csv", samples.astype(float))
         all_marginals = np.stack([p.probs for p in marginals] + [target.probs])
         write_matrix_csv(
             out / "marginals.csv", all_marginals,
-            row_labels=[f"q{j}" for j in range(m)] + ["target"],
+            row_labels=[f"q{j}" for j in range(world.n_questions)] + ["target"],
         )
         sidecar = {
             "kind": "discrete",
@@ -407,10 +403,8 @@ def cmd_synth(args) -> int:
             "reweight_bound": world.reweight_bound,
             "exact_reweighting": world.exact_reweighting,
         }
-        _write_json(out / "world.json", sidecar)
-        return 0
-
-    raise CliError(f"unknown synth kind {kind!r}; expected 'latent' or 'discrete'")
+    _write_json(out / "world.json", sidecar)
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -383,7 +383,6 @@ def estimate_effective_rank(
 def impute_dense(
     matrix: MaskedMatrix,
     rank: int | None = None,
-    rank_grid=DEFAULT_RANK_GRID,
     seed: int = 0,
 ) -> tuple[np.ndarray, int]:
     """Hard-SVD impute to a dense matrix, estimating the rank if unset.
@@ -395,7 +394,7 @@ def impute_dense(
     if matrix.is_fully_observed():
         return matrix.values.copy(), 0
     if rank is None:
-        grid = [r for r in rank_grid if r <= min(matrix.shape)]
+        grid = [r for r in DEFAULT_RANK_GRID if r <= min(matrix.shape)]
         rank = estimate_effective_rank(matrix, grid, seed=seed)
     cfg = CompletionConfig(CompletionMethod.HARD_SVD, rank=rank)
     with warnings.catch_warnings():

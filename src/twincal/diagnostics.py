@@ -148,7 +148,7 @@ def _to_dense_demeaned(
 ) -> tuple[np.ndarray, int]:
     """The imputed, column-demeaned matrix and the imputation rank (0 if none)."""
     if isinstance(matrix, MaskedMatrix):
-        dense, used_rank = impute_dense(matrix, rank, DEFAULT_RANK_GRID, seed)
+        dense, used_rank = impute_dense(matrix, rank, seed)
     else:
         dense, used_rank = np.asarray(matrix, dtype=np.float64), 0
         if not np.all(np.isfinite(dense)):

@@ -153,12 +153,6 @@ class ColumnStats:
         """Stats that standardize/invert as a no-op (mean 0, std 1)."""
         return cls(np.zeros(n_cols), np.ones(n_cols))
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Standardize a dense matrix or a single column vector."""
-        scale = np.where(self.stds == 0.0, 1.0, self.stds)
-        out = (x - self.means) / scale
-        return np.where(self.stds == 0.0, 0.0, out)
-
     def invert(self, x: np.ndarray) -> np.ndarray:
         """Map standardized values back to the original scale."""
         return x * self.stds + self.means

@@ -11,12 +11,11 @@ from dataclasses import fields
 
 from .completion import CompletionConfig
 from .matcore import DataError
-from .regress import RegressConfig
+from .regress import FAMILIES as REGRESSION_METHODS, RegressConfig
 
 __all__ = ["PROFILES", "profile_names", "method_config", "REGRESSION_METHODS",
            "COMPLETION_METHODS"]
 
-REGRESSION_METHODS = ("ridge", "lasso", "en", "nn", "sc", "si")
 COMPLETION_METHODS = ("hsv", "ssv", "als", "sp")
 
 PROFILES: dict[str, dict[str, dict]] = {

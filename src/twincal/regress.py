@@ -2,16 +2,15 @@
 regression, SVD-space ridge, and a small ReLU network.
 
 Every family exposes a ``fit_*`` function returning an immutable model with a
-``predict`` method; :func:`predict` dispatches on the model type. All linear
-families except the simplex-constrained one fit on column-centered data and
-recover the intercept afterward; the simplex family keeps convex-combination
-semantics with a fixed zero intercept.
+``predict`` method. All linear families except the simplex-constrained one
+fit on column-centered data and recover the intercept afterward; the simplex
+family keeps convex-combination semantics with a fixed zero intercept.
 
-Ridge, elastic net and simplex regression each have one solver,
-``*_coefficients``, that works from a Gram matrix and fits many targets at
-once; it also solves the leave-one-out design, where every column of a
-matrix is regressed on the others through one shared Gram matrix. The
-``fit_*`` functions are its one-target case.
+Every family has one solver that fits many targets at once: the linear ones
+(``*_coefficients``) work from a Gram matrix, and :func:`nn_parameters`
+trains one stacked network. Each also solves the leave-one-out design, where
+every column of a matrix is regressed on the others. The ``fit_*`` functions
+are its one-target case.
 """
 
 from __future__ import annotations
@@ -33,9 +32,10 @@ __all__ = [
     "ridge_coefficients",
     "elastic_net_coefficients",
     "simplex_coefficients",
+    "si_coefficients",
+    "nn_parameters",
     "fit_si",
     "fit_nn",
-    "predict",
     "project_simplex",
     "nn_loss_and_grad",
 ]
@@ -91,25 +91,19 @@ class LinearModel:
 
 @dataclass(frozen=True)
 class NnModel:
-    """Fully-connected ReLU network with a scalar output head."""
+    """Fully-connected ReLU network with a scalar output head; stacked
+    parameters (see :func:`nn_parameters`) predict a t x n array."""
 
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != self.weights[0].shape[0]:
+        if x.shape[-1] != self.weights[0].shape[-2]:
             raise DataError(
-                f"feature count {x.shape[-1]} != fitted {self.weights[0].shape[0]}"
+                f"feature count {x.shape[-1]} != fitted {self.weights[0].shape[-2]}"
             )
         return _forward(self.weights, self.biases, x)[0]
-
-
-def predict(model, x: np.ndarray) -> np.ndarray:
-    """Forward pass of a fitted linear or network model."""
-    if isinstance(model, (LinearModel, NnModel)):
-        return model.predict(x)
-    raise DataError(f"cannot predict with {type(model).__name__}")
 
 
 def _center(x: np.ndarray, y: np.ndarray, fit_intercept: bool):
@@ -132,6 +126,17 @@ def _not_converged(message: str, converged: np.ndarray) -> None:
     """One ConvergenceWarning per target that hit its iteration cap."""
     for _ in range(int(np.count_nonzero(~converged))):
         warnings.warn(message, ConvergenceWarning, stacklevel=4)
+
+
+def _sub_grams(gram: np.ndarray, exclude: np.ndarray | None):
+    """Per target, the coordinates it regresses on (t x (p-1), all but
+    ``exclude[c]``; without ``exclude`` 1 x p, shared) and its Gram there."""
+    p = gram.shape[0]
+    idx = np.arange(p)[None]
+    if exclude is not None:
+        keep = idx != np.asarray(exclude)[:, None]
+        idx = np.nonzero(keep)[1].reshape(len(keep), p - 1)
+    return idx, gram[idx[:, :, None], idx[:, None, :]]
 
 
 def ridge_coefficients(
@@ -307,14 +312,8 @@ def simplex_coefficients(
     raises :class:`DataError`.
     """
     p, t = cross.shape
-    lips = np.empty(t)
-    for c in range(t):
-        sub = gram
-        if exclude is not None:
-            keep = np.arange(p) != exclude[c]
-            sub = gram[np.ix_(keep, keep)]
-        lips[c] = float(np.linalg.eigvalsh(sub)[-1]) + lam
-    step = 1.0 / np.maximum(lips, 1e-12)
+    lips = np.linalg.eigvalsh(_sub_grams(gram, exclude)[1])[:, -1] + lam
+    step = 1.0 / np.maximum(np.broadcast_to(lips, (t,)), 1e-12)
 
     # iterates are one row per target; an excluded coordinate sits at -inf
     # before each projection and at exactly 0 after it
@@ -393,6 +392,30 @@ def fit_simplex(
     return LinearModel(beta, 0.0, "sc")
 
 
+def si_coefficients(
+    gram: np.ndarray, cross: np.ndarray, rank: int, lam: float,
+    exclude: np.ndarray | None = None,
+) -> np.ndarray:
+    """Ridge in the top-``rank`` principal directions for every column of ``cross``.
+
+    Column c's coefficients are V_r diag(1/(e_r + lam)) V_r' cross[:, c],
+    with (e_r, V_r) the top eigenpairs of the centered ``gram`` X'X/n (its
+    right singular pairs), less row and column ``exclude[c]`` with
+    ``exclude`` (as in :func:`ridge_coefficients`). One batched ``eigh``
+    serves all targets; ``rank`` must lie in [1, coordinates per target].
+    """
+    idx, grams = _sub_grams(gram, exclude)
+    if not 1 <= rank <= idx.shape[1]:
+        raise DataError(f"rank {rank} out of range for {idx.shape[1]} features")
+    vals, vecs = np.linalg.eigh(grams)
+    vals, vecs = vals[:, -rank:], vecs[:, :, -rank:]
+    cols = np.arange(cross.shape[1])[:, None]
+    theta = (np.swapaxes(vecs, 1, 2) @ cross[idx, cols][:, :, None])[:, :, 0]
+    coef = np.zeros(cross.shape)
+    coef[idx, cols] = (vecs @ (theta / (vals + lam))[:, :, None])[:, :, 0]
+    return coef
+
+
 def fit_si(
     x: np.ndarray,
     y: np.ndarray,
@@ -407,19 +430,15 @@ def fit_si(
     onto its leading right singular vectors, ridge-solve there, and map the
     coefficients back. With rank = n_features this reproduces
     :func:`fit_ridge` exactly, and the returned coefficients always lie in
-    the span of the top singular directions.
+    the span of the top singular directions. This is the one-target case of
+    :func:`si_coefficients`.
     """
     x, y = _as_xy(x, y)
     n, m = x.shape
     if not 1 <= rank <= min(n, m):
         raise DataError(f"rank {rank} out of range for {n}x{m} design")
     xc, yc, x_mean, y_mean = _center(x, y, fit_intercept)
-    _, _, right_t = np.linalg.svd(xc, full_matrices=False)
-    basis = right_t[:rank].T                       # m x rank
-    scores = xc @ basis                            # n x rank
-    gram = scores.T @ scores / n + lam * np.eye(rank)
-    theta = np.linalg.solve(gram, scores.T @ yc / n)
-    beta = basis @ theta
+    beta = si_coefficients(xc.T @ xc / n, (xc.T @ yc / n)[:, None], rank, lam)[:, 0]
     return LinearModel(beta, y_mean - float(x_mean @ beta), "si")
 
 
@@ -428,7 +447,8 @@ def fit_si(
 # ---------------------------------------------------------------------------
 
 def _forward(weights, biases, x):
-    """Return (output, per-layer pre/post activations for backprop)."""
+    """Return (output, per-layer pre/post activations for backprop); stacked
+    parameters run every network on the shared ``x`` (t x n output)."""
     acts = [x]
     pre = []
     h = x
@@ -438,7 +458,7 @@ def _forward(weights, biases, x):
         pre.append(z)
         h = z if idx == last else np.maximum(z, 0.0)
         acts.append(h)
-    return acts[-1][:, 0], (acts, pre)
+    return acts[-1][..., 0], (acts, pre)
 
 
 def nn_loss_and_grad(weights, biases, x, y, weight_decay: float = 0.0):
@@ -446,26 +466,116 @@ def nn_loss_and_grad(weights, biases, x, y, weight_decay: float = 0.0):
 
     The penalty is (weight_decay/2) * sum ||W||^2 over weight matrices only,
     so the analytic gradients here match central finite differences of the
-    returned loss.
+    returned loss. With stacked parameters (see :func:`_forward`) and a
+    t x n ``y``, every network gets its own loss and gradients.
     """
     n = x.shape[0]
     out, (acts, pre) = _forward(weights, biases, x)
     resid = out - y
-    loss = float(np.mean(resid**2))
+    loss = np.mean(resid**2, axis=-1)
     if weight_decay > 0:
-        loss += 0.5 * weight_decay * sum(float((w**2).sum()) for w in weights)
+        loss = loss + 0.5 * weight_decay * sum((w**2).sum(axis=(-2, -1)) for w in weights)
 
     grad_w = [None] * len(weights)
     grad_b = [None] * len(biases)
-    delta = (2.0 / n) * resid[:, None]
+    delta = (2.0 / n) * resid[..., None]
     for layer in range(len(weights) - 1, -1, -1):
-        grad_w[layer] = acts[layer].T @ delta
-        grad_b[layer] = delta.sum(axis=0)
+        grad_w[layer] = np.swapaxes(acts[layer], -1, -2) @ delta
+        grad_b[layer] = delta.sum(axis=-2).reshape(np.shape(biases[layer]))
         if weight_decay > 0:
             grad_w[layer] = grad_w[layer] + weight_decay * weights[layer]
         if layer > 0:
-            delta = (delta @ weights[layer].T) * (pre[layer - 1] > 0)
+            delta = (delta @ np.swapaxes(weights[layer], -1, -2)) * (pre[layer - 1] > 0)
     return loss, grad_w, grad_b
+
+
+def nn_parameters(
+    x: np.ndarray, y: np.ndarray, cfg: RegressConfig, exclude: np.ndarray | None = None
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Train one ReLU network per column of ``y`` on the rows of ``x``, at once.
+
+    Returns weights and biases stacked on a leading axis of t networks (t x
+    fan_in x fan_out, t x 1 x fan_out). ``exclude`` is as in
+    :func:`ridge_coefficients`; network c's first-layer row ``exclude[c]``
+    is held at 0. Each network gets the initial draws and minibatches of its
+    one-target :func:`fit_nn`, its own Adam state and its own early stop,
+    after which it is frozen: it neither updates nor raises.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n, m = x.shape
+    if n < 2:
+        raise DataError("fit_nn requires at least 2 rows")
+    if any(h < 1 for h in cfg.hidden_sizes):
+        raise DataError("hidden sizes must be >= 1")
+
+    t = y.shape[1]
+    live = np.ones((t, m, 1))               # 0 on a held-out input's first-layer row
+    if exclude is not None:
+        live[np.arange(t), exclude] = 0.0
+    rng = np.random.default_rng(cfg.seed)
+    sizes = [m if exclude is None else m - 1, *cfg.hidden_sizes, 1]
+    layers = len(sizes) - 1
+    draws = [
+        rng.normal(0.0, np.sqrt(2.0 / sizes[i]), (sizes[i], sizes[i + 1]))
+        for i in range(layers)
+    ]
+    first = np.zeros((t, m, sizes[1]))
+    first[live[:, :, 0] > 0] = np.tile(draws[0], (t, 1))   # the draw on kept rows
+    # weights, then biases
+    params = [first] + [np.repeat(w[None], t, axis=0) for w in draws[1:]]
+    params += [np.zeros((t, 1, size)) for size in sizes[1:]]
+
+    n_val = max(1, n // 10)
+    x_train, x_val = x[: n - n_val], x[n - n_val :]
+    y = np.ascontiguousarray(np.asarray(y, dtype=np.float64).T)   # one row per network
+    y_train, y_val = y[:, : n - n_val], y[:, n - n_val :]
+
+    moments = [np.zeros_like(p) for p in params]
+    squares = [np.zeros_like(p) for p in params]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step = 0
+
+    best = [p.copy() for p in params]
+    best_val = np.full(t, np.inf)
+    stale = np.zeros(t, dtype=np.int64)
+    active = np.ones(t, dtype=bool)         # a stopped network is frozen
+    for epoch in range(cfg.epochs):
+        on = active[:, None, None]
+        order = rng.permutation(len(x_train))
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            loss, grad_w, grad_b = nn_loss_and_grad(
+                params[:layers], params[layers:], x_train[batch], y_train[:, batch],
+                cfg.weight_decay,
+            )
+            if not np.all(np.isfinite(loss[active])):
+                raise FloatingPointError(
+                    f"NaN/inf training loss at epoch {epoch}; "
+                    "lower the learning rate or rescale the inputs"
+                )
+            grad_w[0] *= live
+            step += 1
+            corr1 = 1.0 - beta1**step
+            corr2 = 1.0 - beta2**step
+            for i, g in enumerate(grad_w + grad_b):
+                moments[i] = beta1 * moments[i] + (1 - beta1) * g
+                squares[i] = beta2 * squares[i] + (1 - beta2) * g**2
+                params[i] = np.where(on, params[i] - cfg.learning_rate * (
+                    moments[i] / corr1
+                ) / (np.sqrt(squares[i] / corr2) + eps), params[i])
+        val_pred, _ = _forward(params[:layers], params[layers:], x_val)
+        val_mse = np.mean((val_pred - y_val) ** 2, axis=-1)
+        better = val_mse < best_val
+        # a network that never improved keeps its latest parameters
+        take = better | np.isinf(best_val)
+        best_val[better] = val_mse[better]
+        for b, p in zip(best, params):
+            b[take] = p[take]
+        stale = np.where(better, 0, stale + 1)
+        active &= better | (stale < cfg.patience)
+        if not active.any():
+            break
+    return tuple(best[:layers]), tuple(best[layers:])
 
 
 def fit_nn(x: np.ndarray, y: np.ndarray, cfg: RegressConfig) -> NnModel:
@@ -473,76 +583,9 @@ def fit_nn(x: np.ndarray, y: np.ndarray, cfg: RegressConfig) -> NnModel:
 
     The last 10% of rows form a fixed validation split; training stops when
     validation MSE fails to improve for ``cfg.patience`` epochs and the best
-    parameters are restored. Fully deterministic given ``cfg.seed``.
+    parameters are restored. Fully deterministic given ``cfg.seed``. This is
+    the one-target case of :func:`nn_parameters`.
     """
     x, y = _as_xy(x, y)
-    n, m = x.shape
-    if n < 2:
-        raise DataError("fit_nn requires at least 2 rows")
-    if any(h < 1 for h in cfg.hidden_sizes):
-        raise DataError("hidden sizes must be >= 1")
-
-    rng = np.random.default_rng(cfg.seed)
-    sizes = [m, *cfg.hidden_sizes, 1]
-    weights = [
-        rng.normal(0.0, np.sqrt(2.0 / sizes[i]), (sizes[i], sizes[i + 1]))
-        for i in range(len(sizes) - 1)
-    ]
-    biases = [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)]
-
-    n_val = max(1, n // 10)
-    x_train, y_train = x[: n - n_val], y[: n - n_val]
-    x_val, y_val = x[n - n_val :], y[n - n_val :]
-
-    m_w = [np.zeros_like(w) for w in weights]
-    v_w = [np.zeros_like(w) for w in weights]
-    m_b = [np.zeros_like(b) for b in biases]
-    v_b = [np.zeros_like(b) for b in biases]
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    step = 0
-
-    best_val = np.inf
-    best_params = None
-    stale = 0
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(y_train))
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            loss, grad_w, grad_b = nn_loss_and_grad(
-                weights, biases, x_train[batch], y_train[batch], cfg.weight_decay
-            )
-            if not np.isfinite(loss):
-                raise FloatingPointError(
-                    f"NaN/inf training loss at epoch {epoch}; "
-                    "lower the learning rate or rescale the inputs"
-                )
-            step += 1
-            corr1 = 1.0 - beta1**step
-            corr2 = 1.0 - beta2**step
-            for i in range(len(weights)):
-                m_w[i] = beta1 * m_w[i] + (1 - beta1) * grad_w[i]
-                v_w[i] = beta2 * v_w[i] + (1 - beta2) * grad_w[i] ** 2
-                weights[i] = weights[i] - cfg.learning_rate * (
-                    m_w[i] / corr1
-                ) / (np.sqrt(v_w[i] / corr2) + eps)
-                m_b[i] = beta1 * m_b[i] + (1 - beta1) * grad_b[i]
-                v_b[i] = beta2 * v_b[i] + (1 - beta2) * grad_b[i] ** 2
-                biases[i] = biases[i] - cfg.learning_rate * (
-                    m_b[i] / corr1
-                ) / (np.sqrt(v_b[i] / corr2) + eps)
-        val_pred, _ = _forward(weights, biases, x_val)
-        val_mse = float(np.mean((val_pred - y_val) ** 2))
-        if val_mse < best_val:
-            best_val = val_mse
-            best_params = (
-                [w.copy() for w in weights],
-                [b.copy() for b in biases],
-            )
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
-    if best_params is not None:
-        weights, biases = best_params
-    return NnModel(tuple(weights), tuple(biases))
+    weights, biases = nn_parameters(x, y[:, None], cfg)
+    return NnModel(tuple(w[0] for w in weights), tuple(b[0, 0] for b in biases))

@@ -282,30 +282,42 @@ class TestSweep:
 class TestLooEngine:
     # stated before comparing: the shared-Gram engine reproduces per-target
     # fits to rounding, except the simplex family's best-iterate choice
-    # (see tests/test_regress.py)
-    TOLS = {"ridge": 1e-10, "lasso": 1e-10, "en": 1e-10, "sc": 1e-6}
+    # (see tests/test_regress.py); si's rank 50 is above the 7 columns each
+    # target regresses on, so the engine clamps it to 7
+    TOLS = {"ridge": 1e-10, "lasso": 1e-10, "en": 1e-10, "sc": 1e-6, "si": 1e-10}
     ORACLES = {
         "ridge": lambda x, y: oracle.ridge(x, y, 0.5),
         "lasso": lambda x, y: oracle.elastic_net(x, y, 0.05, 1.0),
         "en": lambda x, y: oracle.elastic_net(x, y, 0.1, 0.3),
         "sc": lambda x, y: oracle.simplex(x, y, 0.01),
+        "si": lambda x, y: oracle.si(x, y, 7, 0.1),
     }
     CONFIGS = {
         "ridge": RegressConfig(family="ridge", lam=0.5),
         "lasso": RegressConfig(family="lasso", alpha=0.05),
         "en": RegressConfig(family="en", alpha=0.1, l1_ratio=0.3),
         "sc": RegressConfig(family="sc", lam=0.01),
+        "si": RegressConfig(family="si", rank=50, lam=0.1),
     }
+    # |engine - oracle| / max(1, |oracle|): the stacked network repeats the
+    # one-target arithmetic with a zero first-layer row added
+    NN_RTOL = 1e-12
+    NN = RegressConfig(family="nn", hidden_sizes=(6,), epochs=60, patience=4,
+                       learning_rate=1e-2, batch_size=16, seed=1)
 
-    @pytest.mark.filterwarnings("ignore::twincal.matcore.ConvergenceWarning")
-    @pytest.mark.parametrize("family", ["ridge", "lasso", "en", "sc"])
-    def test_loo_matches_per_target_fits(self, family):
+    @staticmethod
+    def world():
         _, human, twin, _ = generate_latent_world(
             50, 8, 3, seed=24, alignment="linear_distortion", noise_sigma=0.1,
         )
         values = twin.values[:, :8].copy()
         values[:, 2] = 1.5  # a constant twin column
-        twin_features = MaskedMatrix.from_dense(values)
+        return human, values, MaskedMatrix.from_dense(values)
+
+    @pytest.mark.filterwarnings("ignore::twincal.matcore.ConvergenceWarning")
+    @pytest.mark.parametrize("family", ["ridge", "lasso", "en", "sc", "si"])
+    def test_loo_matches_per_target_fits(self, family):
+        human, values, twin_features = self.world()
         report, pred = loo_evaluate(human, twin_features, self.CONFIGS[family],
                                     standardize=False, return_predictions=True)
         tol = self.TOLS[family]
@@ -324,6 +336,34 @@ class TestLooEngine:
             single, diag = fit_and_transfer(task)
             assert np.max(np.abs(single - expected)) <= tol
             assert abs(diag.train_mse - mse) <= tol
+
+    def test_nn_loo_matches_per_target_networks(self):
+        human, values, twin_features = self.world()
+        report, pred = loo_evaluate(human, twin_features, self.NN,
+                                    standardize=False, return_predictions=True)
+        epochs = set()
+        for j in range(8):
+            feats = np.arange(8) != j
+            weights, biases, ran = oracle.nn(values[:, feats], values[:, j], self.NN)
+            epochs.add(ran)
+            fitted = oracle.nn_forward(weights, biases, values[:, feats])[0]
+            mse = float(np.mean((fitted - values[:, j]) ** 2))
+            assert abs(report.per_target[j].train_mse - mse) <= self.NN_RTOL * max(1.0, mse)
+            expected = oracle.nn_forward(weights, biases, human.values[:, feats])[0]
+            scale = np.maximum(1.0, np.abs(expected))
+            assert np.max(np.abs(pred[:, j] - expected) / scale) <= self.NN_RTOL
+            task = CalibrationTask(MaskedMatrix.from_dense(human.values[:, feats]),
+                                   twin_features, target_index=j, method=self.NN,
+                                   standardize=False)
+            single, diag = fit_and_transfer(task)
+            assert np.max(np.abs(single - expected) / scale) <= self.NN_RTOL
+            assert abs(diag.train_mse - mse) <= self.NN_RTOL * max(1.0, mse)
+        assert len(epochs - {self.NN.epochs}) >= 3, "targets should stop at different epochs"
+
+    def test_si_rank_below_one_rejected(self):
+        human, _, twin_features = self.world()
+        with pytest.raises(DataError, match="rank 0"):
+            loo_evaluate(human, twin_features, RegressConfig(family="si", rank=0))
 
     def test_sweep_regates_loo_target_for_target(self):
         # one tau per gating step, so each target's gate flips on its own;

@@ -172,6 +172,29 @@ class TestSynthCommand:
         assert rc == 2
         assert "missing_frac" in json.loads(capsys.readouterr().out)["error"]
 
+    @pytest.mark.parametrize("kind,key,value", [
+        ("latent", "n", "x"), ("latent", "n", 30.7), ("latent", "m", True),
+        ("latent", "dim", "2.5"), ("discrete", "m", 12.0),
+        ("discrete", "n_categories", "four"),
+    ])
+    def test_non_integer_count_exit_2(self, tmp_path, capsys, kind, key, value):
+        out = tmp_path / "x"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"synth": {"kind": kind, key: value}, "out": str(out)}))
+        rc = main(["synth", "--config", str(cfg)])
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"error": f"invalid value for {key!r}: {value!r}"}
+        assert not out.exists()
+
+    def test_integral_string_counts_accepted(self, tmp_path):
+        out = tmp_path / "x"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"synth": {"kind": "latent", "n": "30", "m": 6,
+                                             "dim": "2"}, "out": str(out)}))
+        assert main(["synth", "--config", str(cfg)]) == 0
+        assert read_matrix_csv(out / "human.csv").shape == (30, 6)
+
 
 class TestDistcalCommand:
     def test_cross_table_outputs(self, tmp_path):
@@ -321,10 +344,10 @@ class TestFailureModes:
     def test_solver_failure_is_error_json_exit_1(self, tmp_path, capsys, monkeypatch, error):
         import twincal.regress
 
-        def failing_fit(x, y, cfg):
+        def failing_fit(x, y, cfg, exclude=None):
             raise error("diverged")
 
-        monkeypatch.setattr(twincal.regress, "fit_nn", failing_fit)
+        monkeypatch.setattr(twincal.regress, "nn_parameters", failing_fit)
         hp, tp = write_pair(tmp_path, alignment="identical")
         rc = main(["calibrate", "--human", str(hp), "--twin", str(tp),
                    "--method", "nn", "--out", str(tmp_path / "o")])
@@ -369,6 +392,28 @@ class TestFailureModes:
         assert rc == 2
         payload = self._one_error_line(capsys)
         assert payload["kind"] == "DataError" and "tau" in payload["error"]
+
+    def test_non_numeric_taus_exit_2(self, tmp_path, capsys):
+        hp, tp = write_pair(tmp_path, alignment="identical")
+        rc = main(["eval-sweep", "--human", str(hp), "--twin", str(tp),
+                   "--taus", "0,abc", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert self._one_error_line(capsys) == {"error": "invalid value for '--taus': 'abc'"}
+
+    @pytest.mark.parametrize("taus,error", [
+        ([0, "abc"], "invalid value for 'taus': 'abc'"),
+        ([0.1, None], "invalid value for 'taus': None"),
+        (5, "eval-sweep needs a nonempty tau grid ('taus' list or --taus)"),
+        ("0,1", "eval-sweep needs a nonempty tau grid ('taus' list or --taus)"),
+    ])
+    def test_bad_config_taus_exit_2(self, tmp_path, capsys, taus, error):
+        hp, tp = write_pair(tmp_path, alignment="identical")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"taus": taus}))
+        rc = main(["eval-sweep", "--config", str(cfg), "--human", str(hp),
+                   "--twin", str(tp), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert self._one_error_line(capsys) == {"error": error}
 
     def test_zero_variance_diagnose_exit_2(self, tmp_path, capsys):
         hp = tmp_path / "zero.csv"

@@ -114,7 +114,6 @@ class TestStandardize:
     def test_identity_stats_are_noop(self):
         stats = ColumnStats.identity(3)
         x = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(stats.apply(x), x)
         assert np.array_equal(stats.invert(x), x)
 
 

@@ -7,6 +7,7 @@ import scalar_oracles as oracle
 from twincal.matcore import ConvergenceWarning, DataError
 from twincal.regress import (
     LinearModel,
+    NnModel,
     RegressConfig,
     elastic_net_coefficients,
     fit_elastic_net,
@@ -15,9 +16,10 @@ from twincal.regress import (
     fit_si,
     fit_simplex,
     nn_loss_and_grad,
-    predict,
+    nn_parameters,
     project_simplex,
     ridge_coefficients,
+    si_coefficients,
     simplex_coefficients,
 )
 
@@ -40,7 +42,7 @@ class TestRidge:
         x, y, _ = random_xy(30, 5, seed=0)
         model = fit_ridge(x, y, 1e12)
         assert np.max(np.abs(model.coefficients)) < 1e-9
-        assert np.allclose(predict(model, x), y.mean(), atol=1e-6)
+        assert np.allclose(model.predict(x), y.mean(), atol=1e-6)
 
     def test_matches_direct_normal_equations(self):
         # oracle: independent dense solve of the centered normal equations
@@ -189,7 +191,7 @@ class TestSi:
         x = np.outer(u, v)
         y = 2.0 * u
         model = fit_si(x, y, 1, 0.0, fit_intercept=False)
-        assert np.max(np.abs(predict(model, x) - y)) < 1e-8
+        assert np.max(np.abs(model.predict(x) - y)) < 1e-8
 
     def test_coefficients_in_top_subspace(self):
         x, y, _ = random_xy(30, 10, seed=13, noise=0.2)
@@ -215,7 +217,7 @@ class TestNn:
         cfg = RegressConfig(family="nn", hidden_sizes=(16,), epochs=800,
                             learning_rate=1e-2, patience=100, batch_size=64, seed=0)
         model = fit_nn(x, y, cfg)
-        mse = float(np.mean((predict(model, x) - y) ** 2))
+        mse = float(np.mean((model.predict(x) - y) ** 2))
         assert mse < 1e-3
 
     def test_gradient_check_small_net(self):
@@ -268,7 +270,7 @@ class TestNn:
         y = rng.normal(size=40)
         model = fit_nn(x, y, RegressConfig(family="nn", hidden_sizes=(4,),
                                            epochs=5, seed=0))
-        out = predict(model, np.zeros((1, 3)))
+        out = model.predict(np.zeros((1, 3)))
         h = np.maximum(model.biases[0], 0.0)
         expected = h @ model.weights[1][:, 0] + model.biases[1][0]
         assert out[0] == pytest.approx(expected, abs=1e-12)
@@ -280,34 +282,30 @@ class TestNn:
         model = fit_nn(x, y, RegressConfig(family="nn", hidden_sizes=(6, 4),
                                            epochs=5, seed=1))
         assert len(model.weights) == 3
-        assert np.all(np.isfinite(predict(model, x)))
+        assert np.all(np.isfinite(model.predict(x)))
 
 
 class TestPredict:
     def test_constant_model(self):
         model = LinearModel(np.zeros(3), 2.5, "ridge")
-        assert np.allclose(predict(model, np.random.default_rng(0).normal(size=(7, 3))), 2.5)
+        assert np.allclose(model.predict(np.random.default_rng(0).normal(size=(7, 3))), 2.5)
 
     def test_training_consistency(self):
         x, y, _ = random_xy(25, 4, seed=20, noise=0.2)
         model = fit_ridge(x, y, 0.1)
-        fitted = predict(model, x)
+        fitted = model.predict(x)
         assert np.allclose(fitted, x @ model.coefficients + model.intercept, atol=1e-12)
 
     def test_manual_matrix_product(self):
         rng = np.random.default_rng(21)
         model = LinearModel(rng.normal(size=4), -0.7, "ridge")
         x = rng.normal(size=(9, 4))
-        assert np.max(np.abs(predict(model, x) - (x @ model.coefficients - 0.7))) < 1e-12
+        assert np.max(np.abs(model.predict(x) - (x @ model.coefficients - 0.7))) < 1e-12
 
     def test_dimension_mismatch(self):
         model = LinearModel(np.ones(3), 0.0, "ridge")
         with pytest.raises(DataError):
-            predict(model, np.ones((2, 4)))
-
-    def test_unknown_model_rejected(self):
-        with pytest.raises(DataError):
-            predict(object(), np.ones((1, 1)))
+            model.predict(np.ones((2, 4)))
 
 
 class TestConfig:
@@ -326,11 +324,16 @@ class TestConfig:
 
 # Tolerances fixed before comparing. Ridge, lasso and elastic net follow the
 # oracle's arithmetic except for the summation order of Gram products, so
-# they agree to rounding. The simplex kernel compares iterates by a Gram-form
-# objective instead of the residual form, which may pick a neighbouring best
-# iterate among ones whose objectives tie to rounding.
+# they agree to rounding; si takes eigenpairs of the Gram matrix where the
+# oracle takes the SVD of the design, which also agrees to rounding. The
+# simplex kernel compares iterates by a Gram-form objective instead of the
+# residual form, which may pick a neighbouring best iterate among ones whose
+# objectives tie to rounding. The stacked network does the one-target
+# network's arithmetic with a zero first-layer row added; NN_RTOL bounds
+# |batched - oracle| / max(1, |oracle|).
 EXACTISH_TOL = 1e-10
 SIMPLEX_TOL = 1e-6
+NN_RTOL = 1e-12
 
 
 def loo_world(n=60, m=9, seed=30):
@@ -387,6 +390,16 @@ FAMILIES_VS_ORACLE = {
         lambda g, c, e: simplex_coefficients(g, c, 0.01, e, max_iters=300),
         False, SIMPLEX_TOL,
     ),
+    "si": (
+        lambda x, y: oracle.si(x, y, 4, 0.1),
+        lambda g, c, e: si_coefficients(g, c, 4, 0.1, e),
+        True, EXACTISH_TOL,
+    ),
+    "si-full": (
+        lambda x, y: oracle.si(x, y, 8, 0.1),
+        lambda g, c, e: si_coefficients(g, c, 8, 0.1, e),
+        True, EXACTISH_TOL,
+    ),
 }
 
 
@@ -402,7 +415,7 @@ class TestBatchedLooKernels:
         assert np.all(np.diag(coef) == 0.0)
         assert np.max(np.abs(coef - ref_coef)) <= tol
         assert np.max(np.abs(icpt - ref_icpt)) <= tol
-        if family != "sc":
+        if family in ("ridge", "lasso", "en"):
             # the constant column is never used as a feature
             assert np.all(np.delete(coef[3], 3) == 0.0)
         # train MSEs and human transfers, each one matrix product
@@ -425,6 +438,7 @@ class TestBatchedLooKernels:
             (fit_ridge(x, y, 0.5), oracle.ridge(x, y, 0.5)),
             (fit_elastic_net(x, y, 0.1, 0.3), oracle.elastic_net(x, y, 0.1, 0.3)),
             (fit_simplex(x, y, 0.01, max_iters=300), oracle.simplex(x, y, 0.01, 300)),
+            (fit_si(x, y, 3, 0.1), oracle.si(x, y, 3, 0.1)),
         ]:
             assert np.max(np.abs(fit.coefficients - ref[0])) <= SIMPLEX_TOL
             assert abs(fit.intercept - ref[1]) <= SIMPLEX_TOL
@@ -444,3 +458,123 @@ class TestBatchedLooKernels:
         x = random_xy(20, 4, seed=33)[0]
         with pytest.raises(DataError, match="infeasible"):
             fit_simplex(x, x.sum(axis=1), max_iters=3)
+
+    def test_si_rank_must_be_positive_and_fit_the_design(self):
+        t = loo_world()
+        gram = np.cov(t.T, bias=True)
+        cols = np.arange(t.shape[1])
+        for rank in (0, -1, t.shape[1]):
+            with pytest.raises(DataError, match="rank"):
+                si_coefficients(gram, gram.copy(), rank, 0.1, cols)
+        with pytest.raises(DataError, match="rank"):
+            si_coefficients(gram, gram[:, :2], t.shape[1] + 1, 0.1)
+
+    @pytest.mark.filterwarnings("ignore::twincal.matcore.ConvergenceWarning")
+    @pytest.mark.parametrize("m", [9, 48, 60])
+    def test_simplex_step_sizes_match_the_loop_bitwise(self, m, monkeypatch):
+        import twincal.regress as regress
+
+        t = loo_world(n=2 * m, m=m)
+        gram = t.T @ t / t.shape[0]
+        cols = np.arange(m)
+        loop = [np.linalg.eigvalsh(np.delete(np.delete(gram, j, 0), j, 1))[-1]
+                for j in cols]
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a):
+            seen.append(eigvalsh(a))
+            return seen[-1]
+
+        monkeypatch.setattr(regress.np.linalg, "eigvalsh", spy)
+        simplex_coefficients(gram, gram.copy(), 0.0, cols, max_iters=1)
+        assert len(seen) == 1 and seen[0].shape == (m, m - 1)
+        assert np.array_equal(seen[0][:, -1], np.array(loop))
+
+
+# ---------------------------------------------------------------------------
+# The stacked network against one-target Adam loops.
+# ---------------------------------------------------------------------------
+
+# every network stops early except the constant column's, at 7 distinct epochs
+NN_CFG = RegressConfig(family="nn", hidden_sizes=(6, 4), epochs=80, patience=4,
+                       learning_rate=1e-2, batch_size=16, weight_decay=0.01, seed=2)
+
+
+def nn_loo_oracle(t, cfg):
+    """Per-target oracle fitted values (n x m) and epochs run."""
+    m = t.shape[1]
+    fitted = np.empty(t.shape)
+    epochs = []
+    for j in range(m):
+        feats = np.arange(m) != j
+        weights, biases, ran = oracle.nn(t[:, feats], t[:, j], cfg)
+        fitted[:, j] = oracle.nn_forward(weights, biases, t[:, feats])[0]
+        epochs.append(ran)
+    return fitted, epochs
+
+
+def assert_close(actual, expected, rtol):
+    assert np.max(np.abs(actual - expected) / np.maximum(1.0, np.abs(expected))) <= rtol
+
+
+class TestStackedNetwork:
+    def test_loo_matches_one_target_loops(self):
+        t = loo_world(n=80, m=10)
+        ref, epochs = nn_loo_oracle(t, NN_CFG)
+        early = [e for e in epochs if e < NN_CFG.epochs]
+        assert len(set(early)) >= 5, "targets should stop at different epochs"
+
+        weights, biases = nn_parameters(t, t, NN_CFG, np.arange(10))
+        assert weights[0].shape == (10, 10, 6) and biases[0].shape == (10, 1, 6)
+        # each network's own input row stays exactly 0
+        assert np.all(weights[0][np.arange(10), np.arange(10)] == 0.0)
+        fitted = NnModel(weights, biases).predict(t).T
+        assert_close(fitted, ref, NN_RTOL)
+        mse = np.mean((fitted - t) ** 2, axis=0)
+        assert_close(mse, np.mean((ref - t) ** 2, axis=0), NN_RTOL)
+
+    def test_one_target_fit_is_the_kernel(self):
+        t = loo_world(n=80, m=10)
+        x, y = np.delete(t, 0, axis=1), t[:, 0]
+        model = fit_nn(x, y, NN_CFG)
+        weights, biases, _ = oracle.nn(x, y, NN_CFG)
+        for got, want in zip(model.weights + model.biases, weights + biases):
+            assert got.shape == want.shape
+            assert_close(got, want, NN_RTOL)
+
+    def test_stopped_network_neither_raises_nor_updates(self, monkeypatch):
+        import twincal.regress as regress
+
+        t = loo_world(n=80, m=10)
+        _, epochs = nn_loo_oracle(t, NN_CFG)
+        first = int(np.argmin(epochs))
+        later = max(range(10), key=lambda j: epochs[j])
+        assert epochs[first] < epochs[later]
+        batches = -(-(80 - 8) // NN_CFG.batch_size)   # per epoch, 72 training rows
+        expected = nn_parameters(t, t, NN_CFG, np.arange(10))
+        clean = regress.nn_loss_and_grad
+
+        def poisoned(target):
+            calls = []
+
+            def loss_and_grad(*args):
+                loss, grad_w, grad_b = clean(*args)
+                calls.append(None)
+                if len(calls) > epochs[first] * batches:
+                    loss = loss.copy()
+                    loss[target] = np.nan
+                    for g in grad_w + grad_b:
+                        g[target] = np.nan
+                return loss, grad_w, grad_b
+            return loss_and_grad
+
+        # the first network to stop is frozen: NaN after its stop changes nothing
+        monkeypatch.setattr(regress, "nn_loss_and_grad", poisoned(first))
+        got = nn_parameters(t, t, NN_CFG, np.arange(10))
+        for a, b in zip(got[0] + got[1], expected[0] + expected[1]):
+            assert np.array_equal(a, b)
+        # a network still training raises at the same point
+        monkeypatch.setattr(regress, "nn_loss_and_grad", poisoned(later))
+        with pytest.raises(FloatingPointError, match=f"epoch {epochs[first]}"):
+            nn_parameters(t, t, NN_CFG, np.arange(10))
