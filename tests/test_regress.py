@@ -576,5 +576,5 @@ class TestStackedNetwork:
             assert np.array_equal(a, b)
         # a network still training raises at the same point
         monkeypatch.setattr(regress, "nn_loss_and_grad", poisoned(later))
-        with pytest.raises(FloatingPointError, match=f"epoch {epochs[first]}"):
+        with pytest.raises(FloatingPointError, match=f"epoch {epochs[first]};"):
             nn_parameters(t, t, NN_CFG, np.arange(10))
