@@ -119,7 +119,7 @@ def _small_change(recon: np.ndarray, recon_prev: np.ndarray, tol: float) -> bool
     return float(np.linalg.norm(recon - recon_prev)) / denom < tol
 
 
-def _svd_impute(
+def _refill(
     values: np.ndarray,
     mask: np.ndarray,
     start: np.ndarray,
@@ -131,18 +131,31 @@ def _svd_impute(
     """The refill kernel behind hard/soft/synthetic-prior impute and the rank search.
 
     From ``start`` (observed cells equal to ``values``), alternate between a
-    (soft-)thresholded rank-``rank`` SVD of the filled matrix and refilling
-    missing cells from the reconstruction. Returns (filled, reconstruction,
-    converged); observed cells of ``filled`` equal ``values`` exactly.
+    (soft-)thresholded rank-``rank`` truncated SVD of the filled matrix and
+    refilling missing cells from the reconstruction. Returns (filled,
+    reconstruction, converged); observed cells of ``filled`` equal ``values``
+    exactly.
+
+    No thin SVD is taken. The top ``rank`` singular directions V of the
+    filled matrix X on its smaller side are the top eigenvectors of its Gram
+    (XᵀX for a tall X, XXᵀ for a wide one; a symmetric product on one
+    buffer), with singular values σ = sqrt(max(eigenvalue, 0)). The
+    reconstruction is X·V·diag(f(σ)/σ)·Vᵀ, from the left for a wide X, with
+    f(σ) = σ for the hard threshold and max(σ - lam, 0) for the soft one; a
+    σ at or below lam gets the factor 0.
     """
     filled = recon = start
     recon_prev: np.ndarray | None = None
+    tall = start.shape[0] >= start.shape[1]
     for _ in range(max_iters):
-        left, sv, right_t = np.linalg.svd(filled, full_matrices=False)
+        x = filled if tall else filled.T
+        eig, vecs = np.linalg.eigh(x.T @ x)
+        top = vecs[:, -rank:]
+        scores = x @ top
         if lam > 0:
-            sv = np.maximum(sv - lam, 0.0)
-        sv[rank:] = 0.0
-        recon = (left * sv) @ right_t
+            sv = np.sqrt(np.maximum(eig[-rank:], 0.0))
+            scores *= np.divide(sv - lam, sv, out=np.zeros(rank), where=sv > lam)
+        recon = scores @ top.T if tall else (scores @ top.T).T
         filled = np.where(mask, values, recon)
         if recon_prev is not None and _small_change(recon, recon_prev, tol):
             return filled, recon, True
@@ -174,7 +187,7 @@ def hard_impute(matrix: MaskedMatrix, cfg: CompletionConfig) -> np.ndarray:
     """
     if cfg.method is not CompletionMethod.HARD_SVD:
         raise DataError(f"expected method 'hsv', got {cfg.method.value!r}")
-    filled, _, converged = _svd_impute(
+    filled, _, converged = _refill(
         matrix.values, matrix.mask, _checked_start(matrix, cfg.rank),
         cfg.rank, 0.0, cfg.max_iters, cfg.tol,
     )
@@ -188,7 +201,7 @@ def soft_impute(matrix: MaskedMatrix, cfg: CompletionConfig) -> np.ndarray:
     before the rank truncation."""
     if cfg.method is not CompletionMethod.SOFT_SVD:
         raise DataError(f"expected method 'ssv', got {cfg.method.value!r}")
-    filled, _, converged = _svd_impute(
+    filled, _, converged = _refill(
         matrix.values, matrix.mask, _checked_start(matrix, cfg.rank),
         cfg.rank, cfg.lam, cfg.max_iters, cfg.tol,
     )
@@ -288,7 +301,7 @@ def synthetic_prior_impute(task: StackedTask, cfg: CompletionConfig) -> np.ndarr
     mask = np.column_stack([task.human.mask, np.zeros(n, dtype=bool)])
     start = _mean_filled(values, mask)
     start[:, m] = twin_col
-    filled, _, converged = _svd_impute(
+    filled, _, converged = _refill(
         values, mask, start, cfg.rank, 0.0, cfg.max_iters, cfg.tol
     )
     if not converged:
@@ -373,7 +386,7 @@ def estimate_effective_rank(
     start = _mean_filled(matrix.values, train_mask)
     rmses = []
     for rank in grid:
-        filled, _, _ = _svd_impute(
+        filled, _, _ = _refill(
             matrix.values, train_mask, start, rank, 0.0, max_iters, tol
         )
         rmses.append(float(np.sqrt(np.mean((filled[rows, cols] - truth) ** 2))))

@@ -499,7 +499,7 @@ def nn_parameters(
     :func:`ridge_coefficients`; network c's first-layer row ``exclude[c]``
     is held at 0. Each network gets the initial draws and minibatches of its
     one-target :func:`fit_nn`, its own Adam state and its own early stop,
-    after which it is frozen: it neither updates nor raises.
+    after which it leaves the stacks: it is neither computed nor updated.
     """
     x = np.asarray(x, dtype=np.float64)
     n, m = x.shape
@@ -538,9 +538,8 @@ def nn_parameters(
     best = [p.copy() for p in params]
     best_val = np.full(t, np.inf)
     stale = np.zeros(t, dtype=np.int64)
-    active = np.ones(t, dtype=bool)         # a stopped network is frozen
+    ids = np.arange(t)      # the networks still training; every stack holds only these
     for epoch in range(cfg.epochs):
-        on = active[:, None, None]
         order = rng.permutation(len(x_train))
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
@@ -548,7 +547,7 @@ def nn_parameters(
                 params[:layers], params[layers:], x_train[batch], y_train[:, batch],
                 cfg.weight_decay,
             )
-            if not np.all(np.isfinite(loss[active])):
+            if not np.all(np.isfinite(loss)):
                 raise FloatingPointError(
                     f"NaN/inf training loss at epoch {epoch}; "
                     "lower the learning rate or rescale the inputs"
@@ -560,9 +559,9 @@ def nn_parameters(
             for i, g in enumerate(grad_w + grad_b):
                 moments[i] = beta1 * moments[i] + (1 - beta1) * g
                 squares[i] = beta2 * squares[i] + (1 - beta2) * g**2
-                params[i] = np.where(on, params[i] - cfg.learning_rate * (
+                params[i] = params[i] - cfg.learning_rate * (
                     moments[i] / corr1
-                ) / (np.sqrt(squares[i] / corr2) + eps), params[i])
+                ) / (np.sqrt(squares[i] / corr2) + eps)
         val_pred, _ = _forward(params[:layers], params[layers:], x_val)
         val_mse = np.mean((val_pred - y_val) ** 2, axis=-1)
         better = val_mse < best_val
@@ -570,11 +569,19 @@ def nn_parameters(
         take = better | np.isinf(best_val)
         best_val[better] = val_mse[better]
         for b, p in zip(best, params):
-            b[take] = p[take]
+            b[ids[take]] = p[take]
         stale = np.where(better, 0, stale + 1)
-        active &= better | (stale < cfg.patience)
-        if not active.any():
-            break
+        keep = better | (stale < cfg.patience)
+        if not keep.all():
+            ids = ids[keep]
+            if not ids.size:
+                break
+            params, moments, squares = (
+                [a[keep] for a in arrays] for arrays in (params, moments, squares)
+            )
+            live, y_train, y_val, best_val, stale = (
+                a[keep] for a in (live, y_train, y_val, best_val, stale)
+            )
     return tuple(best[:layers]), tuple(best[layers:])
 
 

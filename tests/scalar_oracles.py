@@ -1,12 +1,13 @@
-"""Straightforward one-target regression loops, kept as reference oracles.
+"""Straightforward loops, kept as reference oracles.
 
-These are the per-target solvers the batched kernels in ``twincal.regress``
+Most are the per-target solvers the batched kernels in ``twincal.regress``
 replaced: a normal-equation ridge solve, scalar cyclic coordinate descent,
 projected gradient with a one-vector simplex projection, SVD-space ridge and
 a one-network Adam trainer. The linear ones return the coefficients, the
 intercept and whether the loop converged, so tests can compare coefficients,
 fits and convergence counts target by target; the network trainer returns
-its weights and biases.
+its weights and biases. The last is the thin-SVD refill loop that
+``twincal.completion._refill`` replaced with a Gram eigendecomposition.
 """
 
 import numpy as np
@@ -200,3 +201,24 @@ def nn(x, y, cfg):
     if best_params is not None:
         weights, biases = best_params
     return weights, biases, epochs
+
+
+def svd_refill(values, mask, start, rank, lam, max_iters, tol):
+    """One thin SVD of the filled matrix per iteration, soft-thresholded by
+    ``lam`` and truncated to ``rank``; same signature, stop rule and return
+    value (filled, reconstruction, converged) as ``completion._refill``."""
+    filled = recon = start
+    recon_prev = None
+    for _ in range(max_iters):
+        left, sv, right_t = np.linalg.svd(filled, full_matrices=False)
+        if lam > 0:
+            sv = np.maximum(sv - lam, 0.0)
+        sv[rank:] = 0.0
+        recon = (left * sv) @ right_t
+        filled = np.where(mask, values, recon)
+        if recon_prev is not None:
+            denom = max(float(np.linalg.norm(recon_prev)), 1e-12)
+            if float(np.linalg.norm(recon - recon_prev)) / denom < tol:
+                return filled, recon, True
+        recon_prev = recon
+    return filled, recon, False

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import twincal
 
 from twincal.cli import _resolve, main
 from twincal.matcore import MaskedMatrix, read_matrix_csv, write_matrix_csv
@@ -102,6 +108,40 @@ class TestDeterminism:
                        "--out", str(out)])
             assert rc == 0
             outs.append(read_bytes_tree(out))
+        assert outs[0] == outs[1]
+
+
+class TestBlasThreads:
+    """Same bytes at 1 and 2 OpenBLAS threads, each fixed at process start."""
+
+    @pytest.mark.parametrize("method,flags", [
+        ("hsv", ("--orientation", "new_user", "--profile", "movielens.new_user")),
+        ("ssv", ("--orientation", "new_user", "--profile", "movielens.new_user")),
+        # no impute_rank: both inputs' imputation ranks are searched
+        ("ridge", ("--profile", "movielens.new_question")),
+    ])
+    def test_calibrate_bytes_equal(self, tmp_path, method, flags):
+        hp, tp = write_pair(tmp_path, seed=11, n=80, m=24, d=3, noise_sigma=0.1,
+                            alignment="linear_distortion", missing_frac=0.2)
+        if method != "ridge":
+            # 80 stacked 48 x 80 refills, each capped at 10 iterations
+            config = tmp_path / "capped.json"
+            config.write_text(json.dumps({"params": {"max_iters": 10}}))
+            flags += ("--config", str(config))
+        src = str(Path(twincal.__file__).resolve().parents[1])
+        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads_{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            subprocess.run(
+                [sys.executable, "-m", "twincal.cli", "calibrate", "--human", str(hp),
+                 "--twin", str(tp), "--method", method, *flags, "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            outs.append(read_bytes_tree(out))
+        report = json.loads(outs[0]["report.json"])
+        assert report["method"] == method and report["skipped_count"] == 0
         assert outs[0] == outs[1]
 
 

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scalar_oracles as oracle
 
 from twincal.completion import (
     CompletionConfig,
@@ -11,10 +12,11 @@ from twincal.completion import (
     _als_objective,
     _als_sweeps,
     _mean_filled,
-    _svd_impute,
+    _refill,
     als_impute,
     estimate_effective_rank,
     hard_impute,
+    impute_dense,
     soft_impute,
     stacked_complete,
     synthetic_prior_impute,
@@ -42,7 +44,7 @@ def cfg(method, rank, **kw):
 def soft_reconstruction(m, config):
     """The shrunken low-rank model that soft_impute's refill kernel ends on."""
     start = _mean_filled(m.values, m.mask)
-    _, recon, _ = _svd_impute(
+    _, recon, _ = _refill(
         m.values, m.mask, start, config.rank, config.lam, config.max_iters, config.tol
     )
     return recon
@@ -63,6 +65,158 @@ def als_half_step_loop(target, mask, basis, lam):
         except np.linalg.LinAlgError:
             raise DataError("singular normal equations in ALS; use lam > 0") from None
     return out
+
+
+# Fixed before comparing: the Gram squares the filled matrix's condition
+# number, so each iteration agrees with the thin SVD only to about
+# eps * (sigma_1 / sigma_r)^2, and a refill that runs to its cap compounds
+# that over every iteration. Measured differences stay below 1e-12 here.
+REFILL_TOL = 1e-10
+
+
+def assert_refill_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= REFILL_TOL * max(1.0, np.max(np.abs(want)))
+
+
+def rank_one_start(n, m, seed):
+    """A rank-1 table with a zero column and holes, started from the truth:
+    its Gram has min(n, m) - 1 eigenvalues at rounding level, some below 0."""
+    rng = np.random.default_rng(seed)
+    truth = np.outer(rng.normal(size=n), rng.normal(size=m))
+    truth[:, 1] = 0.0
+    mask = rng.random((n, m)) >= 0.2
+    mask[:, 1] = True
+    return np.where(mask, truth, np.nan), mask, truth
+
+
+class TestRefillOracle:
+    """The Gram-eigendecomposition refill against the thin-SVD loop it replaced."""
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        """Record the shape of each matrix passed to ``np.linalg.<name>``:
+        one call per refill iteration."""
+        calls = []
+        inner = getattr(np.linalg, name)
+
+        def wrapper(a, *args, **kwargs):
+            calls.append(a.shape)
+            return inner(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+        return calls
+
+    def run_both(self, monkeypatch, values, mask, start, rank, lam, max_iters, tol):
+        eighs = self.counted(monkeypatch, "eigh")
+        svds = self.counted(monkeypatch, "svd")
+        got = _refill(values, mask, start, rank, lam, max_iters, tol)
+        assert not svds
+        want = oracle.svd_refill(values, mask, start, rank, lam, max_iters, tol)
+        assert len(svds) == len(eighs)        # the same iteration count
+        side = min(values.shape)              # the Gram of the smaller side
+        assert set(eighs) == {(side, side)}
+        assert got[2] is want[2]              # the same converged flag
+        assert_refill_close(got[0], want[0])
+        assert_refill_close(got[1], want[1])
+        assert np.array_equal(got[0][mask], values[mask])
+        return got[2], len(eighs)
+
+    @pytest.mark.parametrize("n,m", [(30, 12), (12, 30), (16, 16)])
+    @pytest.mark.parametrize("rank,lam,max_iters,tol,converges", [
+        (3, 0.0, 500, 1e-9, True),
+        (6, 0.0, 40, 1e-12, False),        # stops at the cap
+        (3, 0.5, 500, 1e-9, True),
+        ("full", 0.0, 50, 1e-9, True),
+        ("full", 0.5, 500, 1e-9, True),
+    ])
+    def test_kernel_matches_svd_loop(self, monkeypatch, n, m, rank, lam,
+                                     max_iters, tol, converges):
+        matrix = low_rank_masked(n, m, 3, 0.3, seed=n + 2 * m)
+        rank = min(n, m) if rank == "full" else rank
+        start = _mean_filled(matrix.values, matrix.mask)
+        converged, iters = self.run_both(monkeypatch, matrix.values, matrix.mask,
+                                         start, rank, lam, max_iters, tol)
+        assert converged is converges
+        assert iters > 1
+
+    @pytest.mark.parametrize("n,m", [(30, 12), (12, 30)])
+    def test_soft_threshold_above_some_singular_values(self, monkeypatch, n, m):
+        rng = np.random.default_rng(40)
+        matrix = low_rank_masked(n, m, 4, 0.3, seed=41)
+        values = np.where(matrix.mask, matrix.values + 0.3 * rng.normal(size=(n, m)), np.nan)
+        start = _mean_filled(values, matrix.mask)
+        sv = np.linalg.svd(start, compute_uv=False)
+        lam = 0.5 * (sv[2] + sv[3])   # shrinks ranks 4..6 to nothing at the start
+        self.run_both(monkeypatch, values, matrix.mask, start, 6, lam, 300, 1e-9)
+
+    @pytest.mark.parametrize("n,m", [(20, 8), (8, 20)])
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_rank_deficient_start(self, monkeypatch, n, m, lam):
+        values, mask, start = rank_one_start(n, m, seed=42)
+        x = start if n >= m else start.T
+        assert np.linalg.eigvalsh(x.T @ x)[0] <= 0.0
+        self.run_both(monkeypatch, values, mask, start, min(n, m), lam, 50, 1e-9)
+
+    @pytest.mark.parametrize("n,m", [(30, 12), (12, 30)])
+    @pytest.mark.parametrize("method,rank,lam,max_iters", [
+        ("hsv", 3, 0.0, 2000),
+        ("hsv", 5, 0.0, 5),        # warns at the cap
+        ("ssv", 6, 2.0, 300),
+    ])
+    def test_public_solvers_match_and_warn_alike(self, monkeypatch, n, m, method,
+                                                 rank, lam, max_iters):
+        import twincal.completion as completion
+
+        matrix = low_rank_masked(n, m, 3, 0.3, seed=43)
+        config = cfg(method, rank, lam=lam, max_iters=max_iters, tol=1e-9)
+        solver = hard_impute if method == "hsv" else soft_impute
+
+        def run():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                out = solver(matrix, config)
+            return out, sum(issubclass(w.category, ConvergenceWarning) for w in caught)
+
+        kernel, kernel_warnings = run()
+        monkeypatch.setattr(completion, "_refill", oracle.svd_refill)
+        reference, reference_warnings = run()
+        assert kernel_warnings == reference_warnings == (max_iters == 5)
+        assert_refill_close(kernel, reference)
+
+    @pytest.mark.parametrize("n,m", [(40, 15), (12, 30)])
+    def test_synthetic_prior_matches(self, monkeypatch, n, m):
+        import twincal.completion as completion
+
+        rng = np.random.default_rng(44)
+        human = low_rank_masked(n, m, 2, 0.25, seed=45)
+        observed = np.where(human.mask, human.values, 0.0)
+        twin_col = observed[:, 0] * 0.5 + rng.normal(size=n)
+        twin = MaskedMatrix.from_dense(np.column_stack([observed, twin_col]))
+        task = StackedTask(human, twin, target_col=m)
+        config = cfg("sp", 2, max_iters=300, tol=1e-9)
+        kernel = synthetic_prior_impute(task, config)
+        monkeypatch.setattr(completion, "_refill", oracle.svd_refill)
+        assert_refill_close(kernel, synthetic_prior_impute(task, config))
+
+    @pytest.mark.parametrize("n,m", [(48, 16), (16, 48)])
+    def test_rank_search_and_dense_impute_match(self, monkeypatch, n, m):
+        import twincal.completion as completion
+
+        rng = np.random.default_rng(46)
+        tables = []
+        for seed in range(3):
+            truth = low_rank_masked(n, m, 3, 0.3, seed=47 + seed)
+            noisy = truth.values + 0.2 * rng.normal(size=(n, m))
+            tables.append(MaskedMatrix(np.where(truth.mask, noisy, np.nan), truth.mask))
+        # impute_dense searches the rank (estimate_effective_rank), then refills
+        kernel = [impute_dense(t, seed=5) for t in tables]
+        monkeypatch.setattr(completion, "_refill", oracle.svd_refill)
+        reference = [impute_dense(t, seed=5) for t in tables]
+        assert [rank for _, rank in kernel] == [rank for _, rank in reference]
+        assert {rank for _, rank in kernel} != {1}
+        for (dense, _), (ref_dense, _) in zip(kernel, reference):
+            assert_refill_close(dense, ref_dense)
 
 
 class TestHardImpute:

@@ -555,25 +555,31 @@ class TestStackedNetwork:
         expected = nn_parameters(t, t, NN_CFG, np.arange(10))
         clean = regress.nn_loss_and_grad
 
-        def poisoned(target):
-            calls = []
+        stacked = []   # networks in the stacks, per call
 
+        def poisoned(target):
             def loss_and_grad(*args):
                 loss, grad_w, grad_b = clean(*args)
-                calls.append(None)
-                if len(calls) > epochs[first] * batches:
+                stacked.append(len(loss))
+                if len(stacked) > epochs[first] * batches:
+                    # network c is the one whose first-layer row c is held at 0
+                    slot = ~args[0][0][:, target].any(axis=-1)
                     loss = loss.copy()
-                    loss[target] = np.nan
+                    loss[slot] = np.nan
                     for g in grad_w + grad_b:
-                        g[target] = np.nan
+                        g[slot] = np.nan
                 return loss, grad_w, grad_b
             return loss_and_grad
 
-        # the first network to stop is frozen: NaN after its stop changes nothing
+        # the first network to stop leaves the stacks: NaN after its stop changes nothing
         monkeypatch.setattr(regress, "nn_loss_and_grad", poisoned(first))
         got = nn_parameters(t, t, NN_CFG, np.arange(10))
         for a, b in zip(got[0] + got[1], expected[0] + expected[1]):
             assert np.array_equal(a, b)
+        stops = np.bincount(epochs, minlength=NN_CFG.epochs + 1)
+        assert stacked[epochs[first] * batches - 1] == 10
+        assert stacked[epochs[first] * batches] == 10 - stops[epochs[first]]
+        stacked.clear()
         # a network still training raises at the same point
         monkeypatch.setattr(regress, "nn_loss_and_grad", poisoned(later))
         with pytest.raises(FloatingPointError, match=f"epoch {epochs[first]};"):
