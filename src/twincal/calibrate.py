@@ -11,24 +11,15 @@ human target stats are unknowable since that column is entirely missing).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from . import regress
-from .completion import (
-    CompletionConfig,
-    CompletionMethod,
-    StackedTask,
-    impute_dense,
-    stacked_complete,
-    synthetic_prior_impute,
-)
+from .completion import CompletionConfig, held_out_columns, impute_dense
 from .matcore import (
     ColumnStats,
-    ConvergenceWarning,
     DataError,
     MaskedMatrix,
     UndefinedCorrelationError,
@@ -396,7 +387,8 @@ def _loo_predictions(
     Both matrices are imputed once up front (the protocol imputes each side
     separately before the leave-one-out loop); regression methods then fit
     every target through the shared-Gram engine on the prepared pair, while
-    completion methods consume the raw masked matrices target by target.
+    completion methods complete the raw masked matrices with each target
+    column held out in place, its unconverged targets left unreported.
     """
     if human.shape != twin.shape:
         raise DataError(
@@ -404,7 +396,7 @@ def _loo_predictions(
             f"{human.shape} and {twin.shape}; if the twin carries a trailing "
             "held-out column, drop it (synth writes twin_features.csv for this)"
         )
-    n, m = human.shape
+    m = human.n_cols
     cols = np.arange(m)
     if isinstance(method, RegressConfig):
         pair = prepare_pair(human, twin, rank=impute_rank, standardize=standardize,
@@ -413,28 +405,7 @@ def _loo_predictions(
         return pair.twin_stats.invert(pred), train_mses, pair.twin_imputed
 
     twin_dense, _ = impute_dense(twin, impute_rank, seed)
-    predictions = np.empty((n, m))
-    for j in range(m):
-        feats = cols != j
-        sub_human = MaskedMatrix(human.values[:, feats], human.mask[:, feats])
-        order = np.concatenate([cols[feats], [j]])
-        sub_values = twin.values[:, order]
-        sub_mask = twin.mask[:, order]
-        if method.method is CompletionMethod.SYNTHETIC_PRIOR:
-            # the warm start needs a complete twin column; use the imputed one
-            sub_values = sub_values.copy()
-            sub_mask = sub_mask.copy()
-            sub_values[:, m - 1] = twin_dense[:, j]
-            sub_mask[:, m - 1] = True
-        stask = StackedTask(
-            sub_human, MaskedMatrix(sub_values, sub_mask), target_col=m - 1
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConvergenceWarning)
-            if method.method is CompletionMethod.SYNTHETIC_PRIOR:
-                predictions[:, j] = synthetic_prior_impute(stask, method)
-            else:
-                predictions[:, j] = stacked_complete(stask, method)
+    predictions, _ = held_out_columns(human, twin, method, twin_dense, cols)
     return predictions, np.full(m, np.nan), twin_dense
 
 

@@ -77,6 +77,8 @@ _COERCERS = {
     "tau": float,
     "fisher_z": _to_bool,
     "standardize": _to_bool,
+    "orientation": Orientation,
+    "axis": SubspaceAxis,
 }
 
 # the config keys cmd_distcal reads under "mirror_descent"
@@ -174,18 +176,14 @@ def _fmt(x: float) -> str:
 def _method_from_args(args, config: dict, seed: int):
     method = _resolve("method", args.method, config, default="ridge")
     profile = _resolve("profile", getattr(args, "profile", None), config)
-    params = dict(config.get("params", {}))
-    if "hidden_sizes" in params:
-        params["hidden_sizes"] = tuple(params["hidden_sizes"])
-    return method, method_config(method, profile, overrides=params, seed=seed)
+    return method, method_config(method, profile, overrides=config.get("params"), seed=seed)
 
 
 def cmd_calibrate(args) -> int:
     config = _load_config(args.config)
     seed = _resolve("seed", args.seed, config, default=0)
-    orientation = Orientation(
-        _resolve("orientation", args.orientation, config, default="new_question")
-    )
+    orientation = _resolve("orientation", args.orientation, config,
+                           default=Orientation.NEW_QUESTION)
     fisher_z = _resolve("fisher_z", args.fisher_z or None, config, default=False)
     tau = _resolve("tau", args.tau, config)
     human = _require_matrix(_resolve("human", args.human, config), "human")
@@ -213,9 +211,8 @@ def cmd_calibrate(args) -> int:
 def cmd_eval_sweep(args) -> int:
     config = _load_config(args.config)
     seed = _resolve("seed", args.seed, config, default=0)
-    orientation = Orientation(
-        _resolve("orientation", args.orientation, config, default="new_question")
-    )
+    orientation = _resolve("orientation", args.orientation, config,
+                           default=Orientation.NEW_QUESTION)
     fisher_z = _resolve("fisher_z", args.fisher_z or None, config, default=False)
     human = _require_matrix(_resolve("human", args.human, config), "human")
     twin = _require_matrix(_resolve("twin", args.twin, config), "twin")
@@ -254,7 +251,7 @@ def cmd_diagnose(args) -> int:
     if axis is None:
         axis = (
             SubspaceAxis.COLUMN_SPACE
-            if orientation == Orientation.NEW_USER.value
+            if orientation is Orientation.NEW_USER
             else SubspaceAxis.ROW_SPACE
         )
     human = _require_matrix(_resolve("human", args.human, config), "human")

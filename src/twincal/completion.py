@@ -3,8 +3,9 @@
 Four solvers cover the direct-completion calibration paradigm: iterative
 rank-constrained SVD imputation ("hsv"), its nuclear-norm-regularized variant
 ("ssv"), alternating least squares ("als"), and a warm-started human-only
-refinement ("sp"). :func:`stacked_complete` applies the first three to the
-stacked human/twin matrix with its missing target half-column.
+refinement ("sp"). :func:`held_out_columns` predicts human columns held out
+in place; :func:`stacked_complete` and :func:`synthetic_prior_impute` are its
+one-target cases.
 """
 
 from __future__ import annotations
@@ -15,7 +16,14 @@ from enum import Enum
 
 import numpy as np
 
-from .matcore import ConvergenceWarning, DataError, MaskedMatrix, draw_covered_mask
+from .matcore import (
+    ConvergenceWarning,
+    DataError,
+    MaskedMatrix,
+    check_integer,
+    check_real,
+    draw_covered_mask,
+)
 
 __all__ = [
     "CompletionMethod",
@@ -26,6 +34,7 @@ __all__ = [
     "als_impute",
     "synthetic_prior_impute",
     "stacked_complete",
+    "held_out_columns",
     "estimate_effective_rank",
     "impute_dense",
     "DEFAULT_RANK_GRID",
@@ -58,14 +67,12 @@ class CompletionConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "method", CompletionMethod(self.method))
-        if isinstance(self.rank, bool) or not isinstance(self.rank, (int, np.integer)):
-            raise DataError(f"rank must be an integer, got {self.rank!r}")
-        if self.rank < 1:
-            raise DataError(f"rank must be positive, got {self.rank}")
+        check_integer("rank", self.rank, 1)
+        check_integer("max_iters", self.max_iters, 1)
+        check_real("lam", self.lam)
+        check_real("tol", self.tol)
         if self.lam < 0:
             raise DataError("lam must be nonnegative")
-        if self.max_iters < 1:
-            raise DataError("max_iters must be positive")
         if self.tol <= 0:
             raise DataError("tol must be positive")
 
@@ -93,11 +100,6 @@ class StackedTask:
             raise DataError(f"target_col {self.target_col} out of range")
         if not self.twin.mask[:, self.target_col].any():
             raise DataError("twin target column has no observed entries")
-
-    @property
-    def feature_cols(self) -> np.ndarray:
-        cols = np.arange(self.twin.n_cols)
-        return cols[cols != self.target_col]
 
 
 def _check_rank(rank: int, shape: tuple[int, int]) -> None:
@@ -168,7 +170,7 @@ def _warn_not_converged(name: str, max_iters: int) -> None:
         f"{name} did not converge within {max_iters} iterations; "
         "returning the best iterate",
         ConvergenceWarning,
-        stacklevel=3,
+        stacklevel=4,
     )
 
 
@@ -179,35 +181,42 @@ def _checked_start(matrix: MaskedMatrix, rank: int) -> np.ndarray:
     return _mean_filled(matrix.values, matrix.mask)
 
 
+def _solve(values: np.ndarray, mask: np.ndarray, start: np.ndarray,
+           cfg: CompletionConfig) -> tuple[np.ndarray, bool]:
+    """(result, converged) of ``cfg.method`` from ``start``: the refill kernel's
+    fill for hsv, ssv and sp (lam for ssv only), the ALS reconstruction for als."""
+    if cfg.method is CompletionMethod.ALS:
+        return _als(values, mask, start, cfg)
+    lam = cfg.lam if cfg.method is CompletionMethod.SOFT_SVD else 0.0
+    filled, _, converged = _refill(values, mask, start, cfg.rank, lam, cfg.max_iters, cfg.tol)
+    return filled, converged
+
+
+def _impute(matrix: MaskedMatrix, cfg: CompletionConfig, method: CompletionMethod,
+            name: str) -> np.ndarray:
+    """Check that ``cfg`` selects ``method``, solve, and warn if unconverged."""
+    if cfg.method is not method:
+        raise DataError(f"expected method {method.value!r}, got {cfg.method.value!r}")
+    start = _checked_start(matrix, cfg.rank)
+    result, converged = _solve(matrix.values, matrix.mask, start, cfg)
+    if not converged:
+        _warn_not_converged(name, cfg.max_iters)
+    return result
+
+
 def hard_impute(matrix: MaskedMatrix, cfg: CompletionConfig) -> np.ndarray:
     """Rank-constrained iterative SVD imputation.
 
     Observed entries are preserved exactly; missing entries come from the
     final rank-``cfg.rank`` reconstruction.
     """
-    if cfg.method is not CompletionMethod.HARD_SVD:
-        raise DataError(f"expected method 'hsv', got {cfg.method.value!r}")
-    filled, _, converged = _refill(
-        matrix.values, matrix.mask, _checked_start(matrix, cfg.rank),
-        cfg.rank, 0.0, cfg.max_iters, cfg.tol,
-    )
-    if not converged:
-        _warn_not_converged("hard_impute", cfg.max_iters)
-    return filled
+    return _impute(matrix, cfg, CompletionMethod.HARD_SVD, "hard_impute")
 
 
 def soft_impute(matrix: MaskedMatrix, cfg: CompletionConfig) -> np.ndarray:
     """Like :func:`hard_impute` with singular values soft-thresholded by lam
     before the rank truncation."""
-    if cfg.method is not CompletionMethod.SOFT_SVD:
-        raise DataError(f"expected method 'ssv', got {cfg.method.value!r}")
-    filled, _, converged = _refill(
-        matrix.values, matrix.mask, _checked_start(matrix, cfg.rank),
-        cfg.rank, cfg.lam, cfg.max_iters, cfg.tol,
-    )
-    if not converged:
-        _warn_not_converged("soft_impute", cfg.max_iters)
-    return filled
+    return _impute(matrix, cfg, CompletionMethod.SOFT_SVD, "soft_impute")
 
 
 def _als_half_step(
@@ -237,26 +246,37 @@ def _als_objective(
     return float((resid**2).sum() + lam * ((a**2).sum() + (b**2).sum()))
 
 
-def _als_sweeps(matrix: MaskedMatrix, cfg: CompletionConfig):
+def _als_sweeps(values: np.ndarray, mask: np.ndarray, start: np.ndarray,
+                cfg: CompletionConfig):
     """Yield the factors (A, B) after each alternating half-step.
 
-    Factors start from the rank-r SVD of the column-mean-filled matrix:
+    Factors start from the rank-r SVD of ``start`` (the column-mean fill):
     deterministic, and immune to the saddle stalls random factors hit on
-    matrices with an entirely missing column (the stacked-task shape).
+    matrices with an entirely missing column (the held-out shape).
     """
-    left, sv, right_t = np.linalg.svd(
-        _checked_start(matrix, cfg.rank), full_matrices=False
-    )
+    left, sv, right_t = np.linalg.svd(start, full_matrices=False)
     root = np.sqrt(sv[: cfg.rank])
     a = left[:, : cfg.rank] * root
     b = right_t[: cfg.rank].T * root
-    values = np.where(matrix.mask, matrix.values, 0.0)
-    weights = matrix.mask.astype(np.float64)
+    values = np.where(mask, values, 0.0)
+    weights = mask.astype(np.float64)
     for _ in range(cfg.max_iters):
         a = _als_half_step(values, weights, b, cfg.lam)
         yield a, b
         b = _als_half_step(values.T, weights.T, a, cfg.lam)
         yield a, b
+
+
+def _als(values: np.ndarray, mask: np.ndarray, start: np.ndarray,
+         cfg: CompletionConfig) -> tuple[np.ndarray, bool]:
+    """The ALS kernel: (last reconstruction A @ B.T, converged)."""
+    recon_prev: np.ndarray | None = None
+    for a, b in _als_sweeps(values, mask, start, cfg):
+        recon = a @ b.T
+        if recon_prev is not None and _small_change(recon, recon_prev, cfg.tol):
+            return recon, True
+        recon_prev = recon
+    return recon, False
 
 
 def als_impute(matrix: MaskedMatrix, cfg: CompletionConfig) -> np.ndarray:
@@ -266,16 +286,57 @@ def als_impute(matrix: MaskedMatrix, cfg: CompletionConfig) -> np.ndarray:
     the factorization, not copied). The squared-error-plus-ridge objective is
     nonincreasing across half-steps because each solve is exact.
     """
-    if cfg.method is not CompletionMethod.ALS:
-        raise DataError(f"expected method 'als', got {cfg.method.value!r}")
-    recon_prev: np.ndarray | None = None
-    for a, b in _als_sweeps(matrix, cfg):
-        recon = a @ b.T
-        if recon_prev is not None and _small_change(recon, recon_prev, cfg.tol):
-            return recon
-        recon_prev = recon
-    _warn_not_converged("als_impute", cfg.max_iters)
-    return recon
+    return _impute(matrix, cfg, CompletionMethod.ALS, "als_impute")
+
+
+def held_out_columns(human: MaskedMatrix, twin: MaskedMatrix, cfg: CompletionConfig,
+                     prior: np.ndarray | None, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Complete each target column j of ``human`` with that column held out.
+
+    hsv, ssv and als solve [human; twin] (equal shapes) with the human cells
+    of column j masked; sp solves ``human`` alone with column j masked and
+    started from ``prior[:, j]``. Other cells start from their column's
+    observed mean. Every row, and every column but sp's column j, needs an
+    observed cell. Returns the n x t predictions and the t converged flags,
+    without warning.
+    """
+    n = human.n_rows
+    sp = cfg.method is CompletionMethod.SYNTHETIC_PRIOR
+    blocks = (human,) if sp else (human, twin)
+    values = np.concatenate([block.values for block in blocks])
+    observed = np.concatenate([block.mask for block in blocks])
+    _check_rank(cfg.rank, values.shape)
+    predictions = np.empty((n, len(targets)))
+    converged = np.empty(len(targets), dtype=bool)
+    for t, j in enumerate(targets):
+        mask = observed.copy()
+        mask[:n, j] = False
+        cols, rows = mask.any(axis=0), mask.any(axis=1)
+        cols[j] |= sp  # sp starts column j from the prior
+        for what, covered in (("column", cols), ("row", rows)):
+            if not covered.all():
+                raise DataError(f"{what} {np.argmin(covered)} has no observed entries "
+                                f"with column {j} held out")
+        start = _mean_filled(values, mask)
+        if sp:
+            start[:, j] = prior[:, j]
+        result, converged[t] = _solve(values, mask, start, cfg)
+        predictions[:, t] = result[:n, j]
+    return predictions, converged
+
+
+def _one_target(task: StackedTask, cfg: CompletionConfig, prior, name: str) -> np.ndarray:
+    """:func:`held_out_columns` for the task's target, with an all-missing
+    human column inserted at ``target_col``; warns if unconverged."""
+    j = task.target_col
+    human = MaskedMatrix(
+        np.insert(task.human.values, j, np.nan, axis=1),
+        np.insert(task.human.mask, j, False, axis=1),
+    )
+    predictions, converged = held_out_columns(human, task.twin, cfg, prior, [j])
+    if not converged[0]:
+        _warn_not_converged(name, cfg.max_iters)
+    return predictions[:, 0]
 
 
 def synthetic_prior_impute(task: StackedTask, cfg: CompletionConfig) -> np.ndarray:
@@ -293,20 +354,7 @@ def synthetic_prior_impute(task: StackedTask, cfg: CompletionConfig) -> np.ndarr
             "the warm start needs a fully observed twin target column; "
             "impute the twin first"
         )
-    task.human.require_coverage()
-    n, m = task.human.shape
-    _check_rank(cfg.rank, (n, m + 1))
-    twin_col = task.twin.values[:, task.target_col]
-    values = np.column_stack([task.human.values, twin_col])
-    mask = np.column_stack([task.human.mask, np.zeros(n, dtype=bool)])
-    start = _mean_filled(values, mask)
-    start[:, m] = twin_col
-    filled, _, converged = _refill(
-        values, mask, start, cfg.rank, 0.0, cfg.max_iters, cfg.tol
-    )
-    if not converged:
-        _warn_not_converged("synthetic_prior_impute", cfg.max_iters)
-    return filled[:, m]
+    return _one_target(task, cfg, task.twin.values, "synthetic_prior_impute")
 
 
 def stacked_complete(task: StackedTask, cfg: CompletionConfig) -> np.ndarray:
@@ -318,23 +366,7 @@ def stacked_complete(task: StackedTask, cfg: CompletionConfig) -> np.ndarray:
     """
     if cfg.method is CompletionMethod.SYNTHETIC_PRIOR:
         raise DataError("stacked_complete supports hsv, ssv, and als only")
-    n = task.human.n_rows
-    m_plus = task.twin.n_cols
-    top_values = np.full((n, m_plus), np.nan)
-    top_mask = np.zeros((n, m_plus), dtype=bool)
-    top_values[:, task.feature_cols] = task.human.values
-    top_mask[:, task.feature_cols] = task.human.mask
-    stacked = MaskedMatrix(
-        np.concatenate([top_values, task.twin.values], axis=0),
-        np.concatenate([top_mask, task.twin.mask], axis=0),
-    )
-    solver = {
-        CompletionMethod.HARD_SVD: hard_impute,
-        CompletionMethod.SOFT_SVD: soft_impute,
-        CompletionMethod.ALS: als_impute,
-    }[cfg.method]
-    completed = solver(stacked, cfg)
-    return completed[:n, task.target_col]
+    return _one_target(task, cfg, None, "stacked_complete")
 
 
 def estimate_effective_rank(
@@ -400,9 +432,9 @@ def impute_dense(
 ) -> tuple[np.ndarray, int]:
     """Hard-SVD impute to a dense matrix, estimating the rank if unset.
 
-    Fully observed inputs pass through untouched (returned rank 0). The
-    convergence warning is suppressed here: callers of this convenience path
-    want the best fill, and the stopping tolerance governs its quality.
+    Fully observed inputs pass through untouched (returned rank 0). No
+    convergence warning is raised: callers of this convenience path want
+    the best fill, and the stopping tolerance governs its quality.
     """
     if matrix.is_fully_observed():
         return matrix.values.copy(), 0
@@ -410,6 +442,5 @@ def impute_dense(
         grid = [r for r in DEFAULT_RANK_GRID if r <= min(matrix.shape)]
         rank = estimate_effective_rank(matrix, grid, seed=seed)
     cfg = CompletionConfig(CompletionMethod.HARD_SVD, rank=rank)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConvergenceWarning)
-        return hard_impute(matrix, cfg), rank
+    filled, _ = _solve(matrix.values, matrix.mask, _checked_start(matrix, rank), cfg)
+    return filled, rank

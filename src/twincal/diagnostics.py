@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .completion import DEFAULT_RANK_GRID, estimate_effective_rank, impute_dense
-from .matcore import DataError, MaskedMatrix
+from .matcore import DataError, MaskedMatrix, check_integer
 
 __all__ = [
     "SubspaceAxis",
@@ -176,6 +176,8 @@ def alignment_report(
     Each of the human, twin and two baseline matrices takes one thin SVD.
     """
     axis = SubspaceAxis(axis)
+    if rank is not None:
+        check_integer("rank", rank, 1)
     h, human_impute_rank = _to_dense_demeaned(human, impute_rank, seed)
     t, _ = _to_dense_demeaned(twin, impute_rank, seed)
     if rank is None:

@@ -117,6 +117,23 @@ class MaskedMatrix:
             raise EmptyColumnError(f"row {i} has no observed entries")
 
 
+def check_integer(name: str, value, minimum: int | None = None) -> None:
+    """Raise :class:`DataError` naming ``name`` unless ``value`` is an integer
+    (a bool, a float or a string is not) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DataError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise DataError(f"{name} must be at least {minimum}, got {value}")
+
+
+def check_real(name: str, value) -> None:
+    """Raise :class:`DataError` naming ``name`` unless ``value`` is a finite
+    real number (a bool or a string is not)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not np.isfinite(value)):
+        raise DataError(f"{name} must be a real number, got {value!r}")
+
+
 def draw_covered_mask(draw, what: str) -> np.ndarray:
     """First of up to 10 masks from ``draw()`` that leaves every row and column
     an observed cell; raises :class:`DataError` naming ``what`` if none does."""

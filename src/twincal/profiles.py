@@ -88,6 +88,8 @@ def method_config(
     stored values; a name the config does not have raises :class:`DataError`.
     ``seed`` reaches regression configs only (it seeds the network family).
     """
+    if overrides is not None and not isinstance(overrides, dict):
+        raise DataError(f"params must be an object, got {overrides!r}")
     params: dict = {}
     if profile is not None:
         if profile not in PROFILES:
@@ -105,6 +107,8 @@ def method_config(
         params.setdefault("seed", seed)
     elif method in COMPLETION_METHODS:
         cls, selector = CompletionConfig, "method"
+        if "rank" not in params:
+            raise DataError(f"method {method!r} needs a rank: set params.rank or a profile")
     else:
         raise DataError(
             f"unknown method {method!r}; expected one of "

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import ConvergenceWarning, DataError
+from .matcore import ConvergenceWarning, DataError, check_integer, check_real
 
 __all__ = [
     "LinearModel",
@@ -63,14 +63,23 @@ class RegressConfig:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise DataError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        for name in ("lam", "alpha", "l1_ratio", "weight_decay", "learning_rate"):
+            check_real(name, getattr(self, name))
+        for name, minimum in (("epochs", 1), ("batch_size", 1), ("patience", None),
+                              ("seed", None)):
+            check_integer(name, getattr(self, name), minimum)
+        if self.rank is not None:
+            check_integer("rank", self.rank)
+        if not isinstance(self.hidden_sizes, (list, tuple)):
+            raise DataError(f"hidden_sizes must be a list of integers, got {self.hidden_sizes!r}")
+        for size in self.hidden_sizes:
+            check_integer("hidden_sizes", size, 1)
         if not 0.0 <= self.l1_ratio <= 1.0:
             raise DataError("l1_ratio must lie in [0, 1]")
         if self.lam < 0 or self.alpha < 0 or self.weight_decay < 0:
             raise DataError("penalties must be nonnegative")
-        if self.rank is not None and (
-            isinstance(self.rank, bool) or not isinstance(self.rank, (int, np.integer))
-        ):
-            raise DataError(f"rank must be an integer, got {self.rank!r}")
+        if self.learning_rate <= 0:
+            raise DataError(f"learning_rate must be positive, got {self.learning_rate}")
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
 
 

@@ -6,11 +6,28 @@ projected gradient with a one-vector simplex projection, SVD-space ridge and
 a one-network Adam trainer. The linear ones return the coefficients, the
 intercept and whether the loop converged, so tests can compare coefficients,
 fits and convergence counts target by target; the network trainer returns
-its weights and biases. The last is the thin-SVD refill loop that
-``twincal.completion._refill`` replaced with a Gram eigendecomposition.
+its weights and biases. Then comes the thin-SVD refill loop that
+``twincal.completion._refill`` replaced with a Gram eigendecomposition, and
+last the per-target completion leave-one-out loop that
+``twincal.completion.held_out_columns`` replaced by holding each target
+column out in place.
 """
 
+import warnings
+
 import numpy as np
+
+from twincal.completion import (
+    CompletionMethod,
+    StackedTask,
+    _check_rank,
+    _mean_filled,
+    _refill,
+    als_impute,
+    hard_impute,
+    soft_impute,
+)
+from twincal.matcore import ConvergenceWarning, DataError, MaskedMatrix
 
 
 def _center(x, y, fit_intercept):
@@ -222,3 +239,68 @@ def svd_refill(values, mask, start, rank, lam, max_iters, tol):
                 return filled, recon, True
         recon_prev = recon
     return filled, recon, False
+
+
+def stacked_complete(task, cfg):
+    """The human block, with a NaN placeholder for the target column, stacked
+    on the twin and completed by the public hsv/ssv/als solver."""
+    n = task.human.n_rows
+    m_plus = task.twin.n_cols
+    feature_cols = np.arange(m_plus) != task.target_col
+    top_values = np.full((n, m_plus), np.nan)
+    top_mask = np.zeros((n, m_plus), dtype=bool)
+    top_values[:, feature_cols] = task.human.values
+    top_mask[:, feature_cols] = task.human.mask
+    stacked = MaskedMatrix(
+        np.concatenate([top_values, task.twin.values], axis=0),
+        np.concatenate([top_mask, task.twin.mask], axis=0),
+    )
+    solver = {
+        CompletionMethod.HARD_SVD: hard_impute,
+        CompletionMethod.SOFT_SVD: soft_impute,
+        CompletionMethod.ALS: als_impute,
+    }[cfg.method]
+    return solver(stacked, cfg)[:n, task.target_col]
+
+
+def synthetic_prior_impute(task, cfg):
+    """The human matrix with the twin's target column appended as an
+    unobserved column, refilled from a start holding that column."""
+    if not task.twin.mask[:, task.target_col].all():
+        raise DataError("the warm start needs a fully observed twin target column")
+    task.human.require_coverage()
+    n, m = task.human.shape
+    _check_rank(cfg.rank, (n, m + 1))
+    twin_col = task.twin.values[:, task.target_col]
+    values = np.column_stack([task.human.values, twin_col])
+    mask = np.column_stack([task.human.mask, np.zeros(n, dtype=bool)])
+    start = _mean_filled(values, mask)
+    start[:, m] = twin_col
+    filled, _, _ = _refill(values, mask, start, cfg.rank, 0.0, cfg.max_iters, cfg.tol)
+    return filled[:, m]
+
+
+def completion_loo(human, twin, cfg, twin_dense):
+    """Per target j: the human without column j, the twin with column j
+    moved last (for sp, filled from ``twin_dense``), one ``StackedTask``, and
+    one solve with its ConvergenceWarning silenced. Returns the n x m
+    predictions."""
+    n, m = human.shape
+    cols = np.arange(m)
+    sp = cfg.method is CompletionMethod.SYNTHETIC_PRIOR
+    predictions = np.empty((n, m))
+    for j in range(m):
+        feats = cols != j
+        sub_human = MaskedMatrix(human.values[:, feats], human.mask[:, feats])
+        order = np.concatenate([cols[feats], [j]])
+        sub_values = twin.values[:, order]
+        sub_mask = twin.mask[:, order]
+        if sp:
+            sub_values[:, m - 1] = twin_dense[:, j]
+            sub_mask[:, m - 1] = True
+        task = StackedTask(sub_human, MaskedMatrix(sub_values, sub_mask), target_col=m - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            solve = synthetic_prior_impute if sp else stacked_complete
+            predictions[:, j] = solve(task, cfg)
+    return predictions

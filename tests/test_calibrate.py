@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scalar_oracles as oracle
@@ -11,7 +13,7 @@ from twincal.calibrate import (
     prepare_pair,
     sweep_thresholds,
 )
-from twincal.completion import CompletionConfig
+from twincal.completion import CompletionConfig, impute_dense
 from twincal.matcore import DataError, MaskedMatrix
 from twincal.regress import RegressConfig
 from twincal.synth import generate_latent_world
@@ -392,3 +394,64 @@ class TestLooEngine:
             assert record["se"] == gated.se
             assert record["skipped"] == gated.skipped_count
             assert record["n_transferred"] == sum(r.transferred for r in gated.per_target)
+
+
+class TestCompletionLoo:
+    """The completion leave-one-out, each target column held out in place,
+    against the per-target loop it replaced (``oracle.completion_loo``)."""
+
+    # stated before comparing: moving column j out of last place changes the
+    # rounding of every Gram product and eigendecomposition, which moves the
+    # predictions by ~1e-13 of the largest one
+    RTOL = 1e-10
+    CONFIGS = {
+        "hsv": CompletionConfig("hsv", rank=3, max_iters=60),
+        "ssv": CompletionConfig("ssv", rank=4, lam=0.5, max_iters=60),
+        "als": CompletionConfig("als", rank=3, lam=0.5, max_iters=60),
+        "sp": CompletionConfig("sp", rank=3, max_iters=60),
+    }
+
+    @staticmethod
+    def world(n, m, seed):
+        _, human, twin, _ = generate_latent_world(
+            n, m, 3, seed=seed, alignment="linear_distortion", noise_sigma=0.1,
+            missing_frac=0.2,
+        )
+        return human, MaskedMatrix(twin.values[:, :m], twin.mask[:, :m])
+
+    @pytest.mark.parametrize("method", ["hsv", "ssv", "als", "sp"])
+    @pytest.mark.parametrize("orientation,n,m", [("new_question", 36, 10),
+                                                 ("new_user", 40, 12)])
+    def test_matches_per_target_loop(self, method, orientation, n, m):
+        human, twin = self.world(n, m, seed=n + m)
+        cfg = self.CONFIGS[method]
+        _, pred = loo_evaluate(human, twin, cfg, orientation, impute_rank=3,
+                               return_predictions=True)
+        if orientation == "new_user":
+            human, twin = human.transpose(), twin.transpose()
+        twin_dense, _ = impute_dense(twin, 3)
+        want = oracle.completion_loo(human, twin, cfg, twin_dense)
+        assert pred.shape == want.shape == human.shape
+        assert np.max(np.abs(pred - want)) <= self.RTOL * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("method", ["hsv", "ssv", "als", "sp"])
+    def test_capped_loo_raises_no_warning(self, method):
+        human, twin = self.world(30, 8, seed=3)
+        capped = CompletionConfig(method, rank=2, max_iters=2, tol=1e-16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = loo_evaluate(human, twin, capped, impute_rank=2)
+        assert report.skipped_count < 8
+
+    @pytest.mark.parametrize("method", ["hsv", "sp"])
+    def test_row_observed_only_in_held_out_column(self, method):
+        human, twin = self.world(30, 8, seed=4)
+        mask = human.mask.copy()
+        mask[5] = False
+        mask[5, 3] = True
+        human = MaskedMatrix(np.nan_to_num(human.values), mask)
+        cfg = self.CONFIGS[method]
+        with pytest.raises(DataError, match="row 5 has no observed entries with column 3"):
+            loo_evaluate(human, twin, cfg, impute_rank=3)
+        with pytest.raises(DataError, match="row 5 has no observed entries"):
+            oracle.completion_loo(human, twin, cfg, impute_dense(twin, 3)[0])

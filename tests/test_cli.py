@@ -557,6 +557,69 @@ class TestFailureModes:
         assert payload == {"error": f"rank must be an integer, got {rank!r}",
                            "kind": "DataError"}
 
+    @pytest.mark.parametrize("method,params,key", [
+        ("hsv", None, "rank"),                 # no params.rank and no --profile
+        ("ridge", {"lam": "abc"}, "lam"),
+        ("ridge", {"lam": True}, "lam"),
+        ("hsv", {"rank": 2, "tol": "x"}, "tol"),
+        ("hsv", {"rank": 2, "max_iters": 2.5}, "max_iters"),
+        ("nn", {"hidden_sizes": 5}, "hidden_sizes"),
+        ("ridge", [1, 2], "params"),
+        ("nn", {"batch_size": 0}, "batch_size"),
+        ("nn", {"epochs": 0}, "epochs"),
+        ("nn", {"patience": 2.5}, "patience"),
+        ("nn", {"learning_rate": 0}, "learning_rate"),
+    ])
+    def test_bad_method_params_exit_2(self, tmp_path, capsys, method, params, key):
+        hp, tp = write_pair(tmp_path, alignment="identical")
+        config = {"method": method}
+        if params is not None:
+            config["params"] = params
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        rc = main(["calibrate", "--config", str(cfg), "--human", str(hp), "--twin", str(tp),
+                   "--out", str(out)])
+        assert rc == 2
+        payload = self._one_error_line(capsys)
+        assert payload["kind"] == "DataError" and key in payload["error"]
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("command,source,key,value", [
+        ("calibrate", "config", "orientation", "sideways"),
+        ("calibrate", "env", "orientation", "sideways"),
+        ("eval-sweep", "config", "orientation", "sideways"),
+        ("eval-sweep", "env", "orientation", "sideways"),
+        ("diagnose", "config", "orientation", "sideways"),
+        ("diagnose", "config", "axis", "diag"),
+        ("diagnose", "env", "axis", "diag"),
+    ])
+    def test_bad_orientation_or_axis_exit_2(self, tmp_path, capsys, monkeypatch,
+                                            command, source, key, value):
+        hp, tp = write_pair(tmp_path, alignment="identical")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value} if source == "config" else {}))
+        if source == "env":
+            monkeypatch.setenv("SYNDIGITS_" + key.upper(), value)
+        flags = ["--taus", "0,inf"] if command == "eval-sweep" else []
+        rc = main([command, "--config", str(cfg), "--human", str(hp), "--twin", str(tp),
+                   "--out", str(tmp_path / "o"), *flags])
+        assert rc == 2
+        assert self._one_error_line(capsys) == {"error": f"invalid value for {key!r}: {value!r}"}
+
+    @pytest.mark.parametrize("rank", [-3, 0])
+    def test_diagnose_rank_below_one_exit_2(self, tmp_path, capsys, rank):
+        hp, tp = write_pair(tmp_path, alignment="identical")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rank": rank}))
+        out = tmp_path / "o"
+        rc = main(["diagnose", "--config", str(cfg), "--human", str(hp), "--twin", str(tp),
+                   "--out", str(out)])
+        assert rc == 2
+        assert self._one_error_line(capsys) == {
+            "error": f"rank must be at least 1, got {rank}", "kind": "DataError"}
+        assert not (out / "alignment.json").exists()
+
 
 class TestDistcalConfigValues:
     def run(self, tmp_path, config):

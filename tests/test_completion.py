@@ -320,7 +320,9 @@ class TestAls:
         m = low_rank_masked(15, 10, 3, 0.3, seed=10)
         values = np.where(m.mask, m.values, 0.0)
         objectives = []
-        for count, (a, b) in enumerate(_als_sweeps(m, cfg("als", 3, lam=0.1))):
+        start = _mean_filled(m.values, m.mask)
+        sweeps = _als_sweeps(m.values, m.mask, start, cfg("als", 3, lam=0.1))
+        for count, (a, b) in enumerate(sweeps):
             objectives.append(_als_objective(values, m.mask, a, b, 0.1))
             if count >= 40:
                 break
@@ -329,7 +331,9 @@ class TestAls:
     def test_training_rmse_nonincreasing(self):
         m = low_rank_masked(15, 10, 2, 0.3, seed=11)
         rmses = []
-        for count, (a, b) in enumerate(_als_sweeps(m, cfg("als", 2, lam=1e-6))):
+        start = _mean_filled(m.values, m.mask)
+        sweeps = _als_sweeps(m.values, m.mask, start, cfg("als", 2, lam=1e-6))
+        for count, (a, b) in enumerate(sweeps):
             resid = np.where(m.mask, np.where(m.mask, m.values, 0) - a @ b.T, 0.0)
             rmses.append(np.sqrt((resid**2).sum() / m.mask.sum()))
             if count >= 30:
@@ -506,6 +510,24 @@ class TestStackedComplete:
         task, target = stacked_world(40, 15, 2, seed=22)
         out = stacked_complete(task, cfg("als", 2, lam=1e-6, max_iters=500, tol=1e-9))
         assert np.linalg.norm(out - target) / np.linalg.norm(target) < 1e-3
+
+
+class TestOneTargetWarnings:
+    """stacked_complete and synthetic_prior_impute run the held-out body for
+    one target and warn once, at their caller, when it reaches its cap."""
+
+    @pytest.mark.parametrize("method,lam", [("hsv", 0.0), ("ssv", 0.01),
+                                            ("als", 1e-6), ("sp", 0.0)])
+    @pytest.mark.parametrize("max_iters,tol,warned", [(2, 1e-16, 1), (2000, 1e-6, 0)])
+    def test_warn_once_when_capped(self, method, lam, max_iters, tol, warned):
+        task, _ = stacked_world(30, 12, 2, seed=13)
+        solver = synthetic_prior_impute if method == "sp" else stacked_complete
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = solver(task, cfg(method, 2, lam=lam, max_iters=max_iters, tol=tol))
+        assert out.shape == (30,) and np.all(np.isfinite(out))
+        assert [w.category for w in caught] == [ConvergenceWarning] * warned
+        assert all(w.filename == __file__ for w in caught)
 
 
 class TestEffectiveRank:
