@@ -11,7 +11,7 @@ human target stats are unknowable since that column is entirely missing).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -82,8 +82,7 @@ class CalibrationTask:
 
     For the new-user orientation the matrices are interpreted transposed
     (twin has one extra row: the new user). ``method`` is a regression or
-    completion config; ``prepared`` may carry a shared preprocessed pair so
-    batch harnesses avoid re-imputing per target.
+    completion config.
     """
 
     human: MaskedMatrix
@@ -94,29 +93,26 @@ class CalibrationTask:
     impute_rank: int | None = None
     standardize: bool = True
     seed: int = 0
-    prepared: PreparedPair | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        orientation = Orientation(self.orientation)
-        object.__setattr__(self, "orientation", orientation)
-        if orientation is Orientation.NEW_QUESTION:
-            if self.twin.n_rows != self.human.n_rows:
-                raise DataError("human and twin must have equal row counts")
-            if self.twin.n_cols != self.human.n_cols + 1:
-                raise DataError("twin must have exactly one extra (target) column")
-            if not 0 <= self.target_index < self.twin.n_cols:
-                raise DataError(f"target_index {self.target_index} out of range")
-            target_mask = self.twin.mask[:, self.target_index]
-        else:
-            if self.twin.n_cols != self.human.n_cols:
-                raise DataError("human and twin must have equal column counts")
-            if self.twin.n_rows != self.human.n_rows + 1:
-                raise DataError("twin must have exactly one extra (target) row")
-            if not 0 <= self.target_index < self.twin.n_rows:
-                raise DataError(f"target_index {self.target_index} out of range")
-            target_mask = self.twin.mask[self.target_index, :]
-        if not target_mask.all():
+        object.__setattr__(self, "orientation", Orientation(self.orientation))
+        shared, extra = (("row", "column") if self.orientation is Orientation.NEW_QUESTION
+                         else ("column", "row"))
+        human, twin = self._oriented()
+        if twin.n_rows != human.n_rows:
+            raise DataError(f"human and twin must have equal {shared} counts")
+        if twin.n_cols != human.n_cols + 1:
+            raise DataError(f"twin must have exactly one extra (target) {extra}")
+        if not 0 <= self.target_index < twin.n_cols:
+            raise DataError(f"target_index {self.target_index} out of range")
+        if not twin.mask[:, self.target_index].all():
             raise DataError("twin must cover the target index fully")
+
+    def _oriented(self) -> tuple[MaskedMatrix, MaskedMatrix]:
+        """Human and twin with the target as a twin column (transposed for a new user)."""
+        if self.orientation is Orientation.NEW_USER:
+            return self.human.transpose(), self.twin.transpose()
+        return self.human, self.twin
 
 
 def prepare_pair(
@@ -218,18 +214,8 @@ def fit_and_transfer(
     """
     if not isinstance(task.method, RegressConfig):
         raise DataError("fit_and_transfer requires a regression method")
-    pair = task.prepared
-    if pair is None:
-        human, twin = task.human, task.twin
-        if task.orientation is Orientation.NEW_USER:
-            human, twin = human.transpose(), twin.transpose()
-        pair = prepare_pair(
-            human,
-            twin,
-            rank=task.impute_rank,
-            standardize=task.standardize,
-            seed=task.seed,
-        )
+    pair = prepare_pair(*task._oriented(), rank=task.impute_rank,
+                        standardize=task.standardize, seed=task.seed)
     j = task.target_index
     # the human matrix has no target column; a zero one aligns it with the twin
     human = np.insert(pair.human, j, 0.0, axis=1)

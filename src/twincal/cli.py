@@ -3,10 +3,11 @@
 Every subcommand reads an optional JSON config file, applies environment
 overrides (``SYNDIGITS_*``) and then command-line flags (flags win), runs one
 pipeline, and writes plot-ready CSV/JSON artifacts to the output directory.
-All outputs are byte-deterministic given the same config and seed, and JSON
-artifacts are strict JSON (non-finite numbers are written as null). Failures
-print a machine-readable one-line error JSON to stdout and exit nonzero (2
-for bad inputs, 1 otherwise).
+Each setting has one rule in ``_RULES``; a value it rejects exits 2 naming
+the key, and null means unset. All outputs are byte-deterministic given the
+same config and seed, and JSON artifacts are strict JSON (non-finite numbers
+are written as null). Failures print a machine-readable one-line error JSON
+to stdout and exit nonzero (2 for bad inputs, 1 otherwise).
 """
 
 from __future__ import annotations
@@ -52,11 +53,50 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+# ---------------------------------------------------------------------------
+# Settings: one rule per key. A rule returns the typed value or raises
+# ValueError/TypeError; it never sees null, which means unset.
+# ---------------------------------------------------------------------------
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(value)
+    return value
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(value)
+    return value
+
+
+def _integer(value) -> int:
+    """An int, or a string holding one; bools and floats are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(value)
+    return int(value)
+
+
+def _seed(value) -> int:
+    """An integer of at least 0, the seeds ``np.random.default_rng`` takes."""
+    seed = _integer(value)
+    if seed < 0:
+        raise ValueError(value)
+    return seed
+
+
+def _number(value) -> float:
+    """An int, a float or a string holding one; bools are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(value)
+    return float(value)
+
+
 _BOOL_WORDS = {"true": True, "1": True, "yes": True,
                "false": False, "0": False, "no": False}
 
 
-def _to_bool(value) -> bool:
+def _flag(value) -> bool:
     """A JSON bool, or true/false/1/0/yes/no in any case."""
     if isinstance(value, bool):
         return value
@@ -65,63 +105,48 @@ def _to_bool(value) -> bool:
     raise ValueError(value)
 
 
-def _to_int(value) -> int:
-    """An int, or a string holding one; bools and floats are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(value)
-    return int(value)
-
-
-_COERCERS = {
-    "seed": _to_int,
-    "tau": float,
-    "fisher_z": _to_bool,
-    "standardize": _to_bool,
+_RULES = {
+    **dict.fromkeys(("human", "twin", "out", "method", "profile", "kind"), _string),
+    **dict.fromkeys(("mirror_descent", "synth"), _object),
+    "seed": _seed,
+    **dict.fromkeys(("impute_rank", "rank", "n_categories", "max_iters", "n", "m", "dim"),
+                    _integer),
+    **dict.fromkeys(("tau", "taus", "test_frac", "eta0", "tol", "epsilon_floor"), _number),
+    **dict.fromkeys(("fisher_z", "standardize"), _flag),
     "orientation": Orientation,
     "axis": SubspaceAxis,
 }
 
 # the config keys cmd_distcal reads under "mirror_descent"
-_MIRROR_DESCENT_KEYS = {
-    "eta0": float, "max_iters": _to_int, "tol": float, "epsilon_floor": float,
-}
-
+_MIRROR_DESCENT_KEYS = {"eta0", "max_iters", "tol", "epsilon_floor"}
 
 # the integer arguments of each synth world generator, with their defaults
 _SYNTH_COUNTS = {
-    "latent": (("n", 200), ("m", 50), ("dim", 5)),
-    "discrete": (("n", 500), ("m", 40), ("n_categories", 5)),
+    "latent": {"n": 200, "m": 50, "dim": 5},
+    "discrete": {"n": 500, "m": 40, "n_categories": 5},
 }
 
 
-def _coerced(key: str, value, coerce):
+def _typed(key: str, value, name: str | None = None):
+    """``value`` under ``key``'s rule; a rejected value exits 2 naming ``name``
+    (by default ``key``)."""
     try:
-        return coerce(value)
+        return _RULES[key](value)
     except (TypeError, ValueError) as exc:
-        raise CliError(f"invalid value for {key!r}: {value!r}") from exc
+        raise CliError(f"invalid value for {name or key!r}: {value!r}") from exc
 
 
-def _resolve(key: str, cli_value, config: dict, default=None):
-    """Precedence: explicit CLI flag > environment variable > config > default."""
-    env_value = os.environ.get(ENV_PREFIX + key.upper())
-    if cli_value is not None:
-        value = cli_value
-    elif env_value is not None:
-        value = env_value
-    elif key in config:
-        value = config[key]
-    else:
-        return default
-    coerce = _COERCERS.get(key)
-    if coerce is None or value is None:
-        return value
-    return _coerced(key, value, coerce)
-
-
-def _config_int(config: dict, key: str) -> int | None:
-    """An optional integer read from the config alone; null means unset."""
+def _config(config: dict, key: str, default=None):
+    """``config[key]`` under its rule, or ``default`` if it is missing or null."""
     value = config.get(key)
-    return None if value is None else _coerced(key, value, _to_int)
+    return default if value is None else _typed(key, value)
+
+
+def _resolve(key: str, flag, config: dict, default=None):
+    """Precedence: explicit CLI flag > environment variable > config > default."""
+    if flag is None:
+        flag = os.environ.get(ENV_PREFIX + key.upper())
+    return _config(config, key, default) if flag is None else _typed(key, flag)
 
 
 def _require_matrix(path: str | None, role: str) -> MaskedMatrix:
@@ -133,9 +158,13 @@ def _require_matrix(path: str | None, role: str) -> MaskedMatrix:
     return read_matrix_csv(p)
 
 
+def _matrices(args, config: dict) -> tuple[MaskedMatrix, MaskedMatrix]:
+    return (_require_matrix(_resolve("human", args.human, config), "human"),
+            _require_matrix(_resolve("twin", args.twin, config), "twin"))
+
+
 def _out_dir(args, config: dict) -> Path:
-    out = _resolve("out", args.out, config, default="twincal_out")
-    path = Path(out)
+    path = Path(_resolve("out", args.out, config, default="twincal_out"))
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -173,34 +202,34 @@ def _fmt(x: float) -> str:
 # Subcommands.
 # ---------------------------------------------------------------------------
 
-def _method_from_args(args, config: dict, seed: int):
-    method = _resolve("method", args.method, config, default="ridge")
-    profile = _resolve("profile", getattr(args, "profile", None), config)
-    return method, method_config(method, profile, overrides=config.get("params"), seed=seed)
+def _loo_inputs(args, config: dict):
+    """The matrices, method and leave-one-out settings ``calibrate`` and
+    ``eval-sweep`` share."""
+    seed = _resolve("seed", args.seed, config, default=0)
+    settings = dict(
+        orientation=_resolve("orientation", args.orientation, config,
+                             default=Orientation.NEW_QUESTION),
+        fisher_z=_resolve("fisher_z", args.fisher_z or None, config, default=False),
+        impute_rank=_config(config, "impute_rank"),
+        standardize=_resolve("standardize", None, config, default=True),
+        seed=seed,
+    )
+    human, twin = _matrices(args, config)
+    method = method_config(_resolve("method", args.method, config, default="ridge"),
+                           _resolve("profile", args.profile, config),
+                           overrides=config.get("params"), seed=seed)
+    return human, twin, method, settings
 
 
 def cmd_calibrate(args) -> int:
     config = _load_config(args.config)
-    seed = _resolve("seed", args.seed, config, default=0)
-    orientation = _resolve("orientation", args.orientation, config,
-                           default=Orientation.NEW_QUESTION)
-    fisher_z = _resolve("fisher_z", args.fisher_z or None, config, default=False)
     tau = _resolve("tau", args.tau, config)
-    human = _require_matrix(_resolve("human", args.human, config), "human")
-    twin = _require_matrix(_resolve("twin", args.twin, config), "twin")
-    _, method = _method_from_args(args, config, seed)
+    human, twin, method, settings = _loo_inputs(args, config)
     out = _out_dir(args, config)
 
-    report, predictions = loo_evaluate(
-        human, twin, method, orientation,
-        fisher_z=fisher_z,
-        tau=tau,
-        impute_rank=_config_int(config, "impute_rank"),
-        standardize=_resolve("standardize", None, config, default=True),
-        seed=seed,
-        return_predictions=True,
-    )
-    if orientation is Orientation.NEW_USER:
+    report, predictions = loo_evaluate(human, twin, method, tau=tau,
+                                       return_predictions=True, **settings)
+    if settings["orientation"] is Orientation.NEW_USER:
         predictions = predictions.T
     _write_json(out / "report.json", report.to_json_dict())
     _write_csv(out / "per_target.csv", report.to_csv_rows())
@@ -210,26 +239,14 @@ def cmd_calibrate(args) -> int:
 
 def cmd_eval_sweep(args) -> int:
     config = _load_config(args.config)
-    seed = _resolve("seed", args.seed, config, default=0)
-    orientation = _resolve("orientation", args.orientation, config,
-                           default=Orientation.NEW_QUESTION)
-    fisher_z = _resolve("fisher_z", args.fisher_z or None, config, default=False)
-    human = _require_matrix(_resolve("human", args.human, config), "human")
-    twin = _require_matrix(_resolve("twin", args.twin, config), "twin")
-    _, method = _method_from_args(args, config, seed)
-    key, taus = ("--taus", args.taus.split(",")) if args.taus else ("taus", config.get("taus"))
+    human, twin, method, settings = _loo_inputs(args, config)
+    name, taus = ("--taus", args.taus.split(",")) if args.taus else ("taus", config.get("taus"))
     if not isinstance(taus, list) or not taus:
         raise CliError("eval-sweep needs a nonempty tau grid ('taus' list or --taus)")
-    taus = [_coerced(key, t, float) for t in taus]
+    taus = [_typed("taus", t, name) for t in taus]
     out = _out_dir(args, config)
 
-    records = sweep_thresholds(
-        human, twin, method, taus, orientation,
-        fisher_z=fisher_z,
-        impute_rank=_config_int(config, "impute_rank"),
-        standardize=_resolve("standardize", None, config, default=True),
-        seed=seed,
-    )
+    records = sweep_thresholds(human, twin, method, taus, **settings)
     rows = [["tau", "mean", "se", "n_transferred", "skipped"]]
     for rec in records:
         rows.append([
@@ -247,22 +264,14 @@ def cmd_diagnose(args) -> int:
     config = _load_config(args.config)
     seed = _resolve("seed", args.seed, config, default=0)
     orientation = _resolve("orientation", args.orientation, config)
-    axis = _resolve("axis", getattr(args, "axis", None), config)
-    if axis is None:
-        axis = (
-            SubspaceAxis.COLUMN_SPACE
-            if orientation is Orientation.NEW_USER
-            else SubspaceAxis.ROW_SPACE
-        )
-    human = _require_matrix(_resolve("human", args.human, config), "human")
-    twin = _require_matrix(_resolve("twin", args.twin, config), "twin")
+    axis = _resolve("axis", args.axis, config, default=(
+        SubspaceAxis.COLUMN_SPACE if orientation is Orientation.NEW_USER
+        else SubspaceAxis.ROW_SPACE))
+    human, twin = _matrices(args, config)
+    rank, impute_rank = _config(config, "rank"), _config(config, "impute_rank")
     out = _out_dir(args, config)
 
-    report = alignment_report(
-        human, twin, axis, seed,
-        rank=_config_int(config, "rank"),
-        impute_rank=_config_int(config, "impute_rank"),
-    )
+    report = alignment_report(human, twin, axis, seed, rank=rank, impute_rank=impute_rank)
     _write_json(out / "alignment.json", report.to_json_dict())
 
     curve_h, curve_t = report.variance_curves()
@@ -280,23 +289,19 @@ def cmd_diagnose(args) -> int:
 def cmd_distcal(args) -> int:
     config = _load_config(args.config)
     seed = _resolve("seed", args.seed, config, default=0)
-    human = _require_matrix(_resolve("human", args.human, config), "human")
-    twin = _require_matrix(_resolve("twin", args.twin, config), "twin")
+    human, twin = _matrices(args, config)
     if not twin.is_fully_observed():
         raise CliError("twin category matrix must be fully observed")
-    n_categories = _config_int(config, "n_categories")
+    n_categories = _config(config, "n_categories")
     if n_categories is None:
         n_categories = int(np.nanmax(twin.values))
-    md = config.get("mirror_descent", {})
-    if not isinstance(md, dict):
-        raise CliError("'mirror_descent' must be a JSON object")
-    unknown = sorted(set(md) - set(_MIRROR_DESCENT_KEYS))
+    md = _config(config, "mirror_descent", {})
+    unknown = sorted(set(md) - _MIRROR_DESCENT_KEYS)
     if unknown:
         raise CliError(f"unknown mirror_descent keys: {unknown}; expected "
                        f"{sorted(_MIRROR_DESCENT_KEYS)}")
-    md_cfg = MirrorDescentConfig(**{
-        k: _coerced(k, v, _MIRROR_DESCENT_KEYS[k]) for k, v in md.items()
-    })
+    md_cfg = MirrorDescentConfig(**{k: _config(md, k) for k, v in md.items() if v is not None})
+    test_frac = _config(config, "test_frac", 0.2)
     out = _out_dir(args, config)
 
     twin_codes = twin.values.astype(np.int64)
@@ -312,12 +317,8 @@ def cmd_distcal(args) -> int:
             raise CliError(f"human column {j} must hold integer category codes")
         p_all.append(Categorical.from_codes(codes, n_categories))
 
-    table = cross_table(
-        p_all, twin_codes, n_categories,
-        cfg=md_cfg,
-        test_frac=_coerced("test_frac", config.get("test_frac", 0.2), float),
-        seed=seed,
-    )
+    table = cross_table(p_all, twin_codes, n_categories, cfg=md_cfg,
+                        test_frac=test_frac, seed=seed)
     _write_json(out / "cross_table.json", table)
 
     rows = [["train_objective", "variant", "test_metric", "mean", "se"]]
@@ -337,12 +338,13 @@ def cmd_distcal(args) -> int:
 def cmd_synth(args) -> int:
     config = _load_config(args.config)
     seed = _resolve("seed", args.seed, config, default=0)
-    params = dict(config.get("synth", {}))
-    kind = params.pop("kind", args.kind or "latent")
+    synth = _config(config, "synth", {})
+    kind = _config(synth, "kind", args.kind or "latent")
     if kind not in _SYNTH_COUNTS:
         raise CliError(f"unknown synth kind {kind!r}; expected 'latent' or 'discrete'")
-    counts = [_coerced(key, params.pop(key, default), _to_int)
-              for key, default in _SYNTH_COUNTS[kind]]
+    counts = [_config(synth, key, default) for key, default in _SYNTH_COUNTS[kind].items()]
+    params = {k: v for k, v in synth.items()
+              if k != "kind" and k not in _SYNTH_COUNTS[kind] and v is not None}
     generate = generate_latent_world if kind == "latent" else generate_discrete_world
     out = _out_dir(args, config)
     try:
@@ -415,48 +417,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, matrices=True):
+    def command(name, help, func, matrices=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="random seed")
+        p.add_argument("--seed", help="random seed")
         p.add_argument("--out", help="output directory")
         if matrices:
             p.add_argument("--human", help="human matrix CSV")
             p.add_argument("--twin", help="twin matrix CSV")
+        return p
 
-    p = sub.add_parser("calibrate", help="leave-one-out calibration benchmark")
-    common(p)
-    p.add_argument("--method", help="ridge|lasso|en|nn|sc|si|hsv|ssv|als|sp")
-    p.add_argument("--profile", help=f"hyperparameter profile: {profile_names()}")
-    p.add_argument("--tau", type=float, help="adaptive-transfer threshold")
-    p.add_argument("--fisher-z", dest="fisher_z", action="store_true",
-                   help="average correlations in z-space")
-    p.add_argument("--orientation", choices=[o.value for o in Orientation])
-    p.set_defaults(func=cmd_calibrate)
+    def loo_command(name, help, func):
+        p = command(name, help, func)
+        p.add_argument("--method", help="ridge|lasso|en|nn|sc|si|hsv|ssv|als|sp")
+        p.add_argument("--profile", help=f"hyperparameter profile: {profile_names()}")
+        p.add_argument("--fisher-z", dest="fisher_z", action="store_true",
+                       help="average correlations in z-space")
+        p.add_argument("--orientation", choices=[o.value for o in Orientation])
+        return p
 
-    p = sub.add_parser("eval-sweep", help="adaptive-threshold sweep")
-    common(p)
-    p.add_argument("--method", help="regression method for the sweep")
-    p.add_argument("--profile")
-    p.add_argument("--taus", help="comma-separated tau grid")
-    p.add_argument("--fisher-z", dest="fisher_z", action="store_true")
-    p.add_argument("--orientation", choices=[o.value for o in Orientation])
-    p.set_defaults(func=cmd_eval_sweep)
-
-    p = sub.add_parser("diagnose", help="subspace alignment diagnostics")
-    common(p)
+    loo_command("calibrate", "leave-one-out calibration benchmark",
+                cmd_calibrate).add_argument("--tau", help="adaptive-transfer threshold")
+    loo_command("eval-sweep", "adaptive-threshold sweep",
+                cmd_eval_sweep).add_argument("--taus", help="comma-separated tau grid")
+    p = command("diagnose", "subspace alignment diagnostics", cmd_diagnose)
     p.add_argument("--axis", choices=[a.value for a in SubspaceAxis])
     p.add_argument("--orientation", choices=[o.value for o in Orientation])
-    p.set_defaults(func=cmd_diagnose)
-
-    p = sub.add_parser("distcal", help="distribution-level calibration cross-table")
-    common(p)
-    p.set_defaults(func=cmd_distcal)
-
-    p = sub.add_parser("synth", help="generate a synthetic world")
-    common(p, matrices=False)
-    p.add_argument("--kind", choices=["latent", "discrete"])
-    p.set_defaults(func=cmd_synth)
-
+    command("distcal", "distribution-level calibration cross-table", cmd_distcal)
+    command("synth", "generate a synthetic world", cmd_synth,
+            matrices=False).add_argument("--kind", choices=["latent", "discrete"])
     return parser
 
 

@@ -392,8 +392,10 @@ def estimate_effective_rank(
         raise DataError("rank_grid must be nonempty")
     if grid[0] < 1:
         raise DataError(f"rank must be positive, got {grid[0]}")
-    if max_iters < 1 or tol <= 0:
-        raise DataError("max_iters and tol must be positive")
+    check_integer("max_iters", max_iters, 1)
+    check_real("tol", tol)
+    if tol <= 0:
+        raise DataError("tol must be positive")
     if not 0.0 < holdout_frac <= 0.5:
         raise DataError("holdout_frac must lie in (0, 0.5]")
     _check_rank(grid[-1], matrix.shape)

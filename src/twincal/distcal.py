@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .matcore import DataError
+from .matcore import DataError, check_integer, check_real
 
 __all__ = [
     "Categorical",
@@ -144,12 +144,16 @@ class MirrorDescentConfig:
     stall_patience: int = 200   # stop early after this many non-improving iters
 
     def __post_init__(self) -> None:
+        for name in ("eta0", "decay_power", "tol", "epsilon_floor"):
+            check_real(name, getattr(self, name))
+        check_integer("max_iters", self.max_iters, 1)
+        check_integer("stall_patience", self.stall_patience)
         if self.eta0 <= 0 or not 0.0 < self.decay_power <= 1.0:
             raise DataError("eta0 must be positive and decay_power in (0, 1]")
         if not 0.0 < self.epsilon_floor <= 1e-3:
             raise DataError("epsilon_floor must lie in (0, 1e-3]")
-        if self.max_iters < 1 or self.tol <= 0:
-            raise DataError("max_iters must be >= 1 and tol > 0")
+        if self.tol <= 0:
+            raise DataError("tol must be positive")
 
 
 def _check_codes(codes: np.ndarray, n_categories: int) -> None:

@@ -514,8 +514,6 @@ def nn_parameters(
     n, m = x.shape
     if n < 2:
         raise DataError("fit_nn requires at least 2 rows")
-    if any(h < 1 for h in cfg.hidden_sizes):
-        raise DataError("hidden sizes must be >= 1")
 
     t = y.shape[1]
     live = np.ones((t, m, 1))               # 0 on a held-out input's first-layer row

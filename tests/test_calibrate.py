@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -10,7 +11,6 @@ from twincal.calibrate import (
     calibrate_new_user,
     fit_and_transfer,
     loo_evaluate,
-    prepare_pair,
     sweep_thresholds,
 )
 from twincal.completion import CompletionConfig, impute_dense
@@ -72,19 +72,36 @@ class TestFitAndTransfer:
         with pytest.raises(DataError):
             fit_and_transfer(bad)
 
-    def test_prepared_pair_reused(self):
-        task, target = identical_task()
-        pair = prepare_pair(task.human, task.twin)
-        warm = CalibrationTask(task.human, task.twin, task.target_index,
-                               method=RIDGE, prepared=pair)
-        pred_a, _ = fit_and_transfer(warm)
-        pred_b, _ = fit_and_transfer(task)
-        assert np.array_equal(pred_a, pred_b)
-
     def test_shape_validation(self):
         _, human, twin, _ = generate_latent_world(20, 10, 2, seed=3)
         with pytest.raises(DataError):
             CalibrationTask(human, human, target_index=5, method=RIDGE)
+
+    @pytest.mark.parametrize("orientation", ["new_question", "new_user"])
+    @pytest.mark.parametrize("case,error", [
+        ("short_twin", "human and twin must have equal row counts"),
+        ("no_target", "twin must have exactly one extra (target) column"),
+        ("index", "target_index 11 out of range"),
+        ("hole", "twin must cover the target index fully"),
+    ])
+    def test_each_shape_rejection_in_both_orientations(self, orientation, case, error):
+        _, human, twin, _ = generate_latent_world(20, 10, 2, seed=3)
+        index = 11 if case == "index" else 10
+        if case == "short_twin":
+            twin = MaskedMatrix(twin.values[:-1], twin.mask[:-1])
+        elif case == "no_target":
+            twin = human
+        elif case == "hole":
+            mask = twin.mask.copy()
+            mask[4, 10] = False
+            twin = MaskedMatrix(twin.values, mask)
+        if orientation == "new_user":
+            # the same task transposed: the messages swap "row" and "column"
+            human, twin = human.transpose(), twin.transpose()
+            error = error.replace("row", "ROW").replace("column", "row").replace("ROW", "column")
+        with pytest.raises(DataError, match=re.escape(error)):
+            CalibrationTask(human, twin, target_index=index, method=RIDGE,
+                            orientation=orientation)
 
 
 class TestAdaptiveTransfer:

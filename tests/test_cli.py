@@ -9,7 +9,7 @@ import pytest
 
 import twincal
 
-from twincal.cli import _resolve, main
+from twincal.cli import _RULES, _resolve, main
 from twincal.matcore import MaskedMatrix, read_matrix_csv, write_matrix_csv
 from twincal.profiles import method_config
 from twincal.synth import generate_discrete_world, generate_latent_world
@@ -664,3 +664,100 @@ class TestDistcalConfigValues:
         rc = self.run(tmp_path, {"n_categories": "3", "test_frac": "0.25",
                                  "mirror_descent": {"max_iters": 5, "eta0": "0.5"}})
         assert rc == 0
+
+
+# one wrong-typed config value for each key of the CLI's rule table:
+# (command, key or "parent.key", value)
+WRONG_TYPES = [
+    ("calibrate", "human", 5),
+    ("calibrate", "twin", ["t.csv"]),
+    ("calibrate", "out", 5),
+    ("calibrate", "method", 5),
+    ("calibrate", "profile", ["a"]),
+    ("synth", "synth.kind", ["latent"]),
+    ("distcal", "mirror_descent", [1, 2]),
+    ("synth", "synth", [1, 2]),
+    ("calibrate", "seed", -1),
+    ("calibrate", "impute_rank", 2.5),
+    ("diagnose", "rank", True),
+    ("distcal", "n_categories", "3.0"),
+    ("distcal", "mirror_descent.max_iters", True),
+    ("synth", "synth.n", 30.7),
+    ("synth", "synth.m", "x"),
+    ("synth", "synth.dim", False),
+    ("calibrate", "tau", True),
+    ("eval-sweep", "taus", [0, True]),
+    ("distcal", "test_frac", False),
+    ("distcal", "mirror_descent.eta0", True),
+    ("distcal", "mirror_descent.tol", [1e-8]),
+    ("distcal", "mirror_descent.epsilon_floor", {"x": 1}),
+    ("calibrate", "fisher_z", 1),
+    ("eval-sweep", "standardize", "maybe"),
+    ("eval-sweep", "orientation", True),
+    ("diagnose", "axis", 1),
+]
+
+
+class TestSettingRules:
+    def run(self, where, monkeypatch, command, config, flags=()):
+        """Run ``command`` in the new directory ``where`` with ``config``; flags
+        give the inputs and ``o`` as the output directory unless the config
+        does. Returns the exit code and the names of the entries it made."""
+        where.mkdir()
+        monkeypatch.chdir(where)
+        if command == "distcal":
+            _, _, samples, _ = generate_discrete_world(20, 4, 3, seed=5)
+            write_matrix_csv(where / "human.csv", np.ones((30, 4)))
+            write_matrix_csv(where / "twin.csv", samples[:, :4].astype(float))
+        elif command != "synth":
+            write_pair(where, seed=2, noise_sigma=0.1, alignment="linear_distortion")
+        given = ["out"] if command == "synth" else ["human", "twin", "out"]
+        argv = [command, "--config", "c.json", *flags]
+        argv += [f"--{k}={'o' if k == 'out' else k + '.csv'}" for k in given if k not in config]
+        (where / "c.json").write_text(json.dumps(config))
+        before = {p.name for p in where.iterdir()}
+        rc = main(argv)
+        return rc, {p.name for p in where.iterdir()} - before
+
+    @pytest.mark.parametrize("command,path,value", WRONG_TYPES)
+    def test_wrong_type_exit_2(self, tmp_path, capsys, monkeypatch, command, path, value):
+        parent, _, key = path.rpartition(".")
+        config = {parent: {key: value}} if parent else {key: value}
+        rc, made = self.run(tmp_path / "run", monkeypatch, command, config)
+        assert rc == 2
+        captured = capsys.readouterr()
+        shown = value[-1] if key == "taus" else value
+        assert captured.out == json.dumps({"error": f"invalid value for {key!r}: {shown!r}"}) + "\n"
+        assert captured.err == ""
+        assert made == set()
+
+    def test_every_rule_key_has_a_case(self):
+        assert {path.rpartition(".")[2] for _, path, _ in WRONG_TYPES} == set(_RULES)
+
+    @pytest.mark.parametrize("command", ["calibrate", "eval-sweep"])
+    def test_negative_seed_flag_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        rc, made = self.run(tmp_path / "run", monkeypatch, command, {"taus": [0, 1]},
+                            ["--seed", "-1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == '{"error": "invalid value for \'seed\': \'-1\'"}\n'
+        assert captured.err == "" and made == set()
+
+    def test_null_standardize_is_unset(self, tmp_path, monkeypatch):
+        outs = {}
+        for name, config in [("unset", {}), ("null", {"standardize": None}),
+                             ("off", {"standardize": False})]:
+            rc, _ = self.run(tmp_path / name, monkeypatch, "calibrate", config)
+            assert rc == 0
+            outs[name] = read_bytes_tree(tmp_path / name / "o")
+        assert outs["null"] == outs["unset"] != outs["off"]
+
+    @pytest.mark.parametrize("eta0", [float("nan"), "nan"])
+    def test_nan_eta0_exit_2(self, tmp_path, capsys, monkeypatch, eta0):
+        rc, made = self.run(tmp_path / "run", monkeypatch, "distcal",
+                            {"mirror_descent": {"eta0": eta0}})
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"error": "eta0 must be a real number, got nan",
+                                            "kind": "DataError"}
+        assert captured.err == "" and made == set()

@@ -569,6 +569,16 @@ class TestEffectiveRank:
         with pytest.raises(DataError):
             estimate_effective_rank(m, [1, 2], holdout_frac=0.9, seed=0)
 
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"max_iters": True}, "max_iters"), ({"max_iters": 2.5}, "max_iters"),
+        ({"max_iters": 0}, "max_iters"), ({"tol": float("nan")}, "tol"),
+        ({"tol": True}, "tol"), ({"tol": 0.0}, "tol"),
+    ])
+    def test_bad_refill_settings_rejected(self, kwargs, name):
+        m = low_rank_masked(30, 8, 2, 0.1, seed=28)
+        with pytest.raises(DataError, match=name):
+            estimate_effective_rank(m, [1, 2], seed=0, **kwargs)
+
 
 class TestConfigValidation:
     def test_bad_rank(self):
