@@ -189,7 +189,7 @@ def _write_json(path: Path, payload, *, keep_inf: bool = False) -> None:
 
 
 def _write_csv(path: Path, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerows(rows)
 
@@ -339,7 +339,7 @@ def cmd_synth(args) -> int:
     config = _load_config(args.config)
     seed = _resolve("seed", args.seed, config, default=0)
     synth = _config(config, "synth", {})
-    kind = _config(synth, "kind", args.kind or "latent")
+    kind = args.kind or _config(synth, "kind", "latent")
     if kind not in _SYNTH_COUNTS:
         raise CliError(f"unknown synth kind {kind!r}; expected 'latent' or 'discrete'")
     counts = [_config(synth, key, default) for key, default in _SYNTH_COUNTS[kind].items()]

@@ -9,6 +9,7 @@ garbage.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass
 
@@ -262,13 +263,48 @@ def mean_correlation(
 
 
 # ---------------------------------------------------------------------------
-# CSV interchange format: header row first, "NA" or empty cell = missing,
-# cell (0, 0) holds the row-label header. 17 significant digits round-trip
-# finite doubles exactly.
+# CSV interchange format: UTF-8, header row first, "NA" or empty cell =
+# missing, cell (0, 0) holds the row-label header, at least one data column.
+# 17 significant digits round-trip finite doubles exactly.
 # ---------------------------------------------------------------------------
 
-def _format_cell(x: float) -> str:
-    return "%.17g" % x
+# the missing cells read without the full rule; any other spelling of a
+# missing cell (" NA ", "NA " ...) fails float() and takes _read_cells
+_MISSING = frozenset(("", "NA", "Na", "nA", "na"))
+_NAN = float("nan")
+
+
+def _is_missing(cell: str) -> bool:
+    return cell.strip().upper() in ("", "NA")
+
+
+def _read_cells(path, i: int, cells: list[str], col_labels: list[str]) -> list[float]:
+    """Data row ``i``'s cells under the full rule, whitespace stripped; raises
+    :class:`DataError` naming the first cell that is not a number."""
+    values = []
+    for label, cell in zip(col_labels, cells):
+        cell = cell.strip()
+        try:
+            values.append(_NAN if _is_missing(cell) else float(cell))
+        except ValueError:
+            raise DataError(
+                f"{path}: row {i}, column {label!r}: not a number: {cell!r}"
+            ) from None
+    return values
+
+
+def _label_prefixes(labels) -> list[str]:
+    """Each label as the csv module writes it at the start of a row (quoted
+    when it holds a comma, a quote or a line break), with the comma after it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    prefixes = []
+    for label in labels:
+        writer.writerow((label, ""))
+        prefixes.append(buf.getvalue()[:-1])
+        buf.seek(0)
+        buf.truncate()
+    return prefixes
 
 
 def write_matrix_csv(
@@ -283,64 +319,72 @@ def write_matrix_csv(
     if not isinstance(matrix, MaskedMatrix):
         matrix = MaskedMatrix.from_dense(np.asarray(matrix, dtype=np.float64))
     n, m = matrix.shape
+    if m == 0:
+        raise DataError(f"{path}: a matrix CSV needs at least one data column")
     if row_labels is None:
         row_labels = [f"r{i}" for i in range(n)]
     if col_labels is None:
         col_labels = [f"c{j}" for j in range(m)]
     if len(row_labels) != n or len(col_labels) != m:
         raise DataError("label lengths do not match matrix dimensions")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([label_header, *col_labels])
-        for i in range(n):
-            row = [
-                _format_cell(matrix.values[i, j]) if matrix.mask[i, j] else "NA"
-                for j in range(m)
-            ]
-            writer.writerow([row_labels[i], *row])
+    # observed cells are finite, so the only "nan" in a formatted row of
+    # values is a missing cell
+    row_format = ",".join(["%.17g"] * m) + "\n"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerow([label_header, *col_labels])
+        fh.writelines(prefix + (row_format % tuple(row)).replace("nan", "NA")
+                      for prefix, row in zip(_label_prefixes(row_labels),
+                                             matrix.values.tolist()))
 
 
 def read_matrix_csv(path, *, return_labels: bool = False):
     """Read a matrix written by :func:`write_matrix_csv`.
 
-    "NA" (any case) and empty cells are missing. Returns a
-    :class:`MaskedMatrix`, optionally with (row_labels, col_labels).
+    "NA" (any case) and empty cells are missing; whitespace around a cell is
+    ignored. Returns a :class:`MaskedMatrix`, optionally with
+    (row_labels, col_labels). A ragged row or a cell that is not a number
+    raises :class:`DataError` in row order; a non-finite cell (``inf``,
+    ``nan``) raises after every row has parsed, naming the first one.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or len(rows) < 2:
-        raise DataError(f"{path}: expected a header row plus at least one data row")
-    col_labels = rows[0][1:]
-    m = len(col_labels)
-    row_labels = []
-    values = np.full((len(rows) - 1, m), np.nan)
-    mask = np.zeros((len(rows) - 1, m), dtype=bool)
+    no_rows = f"{path}: expected a header row plus at least one data row"
+    row_labels, rows, non_finite = [], [], None
     try:
-        for i, row in enumerate(rows[1:]):
-            if len(row) != m + 1:
-                raise DataError(f"{path}: row {i + 1} has {len(row)} cells, expected {m + 1}")
-            row_labels.append(row[0])
-            for j, cell in enumerate(row[1:]):
-                cell = cell.strip()
-                if cell == "" or cell.upper() == "NA":
-                    continue
-                values[i, j] = float(cell)
-                mask[i, j] = True
-    except DataError:
-        raise
-    except ValueError:
-        raise DataError(
-            f"{path}: row {i + 1}, column {col_labels[j]!r}: not a number: {cell!r}"
-        ) from None
-    try:
-        matrix = MaskedMatrix(values, mask)
-    except DataError:
-        # only a non-finite cell (inf, nan) fails here; name the first one
-        i, j = np.argwhere(mask & ~np.isfinite(values))[0]
-        raise DataError(
-            f"{path}: row {i + 1}, column {col_labels[j]!r}: "
-            f"non-finite value {float(values[i, j])!r}"
-        ) from None
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(no_rows)
+            col_labels = header[1:]
+            m = len(col_labels)
+            if m == 0:
+                raise DataError(f"{path}: the header names no data column")
+            for i, row in enumerate(reader, 1):
+                if len(row) != m + 1:
+                    raise DataError(f"{path}: row {i} has {len(row)} cells, expected {m + 1}")
+                row_labels.append(row[0])
+                cells = row[1:]
+                try:
+                    values = np.array([_NAN if c in _MISSING else float(c) for c in cells])
+                except ValueError:
+                    values = np.array(_read_cells(path, i, cells, col_labels))
+                # a "nan" or "inf" cell reads as a float, so a row holding one has
+                # fewer finite values than cells that are not missing tokens
+                if (non_finite is None and np.count_nonzero(np.isfinite(values))
+                        + sum(map(_MISSING.__contains__, cells)) != m):
+                    j = next((j for j, cell in enumerate(cells)
+                              if not np.isfinite(values[j]) and not _is_missing(cell)), None)
+                    if j is not None:  # None: the row only spells "NA" with padding
+                        non_finite = (f"{path}: row {i}, column {col_labels[j]!r}: "
+                                      f"non-finite value {float(values[j])!r}")
+                rows.append(values)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if not rows:
+        raise DataError(no_rows)
+    if non_finite is not None:
+        raise DataError(non_finite)
+    values = np.array(rows)
+    matrix = MaskedMatrix(values, ~np.isnan(values))
     if return_labels:
         return matrix, row_labels, col_labels
     return matrix

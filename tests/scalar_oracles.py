@@ -8,11 +8,14 @@ intercept and whether the loop converged, so tests can compare coefficients,
 fits and convergence counts target by target; the network trainer returns
 its weights and biases. Then comes the thin-SVD refill loop that
 ``twincal.completion._refill`` replaced with a Gram eigendecomposition, and
-last the per-target completion leave-one-out loop that
+the per-target completion leave-one-out loop that
 ``twincal.completion.held_out_columns`` replaced by holding each target
-column out in place.
+column out in place. Last come the cell-at-a-time CSV reader and writer that
+``twincal.matcore.read_matrix_csv`` and ``write_matrix_csv`` replaced with a
+row-at-a-time reader and one format string per written row.
 """
 
+import csv
 import warnings
 
 import numpy as np
@@ -304,3 +307,82 @@ def completion_loo(human, twin, cfg, twin_dense):
             solve = synthetic_prior_impute if sp else stacked_complete
             predictions[:, j] = solve(task, cfg)
     return predictions
+
+
+def _format_cell(x: float) -> str:
+    return "%.17g" % x
+
+
+def write_matrix_csv_cells(
+    path,
+    matrix: MaskedMatrix | np.ndarray,
+    *,
+    row_labels: list[str] | None = None,
+    col_labels: list[str] | None = None,
+    label_header: str = "id",
+) -> None:
+    """Write a (masked) matrix in the toolkit's CSV interchange format."""
+    if not isinstance(matrix, MaskedMatrix):
+        matrix = MaskedMatrix.from_dense(np.asarray(matrix, dtype=np.float64))
+    n, m = matrix.shape
+    if row_labels is None:
+        row_labels = [f"r{i}" for i in range(n)]
+    if col_labels is None:
+        col_labels = [f"c{j}" for j in range(m)]
+    if len(row_labels) != n or len(col_labels) != m:
+        raise DataError("label lengths do not match matrix dimensions")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([label_header, *col_labels])
+        for i in range(n):
+            row = [
+                _format_cell(matrix.values[i, j]) if matrix.mask[i, j] else "NA"
+                for j in range(m)
+            ]
+            writer.writerow([row_labels[i], *row])
+
+
+def read_matrix_csv_cells(path, *, return_labels: bool = False):
+    """Read a matrix written by :func:`write_matrix_csv`.
+
+    "NA" (any case) and empty cells are missing. Returns a
+    :class:`MaskedMatrix`, optionally with (row_labels, col_labels).
+    """
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or len(rows) < 2:
+        raise DataError(f"{path}: expected a header row plus at least one data row")
+    col_labels = rows[0][1:]
+    m = len(col_labels)
+    row_labels = []
+    values = np.full((len(rows) - 1, m), np.nan)
+    mask = np.zeros((len(rows) - 1, m), dtype=bool)
+    try:
+        for i, row in enumerate(rows[1:]):
+            if len(row) != m + 1:
+                raise DataError(f"{path}: row {i + 1} has {len(row)} cells, expected {m + 1}")
+            row_labels.append(row[0])
+            for j, cell in enumerate(row[1:]):
+                cell = cell.strip()
+                if cell == "" or cell.upper() == "NA":
+                    continue
+                values[i, j] = float(cell)
+                mask[i, j] = True
+    except DataError:
+        raise
+    except ValueError:
+        raise DataError(
+            f"{path}: row {i + 1}, column {col_labels[j]!r}: not a number: {cell!r}"
+        ) from None
+    try:
+        matrix = MaskedMatrix(values, mask)
+    except DataError:
+        # only a non-finite cell (inf, nan) fails here; name the first one
+        i, j = np.argwhere(mask & ~np.isfinite(values))[0]
+        raise DataError(
+            f"{path}: row {i + 1}, column {col_labels[j]!r}: "
+            f"non-finite value {float(values[i, j])!r}"
+        ) from None
+    if return_labels:
+        return matrix, row_labels, col_labels
+    return matrix

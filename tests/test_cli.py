@@ -194,6 +194,15 @@ class TestSynthCommand:
         sums = marginals.values.sum(axis=1)
         assert np.allclose(sums, 1.0, atol=1e-12)
 
+    def test_kind_flag_beats_config(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"synth": {"kind": "latent", "n": 30, "m": 6}}))
+        out = tmp_path / "w"
+        rc = main(["synth", "--config", str(cfg), "--kind", "discrete", "--out", str(out)])
+        assert rc == 0
+        assert json.loads((out / "world.json").read_text())["kind"] == "discrete"
+        assert read_matrix_csv(out / "twin_samples.csv").shape == (30, 7)
+
     def test_bad_kind_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"synth": {"kind": "bogus"},
@@ -523,6 +532,23 @@ class TestFailureModes:
         payload = self._one_error_line(capsys)
         assert payload["kind"] == "DataError"
         assert payload["error"] == f"{bad}: row 2, column 'c1': {detail}"
+
+    @pytest.mark.parametrize("command", ["calibrate", "eval-sweep", "diagnose", "distcal"])
+    @pytest.mark.parametrize("content,detail", [
+        (b"id\nr0\nr1\n", "the header names no data column"),
+        (b"id,c0\nr0,\xff\xfe1\n", "not UTF-8 text (invalid start byte)"),
+    ], ids=["no_data_column", "not_utf8"])
+    def test_unreadable_matrix_file_exit_2(self, tmp_path, capsys, command, content, detail):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        flags = ["--taus", "0,inf"] if command == "eval-sweep" else []
+        rc = main([command, "--human", str(bad), "--twin", str(bad),
+                   "--out", str(tmp_path / "o"), *flags])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"error": f"{bad}: {detail}", "kind": "DataError"}
+        assert captured.err == ""
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command,config,flags", [
         ("calibrate", {"impute_rank": "abc"}, ["--method", "ridge"]),

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import scalar_oracles as oracle
+import twincal
 from twincal.matcore import (
     ColumnStats,
     DataError,
@@ -199,3 +206,128 @@ class TestCsvRoundTrip:
         _, rows, cols = read_matrix_csv(path, return_labels=True)
         assert rows == ["u1", "u2"]
         assert cols == ["q1", "q2"]
+
+
+# read_matrix_csv parses each cell with the same float(), and write_matrix_csv
+# formats each value with the same "%.17g", as the cell-at-a-time oracles, so
+# the tolerance is zero: written bytes, read values (bitwise), masks, labels
+# and error messages must all be equal.
+class TestCsvOracleParity:
+    LABELS = ["a,b", 'say "hi"', "two\nlines", "", "banana"]
+
+    @staticmethod
+    def special(shape, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-5, 6, size=shape)
+        specials = [-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308, np.nan]
+        flat = values.reshape(-1)
+        flat[: len(specials)] = specials[: flat.size]
+        values[rng.random(shape) < 0.2] = np.nan
+        if shape[0] > 2:
+            values[1] = np.nan  # an all-missing row
+        return values
+
+    @pytest.mark.parametrize("shape", [(1, 1), (6, 1), (1, 7), (40, 3), (3, 40)])
+    def test_writes_byte_equal(self, tmp_path, shape):
+        values = self.special(shape, seed=sum(shape))
+        n, m = shape
+        labels = dict(row_labels=(self.LABELS * n)[:n], col_labels=(self.LABELS * m)[:m],
+                      label_header="ba,nan")
+        for kwargs in ({}, labels):
+            for matrix in (values, MaskedMatrix.from_dense(values)):
+                write_matrix_csv(tmp_path / "new.csv", matrix, **kwargs)
+                oracle.write_matrix_csv_cells(tmp_path / "old.csv", matrix, **kwargs)
+                assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_labels_are_not_missing_cells(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, np.array([[np.nan, 1.0]]), row_labels=["banana"],
+                         col_labels=["nan", "NaN"], label_header="nan")
+        assert path.read_text() == "nan,nan,NaN\nbanana,NA,1\n"
+
+    @pytest.mark.parametrize("text", [
+        "id,a,b,c,d\nr0,NA,na,Na,nA\nr1,1,2,3,4\n",
+        "id,a,b,c\nr0, NA ,nA  ,\t\nr1, 1.5 ,1e3,1_0\n",
+        "id,a,b\nr0,,\nr1,-0,5e-324\n",
+        "id,a,b\r\nr0,1,NA\r\nr1,,2.5\r\n",
+        'id,"a,1","b"\n"r,0","3.25","NA"\n"r""1",""," 7 "\n',
+        "id,a\nr0,+1E-3\nr1,-.5\n",
+    ], ids=["na_cases", "padded", "empty", "crlf", "quoted", "signs"])
+    def test_reads_equal(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        new, new_rows, new_cols = read_matrix_csv(path, return_labels=True)
+        old, old_rows, old_cols = oracle.read_matrix_csv_cells(path, return_labels=True)
+        assert np.array_equal(new.mask, old.mask)
+        assert new.values[new.mask].tobytes() == old.values[old.mask].tobytes()
+        assert (new_rows, new_cols) == (old_rows, old_cols)
+
+    @pytest.mark.parametrize("text", [
+        "id,a,b\nr0,1\n",                        # ragged
+        "id,a,b\nr0,1,2,3\n",                    # ragged, long
+        "id,a,b\nr0,1,abc\n",
+        "id,a,b\nr0,1, abc \n",
+        "id,a,b\nr0, NA ,abc\n",                 # padded NA before the bad cell
+        "id,a,b\nr0,1,nan\n",
+        "id,a,b\nr0,1, NaN \n",
+        "id,a,b\nr0,1,inf\n",
+        "id,a,b\nr0,-inf,NA\n",
+        "id,a,b\nr0, NA ,inf\n",
+        "id,a,b\nr0,NA,2\nr1,nan,inf\n",         # the first non-finite in row order
+        "id,a,b\nr0,1,abc\nr1,2\n",              # the bad cell comes first
+        "id,a,b\nr0,1\nr1,2,abc\n",              # the ragged row comes first
+        "id,a,b\nr0,1,nan\nr1,2\n",              # a ragged row beats an earlier nan
+        "id,a,b\nr0,inf,1\nr1,2,abc\n",          # so does a bad cell
+        "id,a,b\n",
+        "",
+    ], ids=["ragged", "ragged_long", "abc", "padded_abc", "padded_na_abc", "nan", "padded_nan", "inf",
+            "minus_inf", "padded_na_inf", "first_non_finite", "bad_cell_first",
+            "ragged_first", "ragged_beats_nan", "bad_cell_beats_inf", "no_rows", "empty"])
+    def test_errors_equal(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(DataError) as old:
+            oracle.read_matrix_csv_cells(path)
+        with pytest.raises(DataError) as new:
+            read_matrix_csv(path)
+        assert str(new.value) == str(old.value)
+
+
+class TestCsvFormatChecks:
+    @pytest.mark.parametrize("text", ["id\nr0\nr1\n", "id\n", "\nr0\n"],
+                             ids=["rows", "no_rows", "blank_header"])
+    def test_no_data_column_rejected(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match="the header names no data column") as err:
+            read_matrix_csv(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_zero_column_write_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        with pytest.raises(DataError, match="at least one data column"):
+            write_matrix_csv(path, np.zeros((3, 0)))
+        assert not path.exists()
+
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"id,c0\nr0,\xff\xfe1\n")
+        with pytest.raises(DataError) as err:
+            read_matrix_csv(path)
+        assert str(err.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
+    def test_utf8_whatever_the_locale(self, tmp_path):
+        # a C locale without UTF-8 mode makes open()'s default encoding ASCII
+        path = tmp_path / "m.csv"
+        script = ("import sys; from twincal.matcore import read_matrix_csv, write_matrix_csv; "
+                  "write_matrix_csv(sys.argv[1], [[1.0]], row_labels=['\\u00e9'], "
+                  "col_labels=['\\u4e00']); "
+                  "print(ascii(read_matrix_csv(sys.argv[1], return_labels=True)[1:]))")
+        src = str(Path(twincal.__file__).resolve().parents[1])
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "(['\\xe9'], ['\\u4e00'])\n"
+        assert path.read_bytes() == "id,\u4e00\n\u00e9,1\n".encode("utf-8")
