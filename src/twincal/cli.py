@@ -43,11 +43,13 @@ def _load_config(path: str | None) -> dict:
     p = Path(path)
     if not p.exists():
         raise CliError(f"config file not found: {p}", path=str(p))
-    with open(p) as fh:
+    with open(p, encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CliError(f"invalid JSON in config {p}: {exc}", path=str(p)) from exc
+        except UnicodeDecodeError as exc:
+            raise CliError(f"{p}: not UTF-8 text ({exc.reason})", path=str(p)) from None
     if not isinstance(cfg, dict):
         raise CliError(f"config {p} must hold a JSON object", path=str(p))
     return cfg

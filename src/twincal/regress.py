@@ -174,6 +174,14 @@ def ridge_coefficients(
     return coef
 
 
+def _step_sizes(gram: np.ndarray, exclude: np.ndarray | None, shift: float, t: int):
+    """Per target, 1/L with L the top eigenvalue of its own Gram (excluded row
+    and column removed) plus ``shift``, floored at 1e-12; one ``eigvalsh``
+    over the :func:`_sub_grams` stack serves every target."""
+    lips = np.linalg.eigvalsh(_sub_grams(gram, exclude)[1])[:, -1] + shift
+    return 1.0 / np.maximum(np.broadcast_to(lips, (t,)), 1e-12)
+
+
 def elastic_net_coefficients(
     gram: np.ndarray,
     cross: np.ndarray,
@@ -184,53 +192,68 @@ def elastic_net_coefficients(
     max_iters: int = 2000,
     tol: float = 1e-7,
 ) -> np.ndarray:
-    """Cyclic coordinate descent for every column of ``cross`` at once.
+    """Accelerated proximal gradient (FISTA) for every column of ``cross`` at once.
 
     Each column c minimizes (1/2) b'Gb - b'cross[:, c] + penalty, the
     covariance form of (1/2n)||y - Xb||^2 + penalty; see
     :func:`fit_elastic_net` for the penalty. ``gram``, ``cross`` and
     ``exclude`` are as in :func:`ridge_coefficients`; an excluded coordinate
-    stays 0. Coordinate k of every still-running target is updated in one
-    vector step, and a target stops after the first sweep whose largest
-    coefficient change is below ``tol``, so each target follows the iterates
-    of its own single-target fit. Constant (zero-variance) features keep
-    coefficient 0. One ConvergenceWarning is raised per target that is still
-    running after ``max_iters`` sweeps.
+    stays exactly 0, and so do constant (zero-variance) features. Each
+    target takes gradient steps 1/L on the smooth part, with L the top
+    eigenvalue of its own Gram plus alpha * (1 - l1_ratio), then
+    soft-thresholds at alpha * l1_ratio / L. Momentum follows Beck &
+    Teboulle (2009) and is reset whenever the (proximal) gradient at the
+    extrapolated point has a positive component along the last move, that
+    is, the move went uphill (the gradient restart of O'Donoghue & Candes
+    2015). A
+    target stops after the first step whose largest coefficient change is
+    below ``tol``; it then leaves the stacks. One ConvergenceWarning is
+    raised per target that is still running after ``max_iters`` steps.
     """
     p, t = cross.shape
-    col_sq = np.diag(gram).copy()
-    denom = col_sq + alpha * (1.0 - l1_ratio)
-    thresh = alpha * l1_ratio
-    free = np.flatnonzero(col_sq != 0.0)
+    l2 = alpha * (1.0 - l1_ratio)
+    step = _step_sizes(gram, exclude, l2, t)[:, None]
+    # per target and coordinate, the soft threshold of the prox step, which
+    # takes v to v less v clipped to [floor, thresh]; inf on a held-out or
+    # constant coordinate, which that sends to exactly 0
+    thresh = np.tile(step * (alpha * l1_ratio), (1, p))
+    thresh[:, np.diag(gram) == 0.0] = np.inf
+    if exclude is not None:
+        thresh[np.arange(t), exclude] = np.inf
+    floor = -thresh
+    shifted = gram + l2 * np.eye(p)       # the smooth part's Hessian
+    corr = step * cross.T                 # iterates are one row per target
 
-    coef = np.zeros((p, t))
+    out = np.empty((t, p))
     converged = np.zeros(t, dtype=bool)
-    running = np.arange(t)                  # targets still iterating
-    beta = np.zeros((p, t))                 # their coefficients, one column each
-    corr = cross
-    held = None if exclude is None else np.asarray(exclude)
+    running = np.arange(t)
+    beta = np.zeros((t, p))
+    ahead = beta                          # the extrapolated point
+    momentum = np.ones(t)
     for _ in range(max_iters):
-        max_delta = np.zeros(running.size)
-        for k in free:
-            rho = corr[k] - gram[k] @ beta + col_sq[k] * beta[k]
-            new = np.sign(rho) * np.maximum(np.abs(rho) - thresh, 0.0) / denom[k]
-            if held is not None:
-                new[held == k] = 0.0
-            np.maximum(max_delta, np.abs(new - beta[k]), out=max_delta)
-            beta[k] = new
-        done = max_delta < tol
+        trial = ahead - step * (ahead @ shifted) + corr
+        new = trial - np.minimum(np.maximum(trial, floor), thresh)
+        delta = new - beta
+        done = np.abs(delta).max(axis=1) < tol
+        # ahead - new is step times the proximal gradient at ahead
+        restart = np.einsum("ij,ij->i", ahead - new, delta) > 0.0
+        grown = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum))
+        weight = np.where(restart, 0.0, (momentum - 1.0) / grown)
+        momentum = np.where(restart, 1.0, grown)
+        beta = new
+        ahead = new + weight[:, None] * delta
         if done.any():
-            coef[:, running[done]] = beta[:, done]
+            out[running[done]] = new[done]
             converged[running[done]] = True
             keep = ~done
-            running, beta, corr = running[keep], beta[:, keep], corr[:, keep]
-            if held is not None:
-                held = held[keep]
+            running = running[keep]
+            beta, ahead, momentum = beta[keep], ahead[keep], momentum[keep]
+            corr, step, thresh, floor = corr[keep], step[keep], thresh[keep], floor[keep]
             if not running.size:
                 break
-    coef[:, running] = beta
-    _not_converged(f"elastic net did not converge within {max_iters} sweeps", converged)
-    return coef
+    out[running] = beta
+    _not_converged(f"elastic net did not converge within {max_iters} steps", converged)
+    return out.T
 
 
 def fit_ridge(
@@ -256,13 +279,14 @@ def fit_elastic_net(
     max_iters: int = 2000,
     tol: float = 1e-7,
 ) -> LinearModel:
-    """Cyclic coordinate descent for (1/2n)||y - Xb||^2 + penalty.
+    """Accelerated proximal gradient (FISTA) for (1/2n)||y - Xb||^2 + penalty.
 
     The penalty is alpha * (l1_ratio * ||b||_1 + (1 - l1_ratio)/2 * ||b||^2);
-    l1_ratio = 1 is the lasso. Updates run in covariance form (Gram matrix
-    precomputed) and stop when the largest coefficient change in a sweep
-    drops below ``tol``. Constant (zero-variance) columns keep coefficient 0.
-    This is the one-target case of :func:`elastic_net_coefficients`.
+    l1_ratio = 1 is the lasso. Steps run in covariance form (Gram matrix
+    precomputed) and stop when the largest coefficient change in a step
+    drops below ``tol``; ``max_iters`` counts steps. Constant
+    (zero-variance) columns keep coefficient 0. This is the one-target case
+    of :func:`elastic_net_coefficients`.
     """
     x, y = _as_xy(x, y)
     if alpha < 0 or not 0.0 <= l1_ratio <= 1.0:
@@ -321,8 +345,7 @@ def simplex_coefficients(
     raises :class:`DataError`.
     """
     p, t = cross.shape
-    lips = np.linalg.eigvalsh(_sub_grams(gram, exclude)[1])[:, -1] + lam
-    step = 1.0 / np.maximum(np.broadcast_to(lips, (t,)), 1e-12)
+    step = _step_sizes(gram, exclude, lam, t)
 
     # iterates are one row per target; an excluded coordinate sits at -inf
     # before each projection and at exactly 0 after it

@@ -550,6 +550,24 @@ class TestFailureModes:
         assert captured.err == ""
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["synth", "calibrate", "eval-sweep", "diagnose",
+                                         "distcal"])
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys, command):
+        hp, tp = write_pair(tmp_path, alignment="identical")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"seed": "\xff"}')
+        files = [] if command == "synth" else ["--human", str(hp), "--twin", str(tp)]
+        flags = ["--taus", "0,inf"] if command == "eval-sweep" else []
+        rc = main([command, "--config", str(cfg), *files, "--out", str(tmp_path / "o"),
+                   *flags])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {
+            "error": f"{cfg}: not UTF-8 text (invalid start byte)", "path": str(cfg),
+        }
+        assert captured.err == ""
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command,config,flags", [
         ("calibrate", {"impute_rank": "abc"}, ["--method", "ridge"]),
         ("calibrate", {"impute_rank": 2.5}, ["--method", "ridge"]),
