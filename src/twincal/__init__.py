@@ -70,6 +70,7 @@ from .regress import (
     LinearModel,
     NnModel,
     RegressConfig,
+    fit_columns,
     fit_elastic_net,
     fit_nn,
     fit_ridge,

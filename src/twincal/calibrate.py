@@ -16,7 +16,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import regress
 from .completion import CompletionConfig, held_out_columns, impute_dense
 from .matcore import (
     ColumnStats,
@@ -27,7 +26,7 @@ from .matcore import (
     pearson,
     standardize_columns,
 )
-from .regress import RegressConfig
+from .regress import RegressConfig, fit_columns
 
 __all__ = [
     "Orientation",
@@ -144,36 +143,6 @@ def prepare_pair(
     )
 
 
-def _gram_coefficients(twin: np.ndarray, cfg: RegressConfig, targets: np.ndarray):
-    """Coefficients (m x t, zero at each target's own row) and intercepts.
-
-    Every target regresses on the other columns of ``twin``, so all of them
-    share one Gram matrix: centered for ridge, elastic net and si,
-    uncentered for the zero-intercept simplex family. The si rank is
-    clamped to the n x (m-1) design of each target.
-    """
-    n, m = twin.shape
-    if cfg.family == "sc":
-        means = np.zeros(m)
-        centered = twin
-    else:
-        means = twin.mean(axis=0)
-        centered = twin - means
-    gram = centered.T @ centered / n
-    cross = gram[:, targets]
-    if cfg.family == "ridge":
-        coef = regress.ridge_coefficients(gram, cross, cfg.lam, targets)
-    elif cfg.family == "sc":
-        coef = regress.simplex_coefficients(gram, cross, cfg.lam, targets)
-    elif cfg.family == "si":
-        rank = min(n, m - 1) if cfg.rank is None else min(cfg.rank, n, m - 1)
-        coef = regress.si_coefficients(gram, cross, rank, cfg.lam, targets)
-    else:
-        l1_ratio = 1.0 if cfg.family == "lasso" else cfg.l1_ratio
-        coef = regress.elastic_net_coefficients(gram, cross, cfg.alpha, l1_ratio, targets)
-    return coef, means[targets] - means @ coef
-
-
 def _transfer(
     twin: np.ndarray, human: np.ndarray, cfg: RegressConfig, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -183,20 +152,14 @@ def _transfer(
     fit is applied to the same columns of ``human`` (its column j, if any,
     is ignored). Returns the per-target train MSEs and the human predictions
     (n_human x len(targets)), both on the fitting scale. Every family fits
-    all targets in one call: nn as one stacked network, the linear ones from
-    the shared Gram matrix, so fits and transfers are one product each.
+    all targets in one :func:`~twincal.regress.fit_columns` call, so fits
+    and transfers are one prediction each.
     """
-    if cfg.family == "nn":
-        net = regress.NnModel(*regress.nn_parameters(twin, twin[:, targets], cfg, targets))
-        # C order, as the linear product is, so the MSEs sum in the same order
-        fitted = np.ascontiguousarray(net.predict(twin).T)
-        pred = net.predict(human).T
-    else:
-        coef, intercepts = _gram_coefficients(twin, cfg, targets)
-        fitted = twin @ coef
-        fitted += intercepts
-        pred = human @ coef
-        pred += intercepts
+    model = fit_columns(twin, cfg, exclude=targets)
+    # C order (a stacked network predicts a transposed view), so every
+    # family's MSEs sum in the same order
+    fitted = np.ascontiguousarray(model.predict(twin))
+    pred = model.predict(human)
     # in place: the n x t residuals are the largest temporaries of the engine
     fitted -= twin[:, targets]
     return np.mean(np.square(fitted, out=fitted), axis=0), pred

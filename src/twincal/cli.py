@@ -6,8 +6,9 @@ pipeline, and writes plot-ready CSV/JSON artifacts to the output directory.
 Each setting has one rule in ``_RULES``; a value it rejects exits 2 naming
 the key, and null means unset. All outputs are byte-deterministic given the
 same config and seed, and JSON artifacts are strict JSON (non-finite numbers
-are written as null). Failures print a machine-readable one-line error JSON
-to stdout and exit nonzero (2 for bad inputs, 1 otherwise).
+are written as null). Every failure, a usage error included, prints a
+one-line error JSON with ``"error"`` and ``"kind"`` keys to stdout and exits
+nonzero (2 for bad inputs, 1 otherwise).
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ from .synth import generate_discrete_world, generate_latent_world
 
 ENV_PREFIX = "SYNDIGITS_"
 
-class CliError(Exception):
-    def __init__(self, message: str, *, exit_code: int = 2, path: str | None = None):
+class CliError(DataError):
+    """Bad command-line input; ``path`` names the file at fault, if any."""
+
+    def __init__(self, message: str, *, path: str | None = None):
         super().__init__(message)
-        self.exit_code = exit_code
         self.path = path
 
 
@@ -412,12 +414,20 @@ def cmd_synth(args) -> int:
 # Parser and entry point.
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise :class:`CliError`, so they print the error JSON too."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twincal",
         description="Calibrate digital-twin response matrices against human data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    orientations = "|".join(o.value for o in Orientation)
 
     def command(name, help, func, matrices=True):
         p = sub.add_parser(name, help=help)
@@ -436,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--profile", help=f"hyperparameter profile: {profile_names()}")
         p.add_argument("--fisher-z", dest="fisher_z", action="store_true",
                        help="average correlations in z-space")
-        p.add_argument("--orientation", choices=[o.value for o in Orientation])
+        p.add_argument("--orientation", help=orientations)
         return p
 
     loo_command("calibrate", "leave-one-out calibration benchmark",
@@ -444,28 +454,24 @@ def build_parser() -> argparse.ArgumentParser:
     loo_command("eval-sweep", "adaptive-threshold sweep",
                 cmd_eval_sweep).add_argument("--taus", help="comma-separated tau grid")
     p = command("diagnose", "subspace alignment diagnostics", cmd_diagnose)
-    p.add_argument("--axis", choices=[a.value for a in SubspaceAxis])
-    p.add_argument("--orientation", choices=[o.value for o in Orientation])
+    p.add_argument("--axis", help="|".join(a.value for a in SubspaceAxis))
+    p.add_argument("--orientation", help=orientations)
     command("distcal", "distribution-level calibration cross-table", cmd_distcal)
     command("synth", "generate a synthetic world", cmd_synth,
-            matrices=False).add_argument("--kind", choices=["latent", "discrete"])
+            matrices=False).add_argument("--kind", help="|".join(_SYNTH_COUNTS))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        payload = {"error": str(exc)}
-        if exc.path is not None:
+    except (ValueError, KeyError, FloatingPointError) as exc:
+        # DataError (CliError too) marks bad input; np.linalg.LinAlgError is a ValueError
+        payload = {"error": str(exc), "kind": type(exc).__name__}
+        if isinstance(exc, CliError) and exc.path is not None:
             payload["path"] = exc.path
         print(json.dumps(payload, sort_keys=True))
-        return exc.exit_code
-    except (ValueError, KeyError, FloatingPointError) as exc:
-        # DataError marks bad input; np.linalg.LinAlgError is a ValueError
-        print(json.dumps({"error": str(exc), "kind": type(exc).__name__}, sort_keys=True))
         return 2 if isinstance(exc, DataError) else 1
 
 

@@ -56,23 +56,14 @@ class Categorical:
         return self.probs.size
 
     @classmethod
-    def from_counts(cls, counts: np.ndarray) -> "Categorical":
-        counts = np.asarray(counts, dtype=np.float64)
-        total = counts.sum()
-        if total <= 0:
-            raise DataError("counts must have positive total")
-        p = counts / total
-        return cls(p / p.sum())
-
-    @classmethod
     def from_codes(cls, codes: np.ndarray, n_categories: int) -> "Categorical":
         """Empirical distribution of integer codes in 1..K."""
         codes = np.asarray(codes, dtype=np.int64)
         _check_codes(codes, n_categories)
-        return cls.from_counts(np.bincount(codes - 1, minlength=n_categories))
-
-    def mean_score(self, values: np.ndarray) -> float:
-        return float(self.probs @ np.asarray(values, dtype=np.float64))
+        if not codes.size:
+            raise DataError("codes must be nonempty")
+        p = np.bincount(codes - 1, minlength=n_categories) / codes.size
+        return cls(p / p.sum())
 
     def variance(self, values: np.ndarray) -> float:
         values = np.asarray(values, dtype=np.float64)

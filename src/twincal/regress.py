@@ -1,22 +1,23 @@
 """Fit-and-transfer model families: ridge, lasso/elastic net, simplex-constrained
 regression, SVD-space ridge, and a small ReLU network.
 
-Every family exposes a ``fit_*`` function returning an immutable model with a
-``predict`` method. All linear families except the simplex-constrained one
-fit on column-centered data and recover the intercept afterward; the simplex
-family keeps convex-combination semantics with a fixed zero intercept.
+:func:`fit_columns` is the one dispatch on the family: it fits many target
+columns at once and returns one stacked model with a ``predict`` method. All
+linear families except the simplex-constrained one fit on column-centered
+data and recover the intercept afterward; the simplex family keeps
+convex-combination semantics with a fixed zero intercept.
 
-Every family has one solver that fits many targets at once: the linear ones
+Each family has one solver that fits every target at once: the linear ones
 (``*_coefficients``) work from a Gram matrix, and :func:`nn_parameters`
 trains one stacked network. Each also solves the leave-one-out design, where
 every column of a matrix is regressed on the others. The ``fit_*`` functions
-are its one-target case.
+are the one-target case of :func:`fit_columns`.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
     "LinearModel",
     "NnModel",
     "RegressConfig",
+    "fit_columns",
     "fit_ridge",
     "fit_elastic_net",
     "fit_simplex",
@@ -85,8 +87,11 @@ class RegressConfig:
 
 @dataclass(frozen=True)
 class LinearModel:
+    """Coefficients and intercepts; a stacked model (m x t coefficients, t
+    intercepts) predicts an n x t array."""
+
     coefficients: np.ndarray
-    intercept: float
+    intercept: float | np.ndarray
     family: str
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -95,13 +100,15 @@ class LinearModel:
             raise DataError(
                 f"feature count {x.shape[-1]} != fitted {self.coefficients.shape[0]}"
             )
-        return x @ self.coefficients + self.intercept
+        out = x @ self.coefficients
+        out += self.intercept
+        return out
 
 
 @dataclass(frozen=True)
 class NnModel:
     """Fully-connected ReLU network with a scalar output head; stacked
-    parameters (see :func:`nn_parameters`) predict a t x n array."""
+    parameters (see :func:`nn_parameters`) predict an n x t array."""
 
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
@@ -112,29 +119,70 @@ class NnModel:
             raise DataError(
                 f"feature count {x.shape[-1]} != fitted {self.weights[0].shape[-2]}"
             )
-        return _forward(self.weights, self.biases, x)[0]
+        return _forward(self.weights, self.biases, x)[0].T
 
 
-def _center(x: np.ndarray, y: np.ndarray, fit_intercept: bool):
-    if fit_intercept:
-        x_mean = x.mean(axis=0)
-        y_mean = float(y.mean())
-        return x - x_mean, y - y_mean, x_mean, y_mean
-    return x, y, np.zeros(x.shape[1]), 0.0
+def fit_columns(
+    x: np.ndarray,
+    cfg: RegressConfig,
+    y: np.ndarray | None = None,
+    exclude: np.ndarray | None = None,
+) -> LinearModel | NnModel:
+    """Fit ``cfg.family`` for every target at once; one stacked model.
 
-
-def _as_xy(x, y):
+    With ``y`` (n x t) target c is ``y[:, c]``, regressed on every column of
+    ``x``; a 1-d ``y`` gives a one-target model (1-d coefficients, scalar
+    intercept, an n-vector prediction). With ``exclude`` instead the design
+    is leave-one-out: target c is column ``exclude[c]`` of ``x``, regressed
+    on the other columns. The linear families center ``x`` (and ``y``)
+    unless the family is ``sc``, share one Gram matrix X'X/n across targets,
+    and recover the intercepts afterward; the si rank is clamped to each
+    target's design.
+    """
+    if (y is None) == (exclude is None):
+        raise DataError("fit_columns takes either y or a leave-one-out exclude")
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
-        raise DataError(f"incompatible shapes X{x.shape}, y{y.shape}")
-    return x, y
+    if y is not None:
+        y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 2 or y is not None and (y.ndim not in (1, 2) or len(y) != len(x)):
+        raise DataError(f"incompatible shapes X{x.shape}, y{np.shape(y)}")
+    n, m = x.shape
+    if cfg.family == "nn":
+        targets = x[:, exclude] if y is None else y.reshape(n, -1)
+        weights, biases = nn_parameters(x, targets, cfg, exclude)
+        if y is not None and y.ndim == 1:
+            return NnModel(tuple(w[0] for w in weights), tuple(b[0, 0] for b in biases))
+        return NnModel(weights, biases)
+
+    centered = cfg.family != "sc"
+    means = x.mean(axis=0) if centered else np.zeros(m)
+    xc = x - means if centered else x
+    gram = xc.T @ xc / n
+    if y is None:
+        y_means, cross = means[exclude], gram[:, exclude]
+    else:
+        y_means = y.mean(axis=0) if centered else np.zeros(y.shape[1:])
+        cross = xc.T @ (y - y_means) / n
+    columns = cross.reshape(m, -1)
+    if cfg.family == "ridge":
+        coef = ridge_coefficients(gram, columns, cfg.lam, exclude)
+    elif cfg.family == "sc":
+        coef = simplex_coefficients(gram, columns, cfg.lam, exclude)
+    elif cfg.family == "si":
+        width = m if exclude is None else m - 1
+        rank = min(n, width) if cfg.rank is None else min(cfg.rank, n, width)
+        coef = si_coefficients(gram, columns, rank, cfg.lam, exclude)
+    else:
+        l1_ratio = 1.0 if cfg.family == "lasso" else cfg.l1_ratio
+        coef = elastic_net_coefficients(gram, columns, cfg.alpha, l1_ratio, exclude)
+    coef = coef.reshape(cross.shape)
+    return LinearModel(coef, y_means - means @ coef, cfg.family)
 
 
 def _not_converged(message: str, converged: np.ndarray) -> None:
     """One ConvergenceWarning per target that hit its iteration cap."""
     for _ in range(int(np.count_nonzero(~converged))):
-        warnings.warn(message, ConvergenceWarning, stacklevel=4)
+        warnings.warn(message, ConvergenceWarning, stacklevel=5)
 
 
 def _sub_grams(gram: np.ndarray, exclude: np.ndarray | None):
@@ -256,49 +304,25 @@ def elastic_net_coefficients(
     return out.T
 
 
-def fit_ridge(
-    x: np.ndarray, y: np.ndarray, lam: float, *, fit_intercept: bool = True
-) -> LinearModel:
+def fit_ridge(x: np.ndarray, y: np.ndarray, lam: float) -> LinearModel:
     """Closed-form l2-penalized least squares: (X'X/n + lam I)^-1 X'y/n."""
-    x, y = _as_xy(x, y)
-    if lam < 0:
-        raise DataError("lam must be nonnegative")
-    xc, yc, x_mean, y_mean = _center(x, y, fit_intercept)
-    n = x.shape[0]
-    beta = ridge_coefficients(xc.T @ xc / n, (xc.T @ yc / n)[:, None], lam)[:, 0]
-    return LinearModel(beta, y_mean - float(x_mean @ beta), "ridge")
+    return fit_columns(x, RegressConfig("ridge", lam=lam), y)
 
 
 def fit_elastic_net(
-    x: np.ndarray,
-    y: np.ndarray,
-    alpha: float,
-    l1_ratio: float = 1.0,
-    *,
-    fit_intercept: bool = True,
-    max_iters: int = 2000,
-    tol: float = 1e-7,
+    x: np.ndarray, y: np.ndarray, alpha: float, l1_ratio: float = 1.0
 ) -> LinearModel:
     """Accelerated proximal gradient (FISTA) for (1/2n)||y - Xb||^2 + penalty.
 
     The penalty is alpha * (l1_ratio * ||b||_1 + (1 - l1_ratio)/2 * ||b||^2);
     l1_ratio = 1 is the lasso. Steps run in covariance form (Gram matrix
     precomputed) and stop when the largest coefficient change in a step
-    drops below ``tol``; ``max_iters`` counts steps. Constant
-    (zero-variance) columns keep coefficient 0. This is the one-target case
-    of :func:`elastic_net_coefficients`.
+    drops below 1e-7, after at most 2000 steps. Constant (zero-variance)
+    columns keep coefficient 0. This is the one-target case of
+    :func:`elastic_net_coefficients`.
     """
-    x, y = _as_xy(x, y)
-    if alpha < 0 or not 0.0 <= l1_ratio <= 1.0:
-        raise DataError("alpha must be >= 0 and l1_ratio in [0, 1]")
-    xc, yc, x_mean, y_mean = _center(x, y, fit_intercept)
-    n = x.shape[0]
-    beta = elastic_net_coefficients(
-        xc.T @ xc / n, (xc.T @ yc / n)[:, None], alpha, l1_ratio,
-        max_iters=max_iters, tol=tol,
-    )[:, 0]
     family = "lasso" if l1_ratio == 1.0 else "en"
-    return LinearModel(beta, y_mean - float(x_mean @ beta), family)
+    return fit_columns(x, RegressConfig(family, alpha=alpha, l1_ratio=l1_ratio), y)
 
 
 def _project_rows(v: np.ndarray) -> np.ndarray:
@@ -397,14 +421,7 @@ def simplex_coefficients(
     return out.T
 
 
-def fit_simplex(
-    x: np.ndarray,
-    y: np.ndarray,
-    lam: float = 0.0,
-    *,
-    max_iters: int = 5000,
-    tol: float = 1e-12,
-) -> LinearModel:
+def fit_simplex(x: np.ndarray, y: np.ndarray, lam: float = 0.0) -> LinearModel:
     """Projected gradient descent for least squares over the simplex.
 
     Minimizes (1/2n)||y - Xb||^2 + (lam/2)||b||^2 subject to b >= 0 and
@@ -414,14 +431,7 @@ def fit_simplex(
     non-convergence. This is the one-target case of
     :func:`simplex_coefficients`.
     """
-    x, y = _as_xy(x, y)
-    if lam < 0:
-        raise DataError("lam must be nonnegative")
-    n = x.shape[0]
-    beta = simplex_coefficients(
-        x.T @ x / n, (x.T @ y / n)[:, None], lam, max_iters=max_iters, tol=tol
-    )[:, 0]
-    return LinearModel(beta, 0.0, "sc")
+    return fit_columns(x, RegressConfig("sc", lam=lam), y)
 
 
 def si_coefficients(
@@ -448,30 +458,20 @@ def si_coefficients(
     return coef
 
 
-def fit_si(
-    x: np.ndarray,
-    y: np.ndarray,
-    rank: int,
-    lam: float = 0.0,
-    *,
-    fit_intercept: bool = True,
-) -> LinearModel:
+def fit_si(x: np.ndarray, y: np.ndarray, rank: int, lam: float = 0.0) -> LinearModel:
     """Ridge regression in the top-``rank`` right-singular coordinates of X.
 
-    Equivalent to principal-component ridge: project the (centered) design
+    Equivalent to principal-component ridge: project the centered design
     onto its leading right singular vectors, ridge-solve there, and map the
     coefficients back. With rank = n_features this reproduces
     :func:`fit_ridge` exactly, and the returned coefficients always lie in
     the span of the top singular directions. This is the one-target case of
     :func:`si_coefficients`.
     """
-    x, y = _as_xy(x, y)
-    n, m = x.shape
-    if not 1 <= rank <= min(n, m):
-        raise DataError(f"rank {rank} out of range for {n}x{m} design")
-    xc, yc, x_mean, y_mean = _center(x, y, fit_intercept)
-    beta = si_coefficients(xc.T @ xc / n, (xc.T @ yc / n)[:, None], rank, lam)[:, 0]
-    return LinearModel(beta, y_mean - float(x_mean @ beta), "si")
+    cfg = RegressConfig("si", lam=lam, rank=rank)
+    if not 1 <= rank <= min(np.shape(x)):
+        raise DataError(f"rank {rank} out of range for a design of shape {np.shape(x)}")
+    return fit_columns(x, cfg, y)
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +623,4 @@ def fit_nn(x: np.ndarray, y: np.ndarray, cfg: RegressConfig) -> NnModel:
     parameters are restored. Fully deterministic given ``cfg.seed``. This is
     the one-target case of :func:`nn_parameters`.
     """
-    x, y = _as_xy(x, y)
-    weights, biases = nn_parameters(x, y[:, None], cfg)
-    return NnModel(tuple(w[0] for w in weights), tuple(b[0, 0] for b in biases))
+    return fit_columns(x, replace(cfg, family="nn"), y)

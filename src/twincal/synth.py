@@ -258,10 +258,6 @@ class DiscreteWorld:
         """(S, K) response distribution of each support atom for a question."""
         return self.support_atoms @ self.question_profiles[question]
 
-    def twin_conditionals(self, question: int) -> np.ndarray:
-        """(n, K) response distribution of each sampled twin for a question."""
-        return self.conditional(question)[self.twin_atoms]
-
     def marginal(self, question: int) -> Categorical:
         """Analytic human response distribution for a question."""
         probs = self.human_mixture @ self.conditional(question)

@@ -233,7 +233,7 @@ class TestSynthCommand:
         rc = main(["synth", "--config", str(cfg)])
         assert rc == 2
         payload = json.loads(capsys.readouterr().out)
-        assert payload == {"error": f"invalid value for {key!r}: {value!r}"}
+        assert payload == {"error": f"invalid value for {key!r}: {value!r}", "kind": "CliError"}
         assert not out.exists()
 
     def test_integral_string_counts_accepted(self, tmp_path):
@@ -447,7 +447,8 @@ class TestFailureModes:
         rc = main(["eval-sweep", "--human", str(hp), "--twin", str(tp),
                    "--taus", "0,abc", "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert self._one_error_line(capsys) == {"error": "invalid value for '--taus': 'abc'"}
+        assert self._one_error_line(capsys) == {"error": "invalid value for '--taus': 'abc'",
+                                                "kind": "CliError"}
 
     @pytest.mark.parametrize("taus,error", [
         ([0, "abc"], "invalid value for 'taus': 'abc'"),
@@ -462,7 +463,7 @@ class TestFailureModes:
         rc = main(["eval-sweep", "--config", str(cfg), "--human", str(hp),
                    "--twin", str(tp), "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert self._one_error_line(capsys) == {"error": error}
+        assert self._one_error_line(capsys) == {"error": error, "kind": "CliError"}
 
     def test_zero_variance_diagnose_exit_2(self, tmp_path, capsys):
         hp = tmp_path / "zero.csv"
@@ -563,7 +564,8 @@ class TestFailureModes:
         assert rc == 2
         captured = capsys.readouterr()
         assert json.loads(captured.out) == {
-            "error": f"{cfg}: not UTF-8 text (invalid start byte)", "path": str(cfg),
+            "error": f"{cfg}: not UTF-8 text (invalid start byte)", "kind": "CliError",
+            "path": str(cfg),
         }
         assert captured.err == ""
         assert not (tmp_path / "o").exists()
@@ -649,7 +651,33 @@ class TestFailureModes:
         rc = main([command, "--config", str(cfg), "--human", str(hp), "--twin", str(tp),
                    "--out", str(tmp_path / "o"), *flags])
         assert rc == 2
-        assert self._one_error_line(capsys) == {"error": f"invalid value for {key!r}: {value!r}"}
+        assert self._one_error_line(capsys) == {
+            "error": f"invalid value for {key!r}: {value!r}", "kind": "CliError"}
+
+    @pytest.mark.parametrize("argv,error", [
+        (["synth", "--kind", "bogus"],
+         "unknown synth kind 'bogus'; expected 'latent' or 'discrete'"),
+        (["diagnose", "--axis", "diag"], "invalid value for 'axis': 'diag'"),
+        (["calibrate", "--orientation", "sideways"],
+         "invalid value for 'orientation': 'sideways'"),
+        (["calibrate", "--bogus-flag"], "unrecognized arguments: --bogus-flag"),
+        (["calibrate", "--seed"], "argument --seed: expected one argument"),
+    ])
+    def test_bad_flag_is_error_json_exit_2(self, tmp_path, capsys, argv, error):
+        out = tmp_path / "o"
+        rc = main([*argv[:1], "--out", str(out), *argv[1:]])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"error": error, "kind": "CliError"}
+        assert captured.err == ""
+        assert not out.exists()
+
+    def test_missing_config_names_kind_and_path_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "nope.json"
+        rc = main(["calibrate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert self._one_error_line(capsys) == {
+            "error": f"config file not found: {cfg}", "kind": "CliError", "path": str(cfg)}
 
     @pytest.mark.parametrize("rank", [-3, 0])
     def test_diagnose_rank_below_one_exit_2(self, tmp_path, capsys, rank):
@@ -771,7 +799,8 @@ class TestSettingRules:
         assert rc == 2
         captured = capsys.readouterr()
         shown = value[-1] if key == "taus" else value
-        assert captured.out == json.dumps({"error": f"invalid value for {key!r}: {shown!r}"}) + "\n"
+        assert captured.out == json.dumps({"error": f"invalid value for {key!r}: {shown!r}",
+                                           "kind": "CliError"}) + "\n"
         assert captured.err == ""
         assert made == set()
 
@@ -784,7 +813,8 @@ class TestSettingRules:
                             ["--seed", "-1"])
         assert rc == 2
         captured = capsys.readouterr()
-        assert captured.out == '{"error": "invalid value for \'seed\': \'-1\'"}\n'
+        assert captured.out == ('{"error": "invalid value for \'seed\': \'-1\'", '
+                                '"kind": "CliError"}\n')
         assert captured.err == "" and made == set()
 
     def test_null_standardize_is_unset(self, tmp_path, monkeypatch):

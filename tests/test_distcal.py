@@ -46,6 +46,8 @@ class TestCategorical:
     def test_from_codes(self):
         p = Categorical.from_codes(np.array([1, 1, 2, 3]), 3)
         assert np.allclose(p.probs, [0.5, 0.25, 0.25])
+        with pytest.raises(DataError):
+            Categorical.from_codes(np.array([], dtype=np.int64), 3)
 
     def test_variance(self):
         p = cat(0.5, 0.5)

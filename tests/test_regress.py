@@ -6,10 +6,12 @@ import scalar_oracles as oracle
 
 from twincal.matcore import ConvergenceWarning, DataError
 from twincal.regress import (
+    FAMILIES,
     LinearModel,
     NnModel,
     RegressConfig,
     elastic_net_coefficients,
+    fit_columns,
     fit_elastic_net,
     fit_nn,
     fit_ridge,
@@ -32,11 +34,18 @@ def random_xy(n, m, seed, noise=0.0):
     return x, y, beta
 
 
+def gram_cross(x, y, centered=True):
+    """A kernel's one-target inputs: X'X/n and X'y/n (p x 1), centered or not."""
+    if centered:
+        x, y = x - x.mean(axis=0), y - y.mean()
+    return x.T @ x / len(y), (x.T @ y / len(y))[:, None]
+
+
 class TestRidge:
     def test_identity_design_no_centering(self):
         y = np.array([2.0, -1.0, 0.5])
-        model = fit_ridge(np.eye(3), y, 0.0, fit_intercept=False)
-        assert np.allclose(model.coefficients, y, atol=1e-12)
+        coef = ridge_coefficients(*gram_cross(np.eye(3), y, centered=False), 0.0)[:, 0]
+        assert np.allclose(coef, y, atol=1e-12)
 
     def test_huge_lambda_predicts_mean(self):
         x, y, _ = random_xy(30, 5, seed=0)
@@ -57,7 +66,7 @@ class TestRidge:
     def test_singular_at_zero_lambda(self):
         x = np.ones((4, 2))  # rank deficient
         with pytest.raises(DataError):
-            fit_ridge(x, np.arange(4.0), 0.0, fit_intercept=False)
+            ridge_coefficients(*gram_cross(x, np.arange(4.0), centered=False), 0.0)
 
     def test_coefficient_norm_shrinks_with_lambda(self):
         x, y, _ = random_xy(40, 8, seed=2, noise=0.5)
@@ -71,8 +80,8 @@ class TestRidge:
 class TestElasticNet:
     def test_alpha_zero_matches_least_squares(self):
         x, y, beta = random_xy(50, 6, seed=3)
-        model = fit_elastic_net(x, y, 0.0, 0.5, max_iters=20000)
-        assert np.max(np.abs(model.coefficients - beta)) < 1e-6
+        coef = elastic_net_coefficients(*gram_cross(x, y), 0.0, 0.5, max_iters=20000)[:, 0]
+        assert np.max(np.abs(coef - beta)) < 1e-6
 
     def test_orthonormal_design_closed_form(self):
         # oracle: with X'X = n I the lasso is coordinatewise soft-thresholding
@@ -81,10 +90,10 @@ class TestElasticNet:
         x = q * np.sqrt(24)
         y = rng.normal(size=24)
         alpha = 0.15
-        model = fit_elastic_net(x, y, alpha, 1.0, fit_intercept=False)
+        coef = elastic_net_coefficients(*gram_cross(x, y, centered=False), alpha, 1.0)[:, 0]
         rho = x.T @ y / 24
         expected = np.sign(rho) * np.maximum(np.abs(rho) - alpha, 0.0)
-        assert np.max(np.abs(model.coefficients - expected)) < 1e-10
+        assert np.max(np.abs(coef - expected)) < 1e-10
 
     def test_full_shrinkage_threshold(self):
         x, y, _ = random_xy(30, 5, seed=5, noise=0.1)
@@ -190,8 +199,8 @@ class TestSi:
         v = rng.normal(size=5)
         x = np.outer(u, v)
         y = 2.0 * u
-        model = fit_si(x, y, 1, 0.0, fit_intercept=False)
-        assert np.max(np.abs(model.predict(x) - y)) < 1e-8
+        coef = si_coefficients(*gram_cross(x, y, centered=False), 1, 0.0)[:, 0]
+        assert np.max(np.abs(x @ coef - y)) < 1e-8
 
     def test_coefficients_in_top_subspace(self):
         x, y, _ = random_xy(30, 10, seed=13, noise=0.2)
@@ -308,6 +317,26 @@ class TestPredict:
             model.predict(np.ones((2, 4)))
 
 
+class TestFitColumns:
+    @pytest.mark.filterwarnings("ignore::twincal.matcore.ConvergenceWarning")
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_stacked_targets_match_one_target_fits(self, family):
+        x = random_xy(40, 5, seed=23)[0]
+        y = np.random.default_rng(24).normal(size=(40, 3))
+        cfg = RegressConfig(family, rank=3, hidden_sizes=(4,), epochs=5)
+        pred = fit_columns(x, cfg, y).predict(x)
+        assert pred.shape == (40, 3)
+        for c in range(3):
+            one = fit_columns(x, cfg, y[:, c])
+            assert np.max(np.abs(pred[:, c] - one.predict(x))) <= SIMPLEX_TOL
+
+    def test_takes_y_or_exclude(self):
+        x = random_xy(10, 3, seed=25)[0]
+        for kwargs in ({}, {"y": x[:, 0], "exclude": [0]}):
+            with pytest.raises(DataError, match="exclude"):
+                fit_columns(x, RegressConfig(), **kwargs)
+
+
 class TestConfig:
     def test_unknown_family(self):
         with pytest.raises(DataError):
@@ -316,6 +345,22 @@ class TestConfig:
     def test_l1_ratio_range(self):
         with pytest.raises(DataError):
             RegressConfig(family="en", l1_ratio=1.5)
+
+    def test_one_target_fits_reject_bad_hyperparameters(self):
+        x, y, _ = random_xy(10, 3, seed=22)
+        for bad in (True, float("nan"), float("inf"), -1.0, "0.1"):
+            for fit in (
+                lambda: fit_ridge(x, y, bad),
+                lambda: fit_elastic_net(x, y, bad, 0.5),
+                lambda: fit_elastic_net(x, y, 0.1, bad),
+                lambda: fit_simplex(x, y, bad),
+                lambda: fit_si(x, y, 2, bad),
+            ):
+                with pytest.raises(DataError):
+                    fit()
+        for rank in (True, 2.0, "2"):
+            with pytest.raises(DataError, match="rank"):
+                fit_si(x, y, rank)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +557,7 @@ class TestBatchedLooKernels:
         x, y = np.delete(t, 5, axis=1), t[:, 5]
         for fit, ref in [
             (fit_ridge(x, y, 0.5), oracle.ridge(x, y, 0.5)),
-            (fit_simplex(x, y, 0.01, max_iters=300), oracle.simplex(x, y, 0.01, 300)),
+            (fit_simplex(x, y, 0.01), oracle.simplex(x, y, 0.01)),
             (fit_si(x, y, 3, 0.1), oracle.si(x, y, 3, 0.1)),
         ]:
             assert np.max(np.abs(fit.coefficients - ref[0])) <= SIMPLEX_TOL
@@ -543,7 +588,8 @@ class TestBatchedLooKernels:
         monkeypatch.setattr(regress, "_project_rows", lambda v: np.ones(v.shape))
         x = random_xy(20, 4, seed=33)[0]
         with pytest.raises(DataError, match="infeasible"):
-            fit_simplex(x, x.sum(axis=1), max_iters=3)
+            simplex_coefficients(*gram_cross(x, x.sum(axis=1), centered=False), 0.0,
+                                 max_iters=3)
 
     def test_si_rank_must_be_positive_and_fit_the_design(self):
         t = loo_world()
@@ -615,7 +661,7 @@ class TestStackedNetwork:
         assert weights[0].shape == (10, 10, 6) and biases[0].shape == (10, 1, 6)
         # each network's own input row stays exactly 0
         assert np.all(weights[0][np.arange(10), np.arange(10)] == 0.0)
-        fitted = NnModel(weights, biases).predict(t).T
+        fitted = NnModel(weights, biases).predict(t)
         assert_close(fitted, ref, NN_RTOL)
         mse = np.mean((fitted - t) ** 2, axis=0)
         assert_close(mse, np.mean((ref - t) ** 2, axis=0), NN_RTOL)
