@@ -10,13 +10,11 @@ from .calibrate import (
     CalibrationTask,
     EvalReport,
     Orientation,
-    PreparedPair,
     TransferDiagnostic,
     adaptive_transfer,
     calibrate_new_user,
     fit_and_transfer,
     loo_evaluate,
-    prepare_pair,
     sweep_thresholds,
 )
 from .completion import (

@@ -1,12 +1,13 @@
 """Fit-and-transfer calibration, adaptive gating, and the leave-one-out harness.
 
 The core move: fit a model that predicts the target question from the other
-questions on the twin matrix, then apply it to the human matrix. Preprocessing
-(separate hard-SVD imputation of each matrix, then per-column standardization)
-is an explicit step — :func:`prepare_pair` — so callers control whether the
-fit runs on the standardized or the raw scale; predictions always come back on
-the original scale, de-standardized with the twin target column's stats (the
-human target stats are unknowable since that column is entirely missing).
+questions on the twin matrix, then apply it to the human matrix. Each matrix
+is imputed separately by hard-SVD (at ``impute_rank``, or a searched rank),
+then its columns are standardized unless ``standardize`` is off, so callers
+control whether the fit runs on the standardized or the raw scale;
+predictions always come back on the original scale, de-standardized with the
+twin target column's stats (the human target stats are unknowable since that
+column is entirely missing).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .completion import CompletionConfig, held_out_columns, impute_dense
+from .completion import held_out_columns, impute_dense
 from .matcore import (
     ColumnStats,
     DataError,
@@ -30,11 +31,9 @@ from .regress import RegressConfig, fit_columns
 
 __all__ = [
     "Orientation",
-    "PreparedPair",
     "CalibrationTask",
     "TransferDiagnostic",
     "EvalReport",
-    "prepare_pair",
     "fit_and_transfer",
     "adaptive_transfer",
     "calibrate_new_user",
@@ -49,26 +48,6 @@ class Orientation(str, Enum):
 
 
 @dataclass(frozen=True)
-class PreparedPair:
-    """Imputed, optionally standardized human/twin matrices plus their stats.
-
-    ``human`` has one column per feature question; ``twin`` has the same
-    columns plus the target column, all dense. Identity stats mark a raw
-    (non-standardized) preparation. ``twin_imputed`` is the imputed twin on
-    its own scale: the leave-one-out baseline and gate fallback.
-    """
-
-    human: np.ndarray
-    twin: np.ndarray
-    human_stats: ColumnStats
-    twin_stats: ColumnStats
-    impute_rank_human: int
-    impute_rank_twin: int
-    standardized: bool
-    twin_imputed: np.ndarray
-
-
-@dataclass(frozen=True)
 class TransferDiagnostic:
     """Synthetic-system fit quality: the in-sample MSE the gate compares with tau."""
 
@@ -80,14 +59,14 @@ class CalibrationTask:
     """One transfer problem: human n x m, twin with one extra target column.
 
     For the new-user orientation the matrices are interpreted transposed
-    (twin has one extra row: the new user). ``method`` is a regression or
-    completion config.
+    (twin has one extra row: the new user). ``method`` is a regression
+    config; completion methods run only through :func:`loo_evaluate`.
     """
 
     human: MaskedMatrix
     twin: MaskedMatrix
     target_index: int
-    method: RegressConfig | CompletionConfig
+    method: RegressConfig
     orientation: Orientation = Orientation.NEW_QUESTION
     impute_rank: int | None = None
     standardize: bool = True
@@ -114,33 +93,23 @@ class CalibrationTask:
         return self.human, self.twin
 
 
-def prepare_pair(
-    human: MaskedMatrix,
-    twin: MaskedMatrix,
-    *,
-    rank: int | None = None,
-    standardize: bool = True,
-    seed: int = 0,
-) -> PreparedPair:
+def _prepared(
+    human: MaskedMatrix, twin: MaskedMatrix, rank: int | None, standardize: bool, seed: int
+) -> tuple[np.ndarray, np.ndarray, ColumnStats, np.ndarray]:
     """Impute each matrix separately, then (optionally) standardize columns.
 
-    With ``standardize`` off, identity stats are attached so de-
-    standardization is a no-op and downstream fits run on the raw scale.
+    Returns the human and the twin on the fitting scale, the twin's column
+    stats, and the imputed twin on its own scale: the leave-one-out baseline.
+    With ``standardize`` off the stats are the identity, so de-standardization
+    is a no-op and the fits run on the raw scale.
     """
-    human_dense, rank_h = impute_dense(human, rank, seed)
-    twin_imputed, rank_t = impute_dense(twin, rank, seed)
-    if standardize:
-        h_std, h_stats = standardize_columns(MaskedMatrix.from_dense(human_dense))
-        t_std, t_stats = standardize_columns(MaskedMatrix.from_dense(twin_imputed))
-        human_dense, twin_dense = h_std.values, t_std.values
-    else:
-        twin_dense = twin_imputed
-        h_stats = ColumnStats.identity(human.n_cols)
-        t_stats = ColumnStats.identity(twin.n_cols)
-    return PreparedPair(
-        human_dense, twin_dense, h_stats, t_stats, rank_h, rank_t, standardize,
-        twin_imputed,
-    )
+    human_dense, _ = impute_dense(human, rank, seed)
+    twin_imputed, _ = impute_dense(twin, rank, seed)
+    if not standardize:
+        return human_dense, twin_imputed, ColumnStats.identity(twin.n_cols), twin_imputed
+    h_std, _ = standardize_columns(MaskedMatrix.from_dense(human_dense))
+    t_std, t_stats = standardize_columns(MaskedMatrix.from_dense(twin_imputed))
+    return h_std.values, t_std.values, t_stats, twin_imputed
 
 
 def _transfer(
@@ -177,13 +146,13 @@ def fit_and_transfer(
     """
     if not isinstance(task.method, RegressConfig):
         raise DataError("fit_and_transfer requires a regression method")
-    pair = prepare_pair(*task._oriented(), rank=task.impute_rank,
-                        standardize=task.standardize, seed=task.seed)
+    human, twin, twin_stats, _ = _prepared(*task._oriented(), task.impute_rank,
+                                           task.standardize, task.seed)
     j = task.target_index
     # the human matrix has no target column; a zero one aligns it with the twin
-    human = np.insert(pair.human, j, 0.0, axis=1)
-    train_mses, pred = _transfer(pair.twin, human, task.method, np.array([j]))
-    prediction = pair.twin_stats.invert_column(pred[:, 0], j)
+    human = np.insert(human, j, 0.0, axis=1)
+    train_mses, pred = _transfer(twin, human, task.method, np.array([j]))
+    prediction = twin_stats.invert_column(pred[:, 0], j)
     return prediction, TransferDiagnostic(float(train_mses[0]))
 
 
@@ -323,13 +292,8 @@ def _aggregate(
 
 
 def _loo_predictions(
-    human: MaskedMatrix,
-    twin: MaskedMatrix,
-    method,
-    *,
-    impute_rank: int | None,
-    standardize: bool,
-    seed: int,
+    human: MaskedMatrix, twin: MaskedMatrix, method, impute_rank: int | None,
+    standardize: bool, seed: int,
 ):
     """Per-target predictions, train MSEs, and fallbacks for a matched pair.
 
@@ -348,10 +312,10 @@ def _loo_predictions(
     m = human.n_cols
     cols = np.arange(m)
     if isinstance(method, RegressConfig):
-        pair = prepare_pair(human, twin, rank=impute_rank, standardize=standardize,
-                            seed=seed)
-        train_mses, pred = _transfer(pair.twin, pair.human, method, cols)
-        return pair.twin_stats.invert(pred), train_mses, pair.twin_imputed
+        human_fit, twin_fit, twin_stats, twin_dense = _prepared(
+            human, twin, impute_rank, standardize, seed)
+        train_mses, pred = _transfer(twin_fit, human_fit, method, cols)
+        return twin_stats.invert(pred), train_mses, twin_dense
 
     twin_dense, _ = impute_dense(twin, impute_rank, seed)
     predictions, _ = held_out_columns(human, twin, method, twin_dense, cols)
@@ -363,18 +327,6 @@ def _pearson_or_none(a: np.ndarray, b: np.ndarray) -> float | None:
         return pearson(a, b)
     except (UndefinedCorrelationError, DataError):
         return None
-
-
-def _correlations(human: MaskedMatrix, predictions: np.ndarray, twin_dense: np.ndarray):
-    """Per target, the prediction's and the twin baseline's Pearson correlation
-    with the observed human column (None where undefined)."""
-    out = []
-    for j in range(human.n_cols):
-        obs = human.mask[:, j]
-        truth = human.values[obs, j]
-        out.append((_pearson_or_none(predictions[obs, j], truth),
-                    _pearson_or_none(twin_dense[obs, j], truth)))
-    return out
 
 
 def _check_tau(tau: float) -> None:
@@ -393,12 +345,44 @@ def _gate(correlations, train_mses: np.ndarray, tau: float | None) -> list[Targe
         transferred = tau is None or bool(train_mses[j] < tau)
         if not transferred:
             corr = baseline
-        train_mse = None if np.isnan(train_mses[j]) else float(train_mses[j])
         if corr is None or baseline is None:
-            results.append(TargetResult(j, None, None, train_mse, transferred, True))
-        else:
-            results.append(TargetResult(j, corr, baseline, train_mse, transferred, False))
+            corr = baseline = None
+        train_mse = None if np.isnan(train_mses[j]) else float(train_mses[j])
+        results.append(TargetResult(j, corr, baseline, train_mse, transferred, corr is None))
     return results
+
+
+def _loo_pass(
+    human: MaskedMatrix, twin: MaskedMatrix, method, orientation: Orientation | str,
+    taus: list | None, impute_rank: int | None, standardize: bool, seed: int,
+):
+    """The one leave-one-out pass behind :func:`loo_evaluate` and the sweep.
+
+    Orients the pair (a new user is held out as a row) and checks that a
+    gated pass (``taus`` not None) runs a regression method at nonnegative
+    thresholds. Then it predicts every target and correlates the prediction
+    and the twin baseline with the observed human target (None where
+    undefined). Returns the orientation, those correlation pairs, the train
+    MSEs, the predictions and the twin baseline, in the oriented layout.
+    """
+    orientation = Orientation(orientation)
+    if orientation is Orientation.NEW_USER:
+        human = human.transpose()
+        twin = twin.transpose()
+    if taus is not None:
+        if not isinstance(method, RegressConfig):
+            raise DataError("adaptive gating applies to regression methods only")
+        for tau in taus:
+            _check_tau(tau)
+    predictions, train_mses, twin_dense = _loo_predictions(
+        human, twin, method, impute_rank, standardize, seed)
+    correlations = []
+    for j in range(human.n_cols):
+        obs = human.mask[:, j]
+        truth = human.values[obs, j]
+        correlations.append((_pearson_or_none(predictions[obs, j], truth),
+                             _pearson_or_none(twin_dense[obs, j], truth)))
+    return orientation, correlations, train_mses, predictions, twin_dense
 
 
 def loo_evaluate(
@@ -425,20 +409,10 @@ def loo_evaluate(
     once through the shared-Gram engine; completion methods run target by
     target.
     """
-    orientation = Orientation(orientation)
-    if orientation is Orientation.NEW_USER:
-        human = human.transpose()
-        twin = twin.transpose()
-    if tau is not None:
-        if not isinstance(method, RegressConfig):
-            raise DataError("adaptive gating applies to regression methods only")
-        _check_tau(tau)
-
-    predictions, train_mses, twin_dense = _loo_predictions(
-        human, twin, method,
-        impute_rank=impute_rank, standardize=standardize, seed=seed,
-    )
-    results = _gate(_correlations(human, predictions, twin_dense), train_mses, tau)
+    orientation, correlations, train_mses, predictions, twin_dense = _loo_pass(
+        human, twin, method, orientation, None if tau is None else [tau],
+        impute_rank, standardize, seed)
+    results = _gate(correlations, train_mses, tau)
     label = _method_label(method) + ("" if tau is None else f"+tau={tau:g}")
     report = _aggregate(results, fisher_z, orientation, label)
     if return_predictions:
@@ -468,19 +442,9 @@ def sweep_thresholds(
     Returns one record per tau with the gated mean correlation and the
     number of transferred targets.
     """
-    orientation = Orientation(orientation)
-    h = human.transpose() if orientation is Orientation.NEW_USER else human
-    t = twin.transpose() if orientation is Orientation.NEW_USER else twin
-    if not isinstance(method, RegressConfig):
-        raise DataError("sweep_thresholds requires a regression method")
     taus = list(taus)
-    for tau in taus:
-        _check_tau(tau)
-    predictions, train_mses, twin_dense = _loo_predictions(
-        h, t, method,
-        impute_rank=impute_rank, standardize=standardize, seed=seed,
-    )
-    correlations = _correlations(h, predictions, twin_dense)
+    orientation, correlations, train_mses, _, _ = _loo_pass(
+        human, twin, method, orientation, taus, impute_rank, standardize, seed)
     records = []
     for tau in taus:
         results = _gate(correlations, train_mses, tau)

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -339,6 +341,12 @@ def cmd_distcal(args) -> int:
     return 0
 
 
+def _json_field(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value.value if isinstance(value, Enum) else value
+
+
 def cmd_synth(args) -> int:
     config = _load_config(args.config)
     seed = _resolve("seed", args.seed, config, default=0)
@@ -366,23 +374,6 @@ def cmd_synth(args) -> int:
             MaskedMatrix(twin.values[:, :-1], twin.mask[:, :-1]),
         )
         write_matrix_csv(out / "target.csv", target[:, None])
-        sidecar = {
-            "kind": "latent",
-            "seed": seed,
-            "n_users": world.n_users,
-            "n_questions": world.n_questions,
-            "dim": world.dim,
-            "twin_dim": world.twin_dim,
-            "alignment": world.alignment.value,
-            "noise_sigma": world.noise_sigma,
-            "user_factors": world.user_factors.tolist(),
-            "question_factors": world.question_factors.tolist(),
-            "twin_user_factors": world.twin_user_factors.tolist(),
-            "twin_question_factors": world.twin_question_factors.tolist(),
-            "target_embedding": world.target_embedding.tolist(),
-            "twin_target_embedding": world.twin_target_embedding.tolist(),
-            "row_bias": None if world.row_bias is None else world.row_bias.tolist(),
-        }
     else:
         marginals, samples, target = data
         write_matrix_csv(out / "twin_samples.csv", samples.astype(float))
@@ -391,21 +382,10 @@ def cmd_synth(args) -> int:
             out / "marginals.csv", all_marginals,
             row_labels=[f"q{j}" for j in range(world.n_questions)] + ["target"],
         )
-        sidecar = {
-            "kind": "discrete",
-            "seed": seed,
-            "n_twins": world.n_twins,
-            "n_questions": world.n_questions,
-            "n_categories": world.n_categories,
-            "support_atoms": world.support_atoms.tolist(),
-            "question_profiles": world.question_profiles.tolist(),
-            "twin_mixture": world.twin_mixture.tolist(),
-            "human_mixture": world.human_mixture.tolist(),
-            "twin_atoms": world.twin_atoms.tolist(),
-            "target_coeffs": world.target_coeffs.tolist(),
-            "reweight_bound": world.reweight_bound,
-            "exact_reweighting": world.exact_reweighting,
-        }
+    # the world's fields, less the twin-to-human map and the sampled humans
+    sidecar = {f.name: _json_field(getattr(world, f.name)) for f in dataclasses.fields(world)
+               if f.name not in ("mixing", "human_embeddings")}
+    sidecar["kind"] = kind
     _write_json(out / "world.json", sidecar)
     return 0
 
@@ -466,7 +446,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, KeyError, FloatingPointError) as exc:
+    except (ValueError, KeyError, FloatingPointError, MemoryError) as exc:
         # DataError (CliError too) marks bad input; np.linalg.LinAlgError is a ValueError
         payload = {"error": str(exc), "kind": type(exc).__name__}
         if isinstance(exc, CliError) and exc.path is not None:

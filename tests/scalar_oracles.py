@@ -33,23 +33,21 @@ from twincal.completion import (
 from twincal.matcore import ConvergenceWarning, DataError, MaskedMatrix
 
 
-def _center(x, y, fit_intercept):
-    if fit_intercept:
-        x_mean = x.mean(axis=0)
-        y_mean = float(y.mean())
-        return x - x_mean, y - y_mean, x_mean, y_mean
-    return x, y, np.zeros(x.shape[1]), 0.0
+def _center(x, y):
+    x_mean = x.mean(axis=0)
+    y_mean = float(y.mean())
+    return x - x_mean, y - y_mean, x_mean, y_mean
 
 
-def ridge(x, y, lam, fit_intercept=True):
-    xc, yc, x_mean, y_mean = _center(x, y, fit_intercept)
+def ridge(x, y, lam):
+    xc, yc, x_mean, y_mean = _center(x, y)
     n, m = x.shape
     beta = np.linalg.solve(xc.T @ xc / n + lam * np.eye(m), xc.T @ yc / n)
     return beta, y_mean - float(x_mean @ beta), True
 
 
-def elastic_net(x, y, alpha, l1_ratio, fit_intercept=True, max_iters=2000, tol=1e-7):
-    xc, yc, x_mean, y_mean = _center(x, y, fit_intercept)
+def elastic_net(x, y, alpha, l1_ratio, max_iters=2000, tol=1e-7):
+    xc, yc, x_mean, y_mean = _center(x, y)
     n, m = x.shape
     gram = xc.T @ xc / n
     corr = xc.T @ yc / n
@@ -110,8 +108,8 @@ def simplex(x, y, lam, max_iters=5000, tol=1e-12):
     return best_beta, 0.0, converged
 
 
-def si(x, y, rank, lam, fit_intercept=True):
-    xc, yc, x_mean, y_mean = _center(x, y, fit_intercept)
+def si(x, y, rank, lam):
+    xc, yc, x_mean, y_mean = _center(x, y)
     n = x.shape[0]
     _, _, right_t = np.linalg.svd(xc, full_matrices=False)
     basis = right_t[:rank].T                       # m x rank

@@ -297,6 +297,27 @@ class TestSweep:
         with pytest.raises(DataError, match="tau"):
             adaptive_transfer(task, bad, task.twin.values[:, task.target_index])
 
+    @pytest.mark.parametrize("orientation", ["new_question", "new_user"])
+    @pytest.mark.parametrize("taus", [[], [0.5], [0.0, np.inf]])
+    def test_completion_method_gate_rejected_before_imputation(self, monkeypatch,
+                                                               orientation, taus):
+        # an empty grid is rejected too: the sweep is a gated pass whatever its taus
+        import twincal.calibrate
+
+        def no_imputation(*args, **kwargs):
+            raise AssertionError("imputed before the method was checked")
+
+        monkeypatch.setattr(twincal.calibrate, "impute_dense", no_imputation)
+        monkeypatch.setattr(twincal.calibrate, "held_out_columns", no_imputation)
+        _, human, twin, _ = generate_latent_world(20, 6, 2, seed=21)
+        twin_features = MaskedMatrix.from_dense(twin.values[:, :6])
+        hsv = CompletionConfig("hsv", rank=2)
+        with pytest.raises(DataError, match="regression methods only"):
+            sweep_thresholds(human, twin_features, hsv, taus, orientation)
+        for tau in taus:
+            with pytest.raises(DataError, match="regression methods only"):
+                loo_evaluate(human, twin_features, hsv, orientation, tau=tau)
+
 
 class TestLooEngine:
     # stated before comparing: the shared-Gram engine reproduces per-target
@@ -396,32 +417,37 @@ class TestLooEngine:
             loo_evaluate(human, twin_features, RegressConfig(family="si", rank=0))
 
     def test_sweep_regates_loo_target_for_target(self):
-        # one tau per gating step, so each target's gate flips on its own;
-        # a constant human column makes one target skipped at every tau
+        # in each orientation, one tau per gating step, so each target's gate
+        # flips on its own; a constant human target (a column, or a row for a
+        # new user) is skipped at every tau
         _, human, twin, _ = generate_latent_world(
             40, 9, 3, seed=25, alignment="linear_distortion", noise_sigma=0.2,
         )
-        values = human.values.copy()
-        values[:, 4] = 2.0
-        human = MaskedMatrix(values, human.mask)
         twin_features = MaskedMatrix.from_dense(twin.values[:, :9])
         method = RegressConfig(family="ridge", lam=0.3)
-        ungated = loo_evaluate(human, twin_features, method)
-        mses = sorted(r.train_mse for r in ungated.per_target)
-        taus = [0.0] + [m * (1 + 1e-9) for m in mses] + [np.inf]
-        records = sweep_thresholds(human, twin_features, method, taus)
+        for orientation, constant, n_targets in (("new_question", np.s_[:, 4], 9),
+                                                 ("new_user", np.s_[4], 40)):
+            values = human.values.copy()
+            values[constant] = 2.0
+            held = MaskedMatrix(values, human.mask)
+            ungated = loo_evaluate(held, twin_features, method, orientation)
+            mses = sorted(r.train_mse for r in ungated.per_target)
+            taus = [0.0] + [m * (1 + 1e-9) for m in mses] + [np.inf]
+            records = sweep_thresholds(held, twin_features, method, taus, orientation)
 
-        inf_record = records[-1]
-        assert inf_record["mean"] == ungated.mean
-        assert inf_record["se"] == ungated.se
-        assert inf_record["skipped"] == ungated.skipped_count == 1
-        assert inf_record["n_transferred"] == 9
-        for tau, record in zip(taus, records):
-            gated = loo_evaluate(human, twin_features, method, tau=tau)
-            assert record["mean"] == gated.mean
-            assert record["se"] == gated.se
-            assert record["skipped"] == gated.skipped_count
-            assert record["n_transferred"] == sum(r.transferred for r in gated.per_target)
+            inf_record = records[-1]
+            assert inf_record["mean"] == ungated.mean
+            assert inf_record["se"] == ungated.se
+            assert inf_record["skipped"] == ungated.skipped_count == 1
+            assert inf_record["n_transferred"] == len(ungated.per_target) == n_targets
+            for tau, record in zip(taus, records):
+                gated = loo_evaluate(held, twin_features, method, orientation, tau=tau)
+                assert record["mean"] == gated.mean
+                assert record["se"] == gated.se
+                assert record["skipped"] == gated.skipped_count
+                assert record["n_transferred"] == sum(r.transferred for r in gated.per_target)
+            # every gating step is taken on its own
+            assert [r["n_transferred"] for r in records] == list(range(len(taus) - 1)) + [len(mses)]
 
 
 class TestCompletionLoo:

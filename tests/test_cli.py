@@ -407,6 +407,19 @@ class TestFailureModes:
         assert json.loads(lines[0]) == {"error": "diverged", "kind": error.__name__}
         assert "Traceback" not in captured.err
 
+    def test_out_of_memory_is_error_json_exit_1(self, tmp_path, capsys, monkeypatch):
+        # stands in for numpy failing to allocate a huge world; nothing large is made
+        def failing_generate(*args, **kwargs):
+            raise MemoryError("Unable to allocate 37.3 TiB")
+
+        monkeypatch.setattr(twincal.cli, "generate_latent_world", failing_generate)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"synth": {"n": 1_000_000_000_000, "m": 5, "dim": 2}}))
+        rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert self._one_error_line(capsys) == {"error": "Unable to allocate 37.3 TiB",
+                                                "kind": "MemoryError"}
+
     def _one_error_line(self, capsys):
         captured = capsys.readouterr()
         lines = captured.out.strip().splitlines()
