@@ -124,7 +124,7 @@ _RULES = {
 }
 
 # the config keys cmd_distcal reads under "mirror_descent"
-_MIRROR_DESCENT_KEYS = {"eta0", "max_iters", "tol", "epsilon_floor"}
+_MIRROR_DESCENT_KEYS = {f.name for f in dataclasses.fields(MirrorDescentConfig)}
 
 # the integer arguments of each synth world generator, with their defaults
 _SYNTH_COUNTS = {

@@ -45,6 +45,8 @@ class Categorical:
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.ndim != 1 or probs.size == 0:
             raise DataError("probs must be a nonempty 1-d vector")
+        if not np.all(np.isfinite(probs)):
+            raise DataError("probabilities must be finite")
         if probs.min() < 0:
             raise DataError("probabilities must be nonnegative")
         if abs(probs.sum() - 1.0) > 1e-12:
@@ -58,8 +60,7 @@ class Categorical:
     @classmethod
     def from_codes(cls, codes: np.ndarray, n_categories: int) -> "Categorical":
         """Empirical distribution of integer codes in 1..K."""
-        codes = np.asarray(codes, dtype=np.int64)
-        _check_codes(codes, n_categories)
+        codes = _codes(codes, n_categories)
         if not codes.size:
             raise DataError("codes must be nonempty")
         p = np.bincount(codes - 1, minlength=n_categories) / codes.size
@@ -103,6 +104,8 @@ class EnsembleWeights:
         w = np.asarray(self.w, dtype=np.float64)
         pi = np.asarray(self.pi, dtype=np.float64)
         variant = EnsembleVariant(self.variant)
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(pi))):
+            raise DataError("weights must be finite")
         if w.min(initial=0.0) < 0 or pi.min(initial=0.0) < 0:
             raise DataError("weights must be nonnegative")
         if abs(w.sum() + pi.sum() - 1.0) > 1e-10:
@@ -116,43 +119,51 @@ class EnsembleWeights:
         object.__setattr__(self, "variant", variant)
 
 
+# the step at iteration t is eta0 / t**DECAY_POWER
+DECAY_POWER = 0.5
+# stop early after this many iterations without a relative ``tol`` improvement
+STALL_PATIENCE = 200
+
+
 @dataclass(frozen=True)
 class MirrorDescentConfig:
-    """Step schedule eta0 / t**decay_power, iteration cap, numerical guards.
+    """Step schedule eta0 / t**DECAY_POWER, iteration cap, numerical guards.
 
     ``max_iters`` is the compute budget: subgradient steps on non-smooth
     objectives have no crisp convergence test, so the optimizer always
     returns its best iterate, stopping early only when the best objective
-    has not improved by a relative ``tol`` for ``stall_patience`` steps.
+    has not improved by a relative ``tol`` for ``STALL_PATIENCE`` steps.
     The initialization is deterministic (uniform), so no seed is needed.
     """
 
     eta0: float = 1.0
-    decay_power: float = 0.5
     max_iters: int = 2000
     tol: float = 1e-8
     epsilon_floor: float = 1e-9
-    stall_patience: int = 200   # stop early after this many non-improving iters
 
     def __post_init__(self) -> None:
-        for name in ("eta0", "decay_power", "tol", "epsilon_floor"):
+        for name in ("eta0", "tol", "epsilon_floor"):
             check_real(name, getattr(self, name))
         check_integer("max_iters", self.max_iters, 1)
-        check_integer("stall_patience", self.stall_patience)
-        if self.eta0 <= 0 or not 0.0 < self.decay_power <= 1.0:
-            raise DataError("eta0 must be positive and decay_power in (0, 1]")
+        if self.eta0 <= 0:
+            raise DataError("eta0 must be positive")
         if not 0.0 < self.epsilon_floor <= 1e-3:
             raise DataError("epsilon_floor must lie in (0, 1e-3]")
         if self.tol <= 0:
             raise DataError("tol must be positive")
 
 
-def _check_codes(codes: np.ndarray, n_categories: int) -> None:
-    if codes.size and (codes.min() < 1 or codes.max() > n_categories):
+def _codes(codes, n_categories: int) -> np.ndarray:
+    """``codes`` as int64, after checking they are integers in 1..n_categories."""
+    values = np.asarray(codes, dtype=np.float64)
+    if not np.all(np.isfinite(values)) or np.any(values != np.round(values)):
+        raise DataError("category codes must be finite integers")
+    if values.size and (values.min() < 1 or values.max() > n_categories):
         raise DataError(
             f"category codes must lie in 1..{n_categories}, "
-            f"got range [{codes.min()}, {codes.max()}]"
+            f"got range [{values.min():g}, {values.max():g}]"
         )
+    return values.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +252,17 @@ def discrepancy(
     return float(_scores(kind, p.probs[None, :], q.probs[None, :], epsilon_floor)[0])
 
 
+def _onehot(twin_cols: np.ndarray, n_categories: int) -> np.ndarray:
+    """(m, K, n) indicator tensor of the (n, m) twin answers (codes 1..K)."""
+    codes = _codes(twin_cols, n_categories)
+    n, m = codes.shape
+    out = np.zeros((m, n_categories, n))
+    out[np.arange(m)[:, None], codes.T - 1, np.arange(n)[None, :]] = 1.0
+    return out
+
+
 def _prepare(p_list, twin_cols: np.ndarray, n_categories: int | None = None):
-    """Stacked (m, K) distributions and checked (n, m) codes: the one input check."""
+    """Stacked (m, K) distributions and the (m, K, n) indicators: the one input check."""
     rows = [p.probs if isinstance(p, Categorical) else Categorical(p).probs
             for p in p_list]
     sizes = {row.size for row in rows} | ({n_categories} if n_categories else set())
@@ -251,64 +271,29 @@ def _prepare(p_list, twin_cols: np.ndarray, n_categories: int | None = None):
     n_cat = sizes.pop()
     p = np.stack(rows, axis=0)
     m = p.shape[0]
-    codes = np.asarray(twin_cols, dtype=np.int64)
-    if codes.ndim != 2 or codes.shape[1] != m:
-        raise DataError(f"twin_cols shape {codes.shape} incompatible with {m} questions")
-    _check_codes(codes, n_cat)
-    return p, codes
+    twin_cols = np.asarray(twin_cols)
+    if twin_cols.ndim != 2 or twin_cols.shape[1] != m:
+        raise DataError(f"twin_cols shape {twin_cols.shape} incompatible with {m} questions")
+    return p, _onehot(twin_cols, n_cat)
 
 
-class _MixtureMap:
-    """q_j = sum_i w_i * onehot(answer_ij) + pi for every question j at once.
-
-    Each answer owns one cell of the flattened (m, K) table: q is one weighted
-    bincount over the cells, the gradient in w one gather. Subgradient steps
-    on TV, KS and the CDF objectives turn last-bit changes in q into other
-    iterates, so sums keep the order of the one-hot ``einsum`` this replaced:
-    per cell, even and odd twins in two partial sums, each over blocks of
-    eight twins last to first, then the rest in order; questions in order.
-    """
-
-    def __init__(self, codes: np.ndarray, n_categories: int) -> None:
-        n, m = codes.shape
-        self.n_cells = m * n_categories
-        self.cells = codes - 1 + n_categories * np.arange(m)
-        full = n - n % 8
-        self.order = np.concatenate(
-            [np.arange(full).reshape(-1, 8)[:, ::-1].ravel(), np.arange(full, n)]
-        )
-        lanes = self.n_cells * (self.order % 2)[:, None]
-        self.lane_cells = (self.cells[self.order] + lanes).ravel()
-        self.rows = np.repeat(np.arange(n), m)
-
-    def mixture(self, w: np.ndarray, pi: np.ndarray) -> np.ndarray:
-        """Unnormalized (m, K) mixture: twin weights binned by answer, plus pi."""
-        m = self.cells.shape[1]
-        q = np.bincount(self.lane_cells, weights=np.repeat(w[self.order], m),
-                        minlength=2 * self.n_cells)
-        return (q[: self.n_cells] + q[self.n_cells:]).reshape(m, pi.size) + pi
-
-    def adjoint(self, gq: np.ndarray) -> np.ndarray:
-        """Per twin, the sum of gq over the questions at the twin's answers."""
-        return np.bincount(self.rows, weights=gq.ravel()[self.cells].ravel(),
-                           minlength=self.cells.shape[0])
-
-    def predictions(self, weights: EnsembleWeights) -> np.ndarray:
-        """Predicted distribution of every question, rows normalized."""
-        if self.cells.shape[0] != weights.w.size:
-            raise DataError(f"twin column length {self.cells.shape[0]} "
-                            f"!= weight count {weights.w.size}")
-        q = self.mixture(weights.w, weights.pi)
-        return q / q.sum(axis=1, keepdims=True)
+def _predictions(onehot: np.ndarray, weights: EnsembleWeights) -> np.ndarray:
+    """Predicted distribution of every question, rows normalized."""
+    n_cat, n = onehot.shape[1:]
+    if n != weights.w.size:
+        raise DataError(f"twin column length {n} != weight count {weights.w.size}")
+    if n_cat != weights.pi.size:
+        raise DataError(f"{n_cat} categories != dummy count {weights.pi.size}")
+    q = np.einsum("mkn,n->mk", onehot, weights.w) + weights.pi
+    return q / q.sum(axis=1, keepdims=True)
 
 
 def ensemble_distribution(
     weights: EnsembleWeights, twin_col: np.ndarray, n_categories: int
 ) -> Categorical:
     """Mixture of twin answer point-masses plus dummy members for one question."""
-    codes = np.asarray(twin_col, dtype=np.int64)[:, None]
-    _check_codes(codes, n_categories)
-    return Categorical(_MixtureMap(codes, n_categories).predictions(weights)[0])
+    onehot = _onehot(np.asarray(twin_col)[:, None], n_categories)
+    return Categorical(_predictions(onehot, weights)[0])
 
 
 def uniform_baseline(n_twins: int, n_categories: int) -> EnsembleWeights:
@@ -347,11 +332,17 @@ def split_questions(
 # Mirror-descent fitting.
 # ---------------------------------------------------------------------------
 
-def _objective(w, pi, p, mix: _MixtureMap, kind: Discrepancy, eps: float):
-    """Mean discrepancy over the rows of p and its gradient in (w, pi)."""
-    q = mix.mixture(w, pi)
+def _objective(w, pi, p, onehot: np.ndarray, kind: Discrepancy, eps: float):
+    """Mean discrepancy over the rows of p and its gradient in (w, pi).
+
+    The mixture is q_j = sum_i w_i * onehot(answer_ij) + pi for every question
+    j at once. Subgradient steps on TV, KS and the CDF objectives turn
+    last-bit changes in q into other iterates, so fits round as numpy's
+    ``einsum`` sums.
+    """
+    q = np.einsum("mkn,n->mk", onehot, w) + pi
     gq = _grads_wrt_q(kind, p, q, eps)
-    grad_w = mix.adjoint(gq) / p.shape[0]
+    grad_w = np.einsum("mkn,mk->n", onehot, gq) / p.shape[0]
     return float(_values(kind, p, q, eps).mean()), grad_w, gq.mean(axis=0)
 
 
@@ -372,11 +363,11 @@ def objective_and_gradient(
     finite differences.
     """
     kind = Discrepancy(spec)
-    p, codes = _prepare(p_train, twin_cols)
-    return _objective(w, pi, p, _MixtureMap(codes, p.shape[1]), kind, epsilon_floor)
+    p, onehot = _prepare(p_train, twin_cols)
+    return _objective(w, pi, p, onehot, kind, epsilon_floor)
 
 
-def _mirror_descent_run(start, p: np.ndarray, mix: _MixtureMap, kind: Discrepancy,
+def _mirror_descent_run(start, p: np.ndarray, onehot: np.ndarray, kind: Discrepancy,
                         cfg: MirrorDescentConfig):
     """One exponentiated-gradient run; returns (best_obj, best_w, best_pi, trace)."""
     w0, pi0, use_w, use_pi = start
@@ -386,7 +377,7 @@ def _mirror_descent_run(start, p: np.ndarray, mix: _MixtureMap, kind: Discrepanc
     trace = np.empty(cfg.max_iters)
     stale = 0
     for t in range(1, cfg.max_iters + 1):
-        obj, grad_w, grad_pi = _objective(w, pi, p, mix, kind, cfg.epsilon_floor)
+        obj, grad_w, grad_pi = _objective(w, pi, p, onehot, kind, cfg.epsilon_floor)
         if not np.isfinite(obj) or (use_w and not np.all(np.isfinite(grad_w))) or (
             use_pi and not np.all(np.isfinite(grad_pi))
         ):
@@ -401,7 +392,7 @@ def _mirror_descent_run(start, p: np.ndarray, mix: _MixtureMap, kind: Discrepanc
         if obj < best_obj:
             best_obj = obj
             best_w, best_pi = w.copy(), pi.copy()
-        if stale >= cfg.stall_patience:
+        if stale >= STALL_PATIENCE:
             break
 
         # one common shift keeps the multiplicative update direction intact;
@@ -411,7 +402,7 @@ def _mirror_descent_run(start, p: np.ndarray, mix: _MixtureMap, kind: Discrepanc
             grad_w.max() if use_w else -np.inf,
             grad_pi.max() if use_pi else -np.inf,
         )
-        eta = cfg.eta0 / t**cfg.decay_power
+        eta = cfg.eta0 / t**DECAY_POWER
         if use_w:
             w = w * np.exp(np.minimum(-eta * (grad_w - shift), 50.0))
         if use_pi:
@@ -424,15 +415,14 @@ def _mirror_descent_run(start, p: np.ndarray, mix: _MixtureMap, kind: Discrepanc
     return best_obj, best_w, best_pi, trace[:t].copy()
 
 
-def _fit_variants(p, codes, kind: Discrepancy, variants, cfg: MirrorDescentConfig):
+def _fit_variants(p, onehot, kind: Discrepancy, variants, cfg: MirrorDescentConfig):
     """Fitted weights of each variant in turn, running each needed start once.
 
     A restricted variant is the run from its own face; the joint variant is
     the best of the joint, personas and dummies runs, the first on ties.
     """
     variants = [EnsembleVariant(v) for v in variants]
-    n, n_cat = codes.shape[0], p.shape[1]
-    mix = _MixtureMap(codes, n_cat)
+    n_cat, n = onehot.shape[1:]
     joint = EnsembleVariant.PERSONAS_AND_DUMMIES
     share = 1.0 / (n + n_cat)
     starts = {
@@ -442,7 +432,7 @@ def _fit_variants(p, codes, kind: Discrepancy, variants, cfg: MirrorDescentConfi
     }
     needed = starts if joint in variants else variants
     runs = {
-        start: _mirror_descent_run(starts[start], p, mix, kind, cfg)
+        start: _mirror_descent_run(starts[start], p, onehot, kind, cfg)
         for start in starts if start in needed
     }
     if joint in runs:
@@ -471,8 +461,8 @@ def fit_weights(
     fitted objective never lands above either restricted variant's.
     """
     kind = Discrepancy(spec)
-    p, codes = _prepare(p_train, twin_cols)
-    return _fit_variants(p, codes, kind, [variant], cfg or MirrorDescentConfig())[0]
+    p, onehot = _prepare(p_train, twin_cols)
+    return _fit_variants(p, onehot, kind, [variant], cfg or MirrorDescentConfig())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +488,8 @@ def evaluate_on_questions(
     epsilon_floor: float = 1e-9,
 ) -> np.ndarray:
     """Per-question discrepancy of the ensemble prediction against truth."""
-    p, codes = _prepare(p_list, twin_cols, n_categories)
-    q = _MixtureMap(codes, n_categories).predictions(weights)
+    p, onehot = _prepare(p_list, twin_cols, n_categories)
+    q = _predictions(onehot, weights)
     return _scores(Discrepancy(metric), p, q, epsilon_floor)
 
 
@@ -523,19 +513,19 @@ def cross_table(
     dict that also carries the fitted weights.
     """
     cfg = cfg or MirrorDescentConfig()
-    p, codes = _prepare(p_all, twin_cols, n_categories)
-    train_idx, test_idx = split_questions(codes.shape[1], test_frac, seed)
-    test_map = _MixtureMap(codes[:, test_idx], n_categories)
+    p, onehot = _prepare(p_all, twin_cols, n_categories)
+    train_idx, test_idx = split_questions(p.shape[0], test_frac, seed)
+    train, test = onehot[train_idx], onehot[test_idx]
 
     def test_metrics(weights: EnsembleWeights) -> dict:
-        q = test_map.predictions(weights)
+        q = _predictions(test, weights)
         return {
             metric.value: _mean_se(_scores(metric, p[test_idx], q, cfg.epsilon_floor))
             for metric in CROSS_TABLE_METRICS
         }
 
     table: dict = {
-        "n_twins": int(codes.shape[0]),
+        "n_twins": int(onehot.shape[2]),
         "n_categories": int(n_categories),
         "train_questions": [int(j) for j in train_idx],
         "test_questions": [int(j) for j in test_idx],
@@ -543,7 +533,7 @@ def cross_table(
     }
     for objective in objectives:
         objective = Discrepancy(objective)
-        fitted = _fit_variants(p[train_idx], codes[:, train_idx], objective, variants, cfg)
+        fitted = _fit_variants(p[train_idx], train, objective, variants, cfg)
         table["rows"][objective.value] = {
             weights.variant.value: {
                 "train_objective_value": float(np.min(weights.trace)),
@@ -552,5 +542,5 @@ def cross_table(
             }
             for weights in fitted
         }
-    table["baseline"] = test_metrics(uniform_baseline(codes.shape[0], n_categories))
+    table["baseline"] = test_metrics(uniform_baseline(onehot.shape[2], n_categories))
     return table

@@ -1,9 +1,9 @@
 """The one-hot tensor form of the ensemble mixture map, kept as a reference oracle.
 
-``twincal.distcal`` builds the mixture q_j = sum_i w_i * onehot(answer_ij) + pi
-of every question with one weighted bincount over the answers' cells, and the
-gradient in w with one gather over the same cells. This is the formula it
-replaced: an explicit (m, K, n) indicator tensor contracted by ``einsum``.
+The mixture of every question is q_j = sum_i w_i * onehot(answer_ij) + pi: an
+explicit (m, K, n) indicator tensor contracted by ``einsum``. ``twincal.distcal``
+computes the same formula; this copy builds the tensor and the objective on its
+own, so tests can check the library's tensor layout and sums bit for bit.
 """
 
 import numpy as np

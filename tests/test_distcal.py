@@ -43,11 +43,25 @@ class TestCategorical:
         with pytest.raises(DataError):
             Categorical(np.array([-0.1, 1.1]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_probs_rejected(self, bad):
+        # every comparison with NaN is False, so the range checks alone pass it
+        with pytest.raises(DataError, match="finite"):
+            Categorical(np.array([bad, 0.5]))
+
     def test_from_codes(self):
         p = Categorical.from_codes(np.array([1, 1, 2, 3]), 3)
         assert np.allclose(p.probs, [0.5, 0.25, 0.25])
         with pytest.raises(DataError):
             Categorical.from_codes(np.array([], dtype=np.int64), 3)
+
+    def test_from_codes_rejects_non_integral_codes(self):
+        # 1.9, 2.5 were counted as 1, 2 by an int64 cast
+        for codes in ([1.9, 2.5, 3.0], [1.0, np.nan, 2.0], [1.0, np.inf]):
+            with pytest.raises(DataError, match="finite integers"):
+                Categorical.from_codes(np.array(codes), 3)
+        p = Categorical.from_codes(np.array([1.0, 2.0, 2.0, 3.0]), 3)
+        assert np.array_equal(p.probs, [0.25, 0.5, 0.25])
 
     def test_variance(self):
         p = cat(0.5, 0.5)
@@ -145,6 +159,13 @@ class TestEnsembleDistribution:
         with pytest.raises(DataError):
             ensemble_distribution(w, np.array([1, 2, 3]), 2)
 
+    def test_non_integral_codes_rejected(self):
+        w = uniform_baseline(3, 3)
+        with pytest.raises(DataError, match="finite integers"):
+            ensemble_distribution(w, np.array([1.5, 2.7, 3.2]), 3)
+        exact = ensemble_distribution(w, np.array([1.0, 2.0, 2.0]), 3)
+        assert np.allclose(exact.probs, [1 / 3, 2 / 3, 0])
+
     def test_linearity_in_weights(self):
         rng = np.random.default_rng(4)
         col = rng.integers(1, 5, size=10)
@@ -166,6 +187,18 @@ class TestEnsembleDistribution:
         with pytest.raises(DataError):
             EnsembleWeights(np.array([0.5]), np.array([0.5]),
                             EnsembleVariant.PERSONAS_ONLY)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(DataError, match="finite"):
+            EnsembleWeights(np.array([bad, 0.5]), np.array([0.5]))
+        with pytest.raises(DataError, match="finite"):
+            EnsembleWeights(np.array([0.5]), np.array([0.5, bad]))
+
+    def test_dummy_count_must_match_categories(self):
+        w = EnsembleWeights(np.full(3, 0.25), np.array([0.25]))
+        with pytest.raises(DataError, match="dummy count"):
+            ensemble_distribution(w, np.array([1, 2, 3]), 3)
 
 
 class TestFitWeights:
@@ -320,7 +353,7 @@ class TestSplitAndCrossTable:
 
 
 class TestMixtureMap:
-    """The bincount mixture map against the one-hot oracle and its callers."""
+    """The one-hot einsum mixture against the oracle and its callers."""
 
     @pytest.mark.parametrize("kind", ALL)
     def test_objective_matches_onehot_oracle(self, kind):
@@ -335,26 +368,35 @@ class TestMixtureMap:
         w, pi = counts[:n] / 1024, counts[n:] / 1024
         got = objective_and_gradient(w, pi, p_train, cols, kind)
         want = onehot_oracle.objective_and_gradient(w, pi, p_train, cols, kind)
-        # tolerance: 1e-12 relative to max(1, |oracle|), for numpy builds
-        # whose einsum sums in another order than the map
+        # tolerance: 1e-12 relative to max(1, |oracle|); the exact sums are
+        # checked bitwise in test_sums_keep_the_onehot_order
         for g, o in zip(got, want):
             scale = max(1.0, float(np.max(np.abs(o))))
             assert np.max(np.abs(np.asarray(g) - o)) <= 1e-12 * scale
 
     def test_sums_keep_the_onehot_order(self):
         # the non-smooth objectives turn last-bit changes in q into other
-        # iterates, so the map must round exactly as the one-hot einsum did
-        # (with a single twin einsum reduced the gradient in another order)
+        # iterates, so the fit must round exactly as the one-hot einsum does:
+        # the same (m, K, n) tensor, layout included, and the same sums
         rng = np.random.default_rng(17)
-        for n in (2, 7, 8, 9, 250):
+        for n in (1, 2, 7, 8, 9, 250):
             m, k = 6, 5
             cols = rng.integers(1, k + 1, size=(n, m))
-            w, pi, gq = rng.random(n), rng.random(k), rng.normal(size=(m, k))
+            p = rng.dirichlet(np.ones(k), size=m)
+            raw = rng.dirichlet(np.ones(n + k))
+            w, pi = raw[:n], raw[n:]
             indicators = onehot_oracle.onehot(cols, k)
-            mix = distcal._MixtureMap(cols, k)
-            assert np.array_equal(mix.mixture(w, pi),
-                                  np.einsum("mkn,n->mk", indicators, w) + pi)
-            assert np.array_equal(mix.adjoint(gq), np.einsum("mkn,mk->n", indicators, gq))
+            _, got = distcal._prepare(p, cols)
+            assert np.array_equal(got, indicators)
+            assert got.strides == indicators.strides
+            q = distcal._predictions(got, EnsembleWeights(w, pi))
+            want = np.einsum("mkn,n->mk", indicators, w) + pi
+            assert np.array_equal(q, want / want.sum(axis=1, keepdims=True))
+            for kind in (Discrepancy.TV, Discrepancy.KL, Discrepancy.CDF_L2):
+                fit = distcal._objective(w, pi, p, got, kind, 1e-9)
+                oracle = onehot_oracle.objective_and_gradient(w, pi, p, cols, kind)
+                for g, o in zip(fit, oracle):
+                    assert np.array_equal(g, o)
 
     def test_evaluate_matches_per_question_loop(self):
         world, p_all, samples, _ = generate_discrete_world(70, 12, 5, seed=13)
@@ -416,3 +458,23 @@ class TestMixtureMap:
         cross_table(p_all, samples[:, :8], 3, cfg=cfg, objectives=["tv"],
                     variants=[EnsembleVariant.PERSONAS_ONLY])
         assert calls == [(True, False)]
+
+    def test_cross_table_builds_the_indicators_once(self, monkeypatch):
+        world, p_all, samples, _ = generate_discrete_world(30, 8, 3, seed=16)
+        shapes = []
+        real_onehot = distcal._onehot
+
+        def counted(twin_cols, n_categories):
+            shapes.append(np.shape(twin_cols))
+            return real_onehot(twin_cols, n_categories)
+
+        monkeypatch.setattr(distcal, "_onehot", counted)
+        cross_table(p_all, samples[:, :8], 3, cfg=MirrorDescentConfig(max_iters=5))
+        assert shapes == [(30, 8)]
+
+    def test_fit_rejects_non_integral_codes(self):
+        p_train = [cat(0.2, 0.3, 0.5)] * 3
+        with pytest.raises(DataError, match="finite integers"):
+            fit_weights(p_train[:1], [[1.5], [2.2], [3.9]], "tv")
+        with pytest.raises(DataError, match="finite integers"):
+            cross_table(p_train, np.array([[1, 2, np.nan], [2, 2, 3]]), 3)
