@@ -265,7 +265,7 @@ def _prepare(p_list, twin_cols: np.ndarray, n_categories: int | None = None):
     """Stacked (m, K) distributions and the (m, K, n) indicators: the one input check."""
     rows = [p.probs if isinstance(p, Categorical) else Categorical(p).probs
             for p in p_list]
-    sizes = {row.size for row in rows} | ({n_categories} if n_categories else set())
+    sizes = {row.size for row in rows} | ({n_categories} if n_categories is not None else set())
     if len(sizes) != 1:
         raise DataError("distributions must share the category count")
     n_cat = sizes.pop()

@@ -179,12 +179,6 @@ def fit_columns(
     return LinearModel(coef, y_means - means @ coef, cfg.family)
 
 
-def _not_converged(message: str, converged: np.ndarray) -> None:
-    """One ConvergenceWarning per target that hit its iteration cap."""
-    for _ in range(int(np.count_nonzero(~converged))):
-        warnings.warn(message, ConvergenceWarning, stacklevel=5)
-
-
 def _sub_grams(gram: np.ndarray, exclude: np.ndarray | None):
     """Per target, the coordinates it regresses on (t x (p-1), all but
     ``exclude[c]``; without ``exclude`` 1 x p, shared) and its Gram there."""
@@ -230,6 +224,58 @@ def _step_sizes(gram: np.ndarray, exclude: np.ndarray | None, shift: float, t: i
     return 1.0 / np.maximum(np.broadcast_to(lips, (t,)), 1e-12)
 
 
+def _proximal_gradient(hessian, cross, step, beta, prox, bounds, *, accelerate,
+                       max_iters, tol, message):
+    """Proximal gradient for every row of ``beta`` at once; the final iterates.
+
+    Row c minimizes (1/2) b'Hb - b'cross[:, c] + g(b) from the start
+    ``beta[c]``: each step moves ``step[c]`` (1/L) down the gradient of the
+    smooth part, then ``prox(v, bounds)`` maps the stepped rows ``v``;
+    ``bounds`` holds what the prox reads for each target, one row each. With
+    ``accelerate`` the steps are taken from an extrapolated point: momentum
+    follows Beck & Teboulle (2009) and is reset whenever the (proximal)
+    gradient at that point has a positive component along the last move,
+    that is, the move went uphill (the gradient restart of O'Donoghue &
+    Candes 2015). A target stops after the first step whose largest
+    coefficient change is below ``tol``; it then leaves the stacks. One
+    ConvergenceWarning ``message`` is raised per target that is still
+    running after ``max_iters`` steps.
+    """
+    corr = step * cross.T                 # iterates are one row per target
+    out = np.empty_like(beta)
+    running = np.arange(len(beta))
+    ahead = beta                          # the extrapolated point
+    momentum = np.ones(len(beta))
+    for _ in range(max_iters):
+        new = prox(ahead - step * (ahead @ hessian) + corr, bounds)
+        delta = new - beta
+        done = np.abs(delta).max(axis=1) < tol
+        if accelerate:
+            # ahead - new is step times the proximal gradient at ahead
+            restart = np.einsum("ij,ij->i", ahead - new, delta) > 0.0
+            grown = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum))
+            weight = np.where(restart, 0.0, (momentum - 1.0) / grown)
+            momentum = np.where(restart, 1.0, grown)
+            ahead = new + weight[:, None] * delta
+        else:
+            ahead = new
+        beta = new
+        if done.any():
+            out[running[done]] = new[done]
+            keep = ~done
+            running = running[keep]
+            beta, ahead, momentum = beta[keep], ahead[keep], momentum[keep]
+            corr, step, bounds = corr[keep], step[keep], bounds[keep]
+            if not running.size:
+                break
+    out[running] = beta
+    # one level each for this loop, the kernel, fit_columns and the fit_*
+    # wrapper: a one-target fit's warning names its caller's line
+    for _ in range(running.size):
+        warnings.warn(message, ConvergenceWarning, stacklevel=5)
+    return out
+
+
 def elastic_net_coefficients(
     gram: np.ndarray,
     cross: np.ndarray,
@@ -247,61 +293,27 @@ def elastic_net_coefficients(
     :func:`fit_elastic_net` for the penalty. ``gram``, ``cross`` and
     ``exclude`` are as in :func:`ridge_coefficients`; an excluded coordinate
     stays exactly 0, and so do constant (zero-variance) features. Each
-    target takes gradient steps 1/L on the smooth part, with L the top
-    eigenvalue of its own Gram plus alpha * (1 - l1_ratio), then
-    soft-thresholds at alpha * l1_ratio / L. Momentum follows Beck &
-    Teboulle (2009) and is reset whenever the (proximal) gradient at the
-    extrapolated point has a positive component along the last move, that
-    is, the move went uphill (the gradient restart of O'Donoghue & Candes
-    2015). A
-    target stops after the first step whose largest coefficient change is
-    below ``tol``; it then leaves the stacks. One ConvergenceWarning is
-    raised per target that is still running after ``max_iters`` steps.
+    target starts at 0 and takes gradient steps 1/L on the smooth part, with
+    L the top eigenvalue of its own Gram plus alpha * (1 - l1_ratio), then
+    soft-thresholds at alpha * l1_ratio / L; see :func:`_proximal_gradient`
+    for the momentum, the stop rule and the ConvergenceWarnings.
     """
     p, t = cross.shape
     l2 = alpha * (1.0 - l1_ratio)
     step = _step_sizes(gram, exclude, l2, t)[:, None]
     # per target and coordinate, the soft threshold of the prox step, which
-    # takes v to v less v clipped to [floor, thresh]; inf on a held-out or
+    # takes v to v less v clipped to [-thresh, thresh]; inf on a held-out or
     # constant coordinate, which that sends to exactly 0
     thresh = np.tile(step * (alpha * l1_ratio), (1, p))
     thresh[:, np.diag(gram) == 0.0] = np.inf
     if exclude is not None:
         thresh[np.arange(t), exclude] = np.inf
-    floor = -thresh
-    shifted = gram + l2 * np.eye(p)       # the smooth part's Hessian
-    corr = step * cross.T                 # iterates are one row per target
-
-    out = np.empty((t, p))
-    converged = np.zeros(t, dtype=bool)
-    running = np.arange(t)
-    beta = np.zeros((t, p))
-    ahead = beta                          # the extrapolated point
-    momentum = np.ones(t)
-    for _ in range(max_iters):
-        trial = ahead - step * (ahead @ shifted) + corr
-        new = trial - np.minimum(np.maximum(trial, floor), thresh)
-        delta = new - beta
-        done = np.abs(delta).max(axis=1) < tol
-        # ahead - new is step times the proximal gradient at ahead
-        restart = np.einsum("ij,ij->i", ahead - new, delta) > 0.0
-        grown = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum))
-        weight = np.where(restart, 0.0, (momentum - 1.0) / grown)
-        momentum = np.where(restart, 1.0, grown)
-        beta = new
-        ahead = new + weight[:, None] * delta
-        if done.any():
-            out[running[done]] = new[done]
-            converged[running[done]] = True
-            keep = ~done
-            running = running[keep]
-            beta, ahead, momentum = beta[keep], ahead[keep], momentum[keep]
-            corr, step, thresh, floor = corr[keep], step[keep], thresh[keep], floor[keep]
-            if not running.size:
-                break
-    out[running] = beta
-    _not_converged(f"elastic net did not converge within {max_iters} steps", converged)
-    return out.T
+    return _proximal_gradient(
+        gram + l2 * np.eye(p), cross, step, np.zeros((t, p)),
+        lambda v, bound: v - np.minimum(np.maximum(v, -bound), bound), thresh,
+        accelerate=True, max_iters=max_iters, tol=tol,
+        message=f"elastic net did not converge within {max_iters} steps",
+    ).T
 
 
 def fit_ridge(x: np.ndarray, y: np.ndarray, lam: float) -> LinearModel:
@@ -361,61 +373,27 @@ def simplex_coefficients(
     Column c minimizes (1/2) b'Gb - b'cross[:, c] + (lam/2)||b||^2 over
     b >= 0, sum(b) = 1 (uncentered ``gram``; see :func:`fit_simplex`), with
     ``exclude`` as in :func:`ridge_coefficients`: an excluded coordinate is
-    outside the target's simplex. Each target takes steps 1/L with L the top
-    eigenvalue of its own Gram (excluded row and column removed) plus lam,
-    keeps its best iterate, and stops once a step moves no coefficient by
-    ``tol`` or more. One ConvergenceWarning is raised per target that is
-    still running after ``max_iters`` steps; a best iterate off the simplex
-    raises :class:`DataError`.
+    outside the target's simplex. Each target starts uniform on its simplex
+    and takes steps 1/L, with L the top eigenvalue of its own Gram (excluded
+    row and column removed) plus lam, each followed by the projection and
+    without momentum; see :func:`_proximal_gradient` for the stop rule and
+    the ConvergenceWarnings. At step 1/L no step raises the objective, so
+    the last iterate is the best one up to rounding. A result off the
+    simplex raises :class:`DataError`.
     """
     p, t = cross.shape
-    step = _step_sizes(gram, exclude, lam, t)
-
-    # iterates are one row per target; an excluded coordinate sits at -inf
-    # before each projection and at exactly 0 after it
-    corr = np.ascontiguousarray(cross.T)
-    width = p if exclude is None else p - 1
-    beta = np.full((t, p), 1.0 / width)
-    held = None
+    # 0 on a target's simplex, -inf on its excluded coordinate, which the
+    # projection then sends to exactly 0
+    held = np.zeros((t, p))
     if exclude is not None:
-        held = (np.arange(t), np.asarray(exclude))
-        beta[held] = 0.0
-
-    def objective(b, gb):
-        # (1/2n)||y - Xb||^2 + (lam/2)||b||^2 less the constant y'y/2n
-        return np.sum(b * (0.5 * gb - corr + 0.5 * lam * b), axis=1)
-
-    gb = beta @ gram
-    best = beta.copy()
-    best_obj = objective(beta, gb)
-    out = np.empty((t, p))
-    converged = np.zeros(t, dtype=bool)
-    running = np.arange(t)
-    for _ in range(max_iters):
-        trial = beta - step[:, None] * (gb - corr + lam * beta)
-        if held is not None:
-            trial[held] = -np.inf
-        new = _project_rows(trial)
-        gb = new @ gram
-        obj = objective(new, gb)
-        better = obj < best_obj
-        best_obj[better] = obj[better]
-        best[better] = new[better]
-        done = np.max(np.abs(new - beta), axis=1) < tol
-        beta = new
-        if done.any():
-            out[running[done]] = best[done]
-            converged[running[done]] = True
-            keep = ~done
-            running = running[keep]
-            beta, gb, best, best_obj = beta[keep], gb[keep], best[keep], best_obj[keep]
-            corr, step = corr[keep], step[keep]
-            if held is not None:
-                held = (np.arange(running.size), held[1][keep])
-            if not running.size:
-                break
-    out[running] = best
-    _not_converged(f"simplex fit did not converge within {max_iters} steps", converged)
+        held[np.arange(t), exclude] = -np.inf
+    start = np.where(held < 0.0, 0.0, 1.0 / (p if exclude is None else p - 1))
+    out = _proximal_gradient(
+        gram + lam * np.eye(p), cross, _step_sizes(gram, exclude, lam, t)[:, None], start,
+        lambda v, mask: _project_rows(v + mask), held,
+        accelerate=False, max_iters=max_iters, tol=tol,
+        message=f"simplex fit did not converge within {max_iters} steps",
+    )
     if np.any(out.min(axis=1) < -1e-12) or np.any(np.abs(out.sum(axis=1) - 1.0) > 1e-8):
         raise DataError("simplex projection produced an infeasible point")
     return out.T
@@ -427,9 +405,8 @@ def fit_simplex(x: np.ndarray, y: np.ndarray, lam: float = 0.0) -> LinearModel:
     Minimizes (1/2n)||y - Xb||^2 + (lam/2)||b||^2 subject to b >= 0 and
     sum(b) = 1 (intercept fixed at 0: the prediction stays a convex
     combination of the columns). Step size 1/L with L the top eigenvalue of
-    X'X/n + lam; returns the best feasible iterate, warning on
-    non-convergence. This is the one-target case of
-    :func:`simplex_coefficients`.
+    X'X/n + lam; returns the last iterate, warning on non-convergence.
+    This is the one-target case of :func:`simplex_coefficients`.
     """
     return fit_columns(x, RegressConfig("sc", lam=lam), y)
 

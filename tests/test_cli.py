@@ -119,11 +119,14 @@ class TestBlasThreads:
         ("ssv", ("--orientation", "new_user", "--profile", "movielens.new_user")),
         # no impute_rank: both inputs' imputation ranks are searched
         ("ridge", ("--profile", "movielens.new_question")),
+        # the proximal-gradient loop, with and without momentum
+        ("en", ("--profile", "movielens.new_question")),
+        ("sc", ("--profile", "movielens.new_question")),
     ])
     def test_calibrate_bytes_equal(self, tmp_path, method, flags):
         hp, tp = write_pair(tmp_path, seed=11, n=80, m=24, d=3, noise_sigma=0.1,
                             alignment="linear_distortion", missing_frac=0.2)
-        if method != "ridge":
+        if method in ("hsv", "ssv"):
             # 80 stacked 48 x 80 refills, each capped at 10 iterations
             config = tmp_path / "capped.json"
             config.write_text(json.dumps({"params": {"max_iters": 10}}))

@@ -425,6 +425,9 @@ class TestMixtureMap:
         for p_list, twin_cols in cases:
             with pytest.raises(DataError):
                 evaluate_on_questions(weights, p_list, twin_cols, 2, "tv")
+        # a category count of 0 is checked against the rows' own like any other
+        with pytest.raises(DataError, match="category count"):
+            evaluate_on_questions(weights, good[:1], cols[:, :1], 0, "tv")
 
     def test_cross_table_cells_are_fit_weights(self):
         world, p_all, samples, _ = generate_discrete_world(40, 10, 4, seed=15)

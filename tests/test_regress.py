@@ -330,6 +330,19 @@ class TestFitColumns:
             one = fit_columns(x, cfg, y[:, c])
             assert np.max(np.abs(pred[:, c] - one.predict(x))) <= SIMPLEX_TOL
 
+    def test_one_target_warnings_name_the_caller(self):
+        # a near-collinear design on which both one-target fits reach their caps
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(40, 2)) @ rng.normal(size=(2, 12))
+        x += 1e-3 * rng.normal(size=x.shape)
+        y = x[:, 0] + rng.normal(size=40)
+        for fit, args in ((fit_elastic_net, (x, y, 1e-4)), (fit_simplex, (x, y))):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fit(*args)
+            assert [w.category for w in caught] == [ConvergenceWarning]
+            assert caught[0].filename == __file__
+
     def test_takes_y_or_exclude(self):
         x = random_xy(10, 3, seed=25)[0]
         for kwargs in ({}, {"y": x[:, 0], "exclude": [0]}):
@@ -371,10 +384,13 @@ class TestConfig:
 # except for the summation order of Gram products, so it agrees to
 # rounding; si takes eigenpairs of the Gram matrix where the oracle takes
 # the SVD of the design, which also agrees to rounding. The simplex kernel
-# compares iterates by a Gram-form objective instead of the residual form,
-# which may pick a neighbouring best iterate among ones whose objectives tie
-# to rounding. The stacked network does the one-target network's arithmetic
-# with a zero first-layer row added; NN_RTOL bounds
+# takes the oracle's steps with the gradient summed in another order, and
+# returns its last iterate where the oracle keeps its best: at step 1/L no
+# projected-gradient step raises the objective, so the two are the same
+# iterate up to rounding, which a capped target carries through its steps;
+# SIMPLEX_OBJ_TOL bounds how far the last iterate's objective may exceed the
+# oracle's best one. The stacked network does the one-target network's
+# arithmetic with a zero first-layer row added; NN_RTOL bounds
 # |batched - oracle| / max(1, |oracle|).
 #
 # Lasso and elastic net take accelerated proximal-gradient steps where the
@@ -387,6 +403,7 @@ class TestConfig:
 # residuals up to ~2e-6. The tolerances below give these a 5-20x margin.
 EXACTISH_TOL = 1e-10
 SIMPLEX_TOL = 1e-6
+SIMPLEX_OBJ_TOL = 1e-12
 NN_RTOL = 1e-12
 ENET_TOL = 1e-4
 ENET_OBJ_TOL = 1e-9
@@ -509,6 +526,21 @@ class TestBatchedLooKernels:
         assert n_warn == np.count_nonzero(~ref_conv)
         if family == "sc":
             assert 0 < n_warn < t.shape[1], "caps should split converged/unconverged"
+
+    @pytest.mark.filterwarnings("ignore::twincal.matcore.ConvergenceWarning")
+    @pytest.mark.parametrize("cap", [300, 5000])
+    @pytest.mark.parametrize("n,m", [(60, 9), (96, 48)])
+    def test_simplex_last_iterate_is_best(self, n, m, cap):
+        t = loo_world(n=n, m=m)
+        gram = t.T @ t / n
+        coef = simplex_coefficients(gram, gram.copy(), 0.01, np.arange(m), max_iters=cap)
+        for j in range(m):
+            feats = np.arange(m) != j
+            sub, cross = gram[np.ix_(feats, feats)], gram[feats, j]
+            best = oracle.simplex(t[:, feats], t[:, j], 0.01, max_iters=cap)[0]
+            # at l1_ratio 0 the elastic-net objective is the simplex kernel's
+            assert (enet_objective(sub, cross, coef[feats, j], 0.01, 0.0)
+                    <= enet_objective(sub, cross, best, 0.01, 0.0) + SIMPLEX_OBJ_TOL)
 
     @pytest.mark.parametrize("family", sorted(ENET_PENALTIES))
     def test_elastic_net_meets_optimality_conditions(self, family):
