@@ -167,8 +167,9 @@ def _codes(codes, n_categories: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Discrepancy measures. `_values` works on stacked (m, K) arrays so the
-# optimizer can evaluate all training questions at once.
+# Discrepancy measures. `_values` and `_grads_wrt_q` take (m, K) truths and
+# (..., m, K) mixtures, so the optimizer evaluates every training question of
+# every stacked run at once.
 # ---------------------------------------------------------------------------
 
 def _values(kind: Discrepancy, p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:
@@ -209,21 +210,17 @@ def _grads_wrt_q(kind: Discrepancy, p: np.ndarray, q: np.ndarray, eps: float) ->
         return -0.5 * np.sqrt(p / qc)
     f = np.cumsum(p, axis=-1)
     g = np.cumsum(q, axis=-1)
-    k = p.shape[-1]
     if kind is Discrepancy.KS:
         # subgradient at the first maximizing CDF index
-        star = np.argmax(np.abs(f - g), axis=-1)
-        rows = np.arange(p.shape[0])
-        sign = np.sign(g[rows, star] - f[rows, star])
-        grad = np.zeros_like(p)
-        grad[np.arange(k)[None, :] <= star[:, None]] = 1.0
-        return grad * sign[:, None]
+        star = np.argmax(np.abs(f - g), axis=-1)[..., None]
+        grad = (np.arange(p.shape[-1]) <= star).astype(np.float64)
+        return grad * np.sign(np.take_along_axis(g - f, star, axis=-1))
     if kind is Discrepancy.CDF_L1:
         s = np.sign(g - f)
-        return np.cumsum(s[:, ::-1], axis=-1)[:, ::-1]
+        return np.cumsum(s[..., ::-1], axis=-1)[..., ::-1]
     if kind is Discrepancy.CDF_L2:
         s = 2.0 * (g - f)
-        return np.cumsum(s[:, ::-1], axis=-1)[:, ::-1]
+        return np.cumsum(s[..., ::-1], axis=-1)[..., ::-1]
     raise DataError(f"unknown discrepancy {kind!r}")
 
 
@@ -332,18 +329,30 @@ def split_questions(
 # Mirror-descent fitting.
 # ---------------------------------------------------------------------------
 
-def _objective(w, pi, p, onehot: np.ndarray, kind: Discrepancy, eps: float):
-    """Mean discrepancy over the rows of p and its gradient in (w, pi).
+def _objective(w, pi, p, onehot: np.ndarray, kinds, eps: float):
+    """Mean discrepancy over the rows of p and its gradient in (w, pi), per run.
 
-    The mixture is q_j = sum_i w_i * onehot(answer_ij) + pi for every question
-    j at once. Subgradient steps on TV, KS and the CDF objectives turn
-    last-bit changes in q into other iterates, so fits round as numpy's
-    ``einsum`` sums.
+    ``w`` (R, n) and ``pi`` (R, K) stack R runs and ``kinds`` names each
+    run's objective; 1-d ``w`` and ``pi`` with a single kind are the one-run
+    case. The mixture is q_j = sum_i w_i * onehot(answer_ij) + pi for every
+    question j at once. Subgradient steps on TV, KS and the CDF objectives
+    turn last-bit changes in q into other iterates, so fits round as numpy's
+    ``einsum`` sums; each row of the stacked sums has the one-run bits.
     """
-    q = np.einsum("mkn,n->mk", onehot, w) + pi
-    gq = _grads_wrt_q(kind, p, q, eps)
-    grad_w = np.einsum("mkn,mk->n", onehot, gq) / p.shape[0]
-    return float(_values(kind, p, q, eps).mean()), grad_w, gq.mean(axis=0)
+    if np.ndim(w) == 1:
+        obj, grad_w, grad_pi = _objective(
+            np.asarray(w)[None], np.asarray(pi)[None], p, onehot, [kinds], eps)
+        return float(obj[0]), grad_w[0], grad_pi[0]
+    q = np.einsum("mkn,rn->rmk", onehot, w) + pi[:, None, :]
+    values, gq = np.empty(q.shape[:2]), np.empty_like(q)
+    groups: dict = {}
+    for r, kind in enumerate(kinds):
+        groups.setdefault(kind, []).append(r)
+    for kind, rows in groups.items():
+        values[rows] = _values(kind, p, q[rows], eps)
+        gq[rows] = _grads_wrt_q(kind, p, q[rows], eps)
+    grad_w = np.einsum("mkn,rmk->rn", onehot, gq) / p.shape[0]
+    return values.mean(axis=1), grad_w, gq.mean(axis=1)
 
 
 def objective_and_gradient(
@@ -367,80 +376,101 @@ def objective_and_gradient(
     return _objective(w, pi, p, onehot, kind, epsilon_floor)
 
 
-def _mirror_descent_run(start, p: np.ndarray, onehot: np.ndarray, kind: Discrepancy,
-                        cfg: MirrorDescentConfig):
-    """One exponentiated-gradient run; returns (best_obj, best_w, best_pi, trace)."""
-    w0, pi0, use_w, use_pi = start
-    w, pi = w0.copy(), pi0.copy()
-    best_obj = np.inf
+def _mirror_descent(runs, p: np.ndarray, onehot: np.ndarray, cfg: MirrorDescentConfig):
+    """Exponentiated-gradient runs stepped together; (best_obj, w, pi, trace) per run.
+
+    ``runs`` lists (objective, start) pairs. A start is the face of its
+    variant, uniform over the face's coordinates. Every step is one stacked
+    ``_objective``. A run that has gone ``STALL_PATIENCE`` steps without a
+    relative ``tol`` improvement stops with its best iterate and leaves the
+    stack, so each run takes the steps, and keeps the bits, it would alone.
+    """
+    n_cat, n = onehot.shape[1:]
+    use_w = np.array([start is not EnsembleVariant.DUMMIES_ONLY for _, start in runs], bool)
+    use_pi = np.array([start is not EnsembleVariant.PERSONAS_ONLY for _, start in runs], bool)
+    share = 1.0 / (n * use_w + n_cat * use_pi)
+    w = np.repeat(np.where(use_w, share, 0.0)[:, None], n, axis=1)
+    pi = np.repeat(np.where(use_pi, share, 0.0)[:, None], n_cat, axis=1)
+    best = np.full(len(runs), np.inf)
     best_w, best_pi = w.copy(), pi.copy()
-    trace = np.empty(cfg.max_iters)
-    stale = 0
+    trace = np.empty((len(runs), cfg.max_iters))
+    steps = np.full(len(runs), cfg.max_iters)
+    live = np.arange(len(runs))
+    kinds = [kind for kind, _ in runs]
+    stale = np.zeros(len(runs), dtype=np.int64)
+
+    def failed(message: str, bad: np.ndarray):
+        kind, start = runs[live[np.argmax(bad)]]
+        return FloatingPointError(
+            f"{message} (objective {kind.value}, start {start.value})")
+
     for t in range(1, cfg.max_iters + 1):
-        obj, grad_w, grad_pi = _objective(w, pi, p, onehot, kind, cfg.epsilon_floor)
-        if not np.isfinite(obj) or (use_w and not np.all(np.isfinite(grad_w))) or (
-            use_pi and not np.all(np.isfinite(grad_pi))
-        ):
-            raise FloatingPointError(
-                f"non-finite mirror-descent objective/gradient at iteration {t}"
-            )
-        trace[t - 1] = obj
-        if obj < best_obj - cfg.tol * max(1.0, abs(best_obj)):
-            stale = 0
+        if not live.size:
+            break
+        obj, grad_w, grad_pi = _objective(w, pi, p, onehot, kinds, cfg.epsilon_floor)
+        bad = ~np.isfinite(obj) | (use_w & ~np.isfinite(grad_w).all(axis=1)) | (
+            use_pi & ~np.isfinite(grad_pi).all(axis=1))
+        if bad.any():
+            raise failed(f"non-finite mirror-descent objective/gradient at iteration {t}", bad)
+        trace[live, t - 1] = obj
+        # step 1 counts as stale: there is no best objective to improve on yet
+        if t > 1:
+            prev = best[live]
+            stale = np.where(obj < prev - cfg.tol * np.maximum(1.0, np.abs(prev)), 0, stale + 1)
         else:
             stale += 1
-        if obj < best_obj:
-            best_obj = obj
-            best_w, best_pi = w.copy(), pi.copy()
-        if stale >= STALL_PATIENCE:
-            break
+        better = obj < best[live]
+        best[live[better]] = obj[better]
+        best_w[live[better]] = w[better]
+        best_pi[live[better]] = pi[better]
+        stop = stale >= STALL_PATIENCE
+        if stop.any():
+            steps[live[stop]] = t
+            keep = ~stop
+            live, w, pi, grad_w, grad_pi, use_w, use_pi, stale = (
+                a[keep] for a in (live, w, pi, grad_w, grad_pi, use_w, use_pi, stale))
+            kinds = [runs[r][0] for r in live]
 
-        # one common shift keeps the multiplicative update direction intact;
-        # the exponent cap guards against overflow on near-clamped chi-square
-        # gradients (magnitudes ~ 1/epsilon_floor^2)
-        shift = max(
-            grad_w.max() if use_w else -np.inf,
-            grad_pi.max() if use_pi else -np.inf,
-        )
+        # one common shift per run keeps the multiplicative update direction
+        # intact; the exponent cap guards against overflow on near-clamped
+        # chi-square gradients (magnitudes ~ 1/epsilon_floor^2)
+        shift = np.maximum(np.where(use_w, grad_w.max(axis=1), -np.inf),
+                           np.where(use_pi, grad_pi.max(axis=1), -np.inf))
         eta = cfg.eta0 / t**DECAY_POWER
-        if use_w:
-            w = w * np.exp(np.minimum(-eta * (grad_w - shift), 50.0))
-        if use_pi:
-            pi = pi * np.exp(np.minimum(-eta * (grad_pi - shift), 50.0))
-        total = w.sum() + pi.sum()
-        if total <= 0 or not np.isfinite(total):
-            raise FloatingPointError("mirror-descent weights collapsed to zero")
-        w /= total
-        pi /= total
-    return best_obj, best_w, best_pi, trace[:t].copy()
+        w = np.where(use_w[:, None],
+                     w * np.exp(np.minimum(-eta * (grad_w - shift[:, None]), 50.0)), w)
+        pi = np.where(use_pi[:, None],
+                      pi * np.exp(np.minimum(-eta * (grad_pi - shift[:, None]), 50.0)), pi)
+        total = w.sum(axis=1) + pi.sum(axis=1)
+        collapsed = (total <= 0) | ~np.isfinite(total)
+        if collapsed.any():
+            raise failed("mirror-descent weights collapsed to zero", collapsed)
+        w /= total[:, None]
+        pi /= total[:, None]
+    return [(float(best[r]), best_w[r], best_pi[r], trace[r, :steps[r]].copy())
+            for r in range(len(runs))]
 
 
-def _fit_variants(p, onehot, kind: Discrepancy, variants, cfg: MirrorDescentConfig):
-    """Fitted weights of each variant in turn, running each needed start once.
+def _fit_variants(p, onehot, kinds, variants, cfg: MirrorDescentConfig) -> dict:
+    """{(objective, variant): (weights, winning start)}, every start run once, together.
 
     A restricted variant is the run from its own face; the joint variant is
     the best of the joint, personas and dummies runs, the first on ties.
     """
-    variants = [EnsembleVariant(v) for v in variants]
-    n_cat, n = onehot.shape[1:]
+    if not onehot.shape[2]:
+        raise DataError("fitting needs at least one twin")
     joint = EnsembleVariant.PERSONAS_AND_DUMMIES
-    share = 1.0 / (n + n_cat)
-    starts = {
-        joint: (np.full(n, share), np.full(n_cat, share), True, True),
-        EnsembleVariant.PERSONAS_ONLY: (np.full(n, 1.0 / n), np.zeros(n_cat), True, False),
-        EnsembleVariant.DUMMIES_ONLY: (np.zeros(n), np.full(n_cat, 1.0 / n_cat), False, True),
-    }
-    needed = starts if joint in variants else variants
-    runs = {
-        start: _mirror_descent_run(starts[start], p, onehot, kind, cfg)
-        for start in starts if start in needed
-    }
-    if joint in runs:
-        runs[joint] = min(runs.values(), key=lambda run: run[0])
-    fitted = []
-    for variant in variants:
-        _, best_w, best_pi, trace = runs[variant]
-        fitted.append(EnsembleWeights(best_w, best_pi, variant, trace=trace))
+    starts = [s for s in EnsembleVariant if joint in variants or s in variants]
+    runs = [(kind, start) for kind in dict.fromkeys(kinds) for start in starts]
+    done = dict(zip(runs, _mirror_descent(runs, p, onehot, cfg)))
+    fitted = {}
+    for kind in kinds:
+        for variant in variants:
+            start = variant
+            if variant is joint:
+                start = min(starts, key=lambda s: done[kind, s][0])
+            _, w, pi, trace = done[kind, start]
+            fitted[kind, variant] = EnsembleWeights(w, pi, variant, trace=trace), start
     return fitted
 
 
@@ -460,9 +490,10 @@ def fit_weights(
     personas face, and the dummies face) and keeps the best run, so its
     fitted objective never lands above either restricted variant's.
     """
-    kind = Discrepancy(spec)
+    kind, variant = Discrepancy(spec), EnsembleVariant(variant)
     p, onehot = _prepare(p_train, twin_cols)
-    return _fit_variants(p, onehot, kind, [variant], cfg or MirrorDescentConfig())[0]
+    fitted = _fit_variants(p, onehot, [kind], [variant], cfg or MirrorDescentConfig())
+    return fitted[kind, variant][0]
 
 
 # ---------------------------------------------------------------------------
@@ -508,11 +539,14 @@ def cross_table(
 
     Questions are split train/test with a seeded shuffle; each fitted
     ensemble (and the uniform baseline) is evaluated on the held-out
-    questions under all discrepancy measures. Each objective runs each
-    mirror-descent start once (see ``fit_weights``). Returns a JSON-ready
-    dict that also carries the fitted weights.
+    questions under all discrepancy measures. Every mirror-descent start of
+    every objective runs once (see ``fit_weights``), all of them stepped
+    together. Returns a JSON-ready dict that also carries the fitted weights
+    and, per cell, the start whose run won and that run's step count.
     """
     cfg = cfg or MirrorDescentConfig()
+    objectives = [Discrepancy(o) for o in objectives]
+    variants = [EnsembleVariant(v) for v in variants]
     p, onehot = _prepare(p_all, twin_cols, n_categories)
     train_idx, test_idx = split_questions(p.shape[0], test_frac, seed)
     train, test = onehot[train_idx], onehot[test_idx]
@@ -524,6 +558,15 @@ def cross_table(
             for metric in CROSS_TABLE_METRICS
         }
 
+    def cell(weights: EnsembleWeights, start: EnsembleVariant) -> dict:
+        return {
+            "train_objective_value": float(np.min(weights.trace)),
+            "start": start.value,
+            "steps": len(weights.trace),
+            "test_metrics": test_metrics(weights),
+            "weights": {"w": weights.w.tolist(), "pi": weights.pi.tolist()},
+        }
+
     table: dict = {
         "n_twins": int(onehot.shape[2]),
         "n_categories": int(n_categories),
@@ -531,16 +574,10 @@ def cross_table(
         "test_questions": [int(j) for j in test_idx],
         "rows": {},
     }
+    fitted = _fit_variants(p[train_idx], train, objectives, variants, cfg)
     for objective in objectives:
-        objective = Discrepancy(objective)
-        fitted = _fit_variants(p[train_idx], train, objective, variants, cfg)
         table["rows"][objective.value] = {
-            weights.variant.value: {
-                "train_objective_value": float(np.min(weights.trace)),
-                "test_metrics": test_metrics(weights),
-                "weights": {"w": weights.w.tolist(), "pi": weights.pi.tolist()},
-            }
-            for weights in fitted
+            variant.value: cell(*fitted[objective, variant]) for variant in variants
         }
     table["baseline"] = test_metrics(uniform_baseline(onehot.shape[2], n_categories))
     return table

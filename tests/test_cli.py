@@ -147,6 +147,33 @@ class TestBlasThreads:
         assert report["method"] == method and report["skipped_count"] == 0
         assert outs[0] == outs[1]
 
+    def test_distcal_bytes_equal(self, tmp_path):
+        # 21 stacked mirror-descent runs, some stopping on a stall before the cap
+        _, marginals, samples, _ = generate_discrete_world(60, 12, 5, seed=1)
+        rng = np.random.default_rng(1)
+        codes = np.stack([rng.choice(5, size=80, p=p.probs) + 1 for p in marginals], axis=1)
+        hp, tp, config = tmp_path / "h.csv", tmp_path / "t.csv", tmp_path / "c.json"
+        write_matrix_csv(hp, codes.astype(float))
+        write_matrix_csv(tp, samples[:, :12].astype(float))
+        config.write_text(json.dumps({"n_categories": 5, "mirror_descent": {"max_iters": 300}}))
+        src = str(Path(twincal.__file__).resolve().parents[1])
+        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads_{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            done = subprocess.run(
+                [sys.executable, "-m", "twincal.cli", "distcal", "--config", str(config),
+                 "--human", str(hp), "--twin", str(tp), "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            assert done.stderr == b""
+            outs.append(read_bytes_tree(out))
+        table = json.loads(outs[0]["cross_table.json"])
+        steps = [cell["steps"] for row in table["rows"].values() for cell in row.values()]
+        assert min(steps) < 300 == max(steps)
+        assert outs[0] == outs[1]
+
 
 class TestDiagnoseCommand:
     def test_self_alignment_zero_distance(self, tmp_path):

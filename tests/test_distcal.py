@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import onehot_oracle
 import twincal.distcal as distcal
 from twincal.distcal import (
+    STALL_PATIENCE,
     Categorical,
     Discrepancy,
     EnsembleVariant,
@@ -447,20 +450,23 @@ class TestMixtureMap:
     def test_cross_table_runs_each_start_once(self, monkeypatch):
         world, p_all, samples, _ = generate_discrete_world(30, 8, 3, seed=16)
         calls = []
-        real_run = distcal._mirror_descent_run
+        real_kernel = distcal._mirror_descent
 
-        def counted(*args):
-            calls.append(args[0][2:])
-            return real_run(*args)
+        def counted(runs, *args):
+            calls.append(list(runs))
+            return real_kernel(runs, *args)
 
-        monkeypatch.setattr(distcal, "_mirror_descent_run", counted)
+        monkeypatch.setattr(distcal, "_mirror_descent", counted)
         cfg = MirrorDescentConfig(max_iters=20)
         cross_table(p_all, samples[:, :8], 3, cfg=cfg)
-        assert len(calls) == 3 * len(ALL)
+        # one stacked call: every objective from each of the three starts
+        assert len(calls) == 1 and len(calls[0]) == 3 * len(ALL)
+        assert set(calls[0]) == {(kind, start) for kind in ALL for start in EnsembleVariant}
         calls.clear()
         cross_table(p_all, samples[:, :8], 3, cfg=cfg, objectives=["tv"],
                     variants=[EnsembleVariant.PERSONAS_ONLY])
-        assert calls == [(True, False)]
+        # the one run from the personas face (use_w, not use_pi)
+        assert calls == [[(Discrepancy.TV, EnsembleVariant.PERSONAS_ONLY)]]
 
     def test_cross_table_builds_the_indicators_once(self, monkeypatch):
         world, p_all, samples, _ = generate_discrete_world(30, 8, 3, seed=16)
@@ -481,3 +487,100 @@ class TestMixtureMap:
             fit_weights(p_train[:1], [[1.5], [2.2], [3.9]], "tv")
         with pytest.raises(DataError, match="finite integers"):
             cross_table(p_train, np.array([[1, 2, np.nan], [2, 2, 3]]), 3)
+
+    @pytest.mark.parametrize("variant", list(EnsembleVariant))
+    def test_fit_rejects_zero_twins(self, variant):
+        # the starts divide by the twin count
+        with pytest.raises(DataError, match="at least one twin"):
+            fit_weights([cat(0.3, 0.7)], np.zeros((0, 1), dtype=int), "tv", variant)
+
+
+class TestStackedMirrorDescent:
+    """All runs of a fit step together: against the one-run loop, and what they report."""
+
+    @pytest.mark.parametrize("max_iters", [300, 2000])
+    @pytest.mark.parametrize("shape,seed", [((40, 10, 4), 0), ((30, 8, 3), 2)])
+    def test_runs_match_one_run_oracle(self, shape, seed, max_iters):
+        n, m, k = shape
+        world, p_all, samples, _ = generate_discrete_world(n, m, k, seed=seed)
+        p, onehot = distcal._prepare(p_all, samples[:, :m])
+        indicators = onehot_oracle.onehot(samples[:, :m], k)
+        cfg = MirrorDescentConfig(max_iters=max_iters)
+        runs = [(kind, start) for kind in ALL for start in EnsembleVariant]
+        steps = []
+        for (kind, start), got in zip(runs, distcal._mirror_descent(runs, p, onehot, cfg)):
+            want = onehot_oracle.mirror_descent_run(
+                onehot_oracle.start(start, n, k), p, indicators, kind, cfg)
+            assert got[0] == want[0], (kind, start)
+            for g, o in zip(got[1:], want[1:]):
+                assert g.shape == o.shape and np.array_equal(g, o), (kind, start)
+            steps.append(got[3].size)
+        # runs stop on their own stalls while others step on to the cap
+        assert min(steps) == STALL_PATIENCE and max(steps) == max_iters
+        assert len(set(steps)) >= 5
+
+    def test_cross_table_reports_steps(self):
+        world, p_all, samples, _ = generate_discrete_world(40, 10, 4, seed=7)
+        cfg = MirrorDescentConfig(max_iters=300)
+        rows = cross_table(p_all, samples[:, :10], 4, cfg=cfg)["rows"]
+        for row in rows.values():
+            for variant, cell in row.items():
+                assert cell["start"] == variant  # on this world the joint run wins
+                assert STALL_PATIENCE <= cell["steps"] <= 300
+        # no chi2 run improves on its uniform start, so each stalls at exactly
+        # STALL_PATIENCE steps; the TV dummies run stalls later, the TV personas
+        # run steps to the cap
+        assert {cell["steps"] for cell in rows["chi2"].values()} == {STALL_PATIENCE}
+        assert STALL_PATIENCE < rows["tv"]["dummies_only"]["steps"] < 300
+        assert rows["tv"]["personas_only"]["steps"] == 300
+
+    def test_cross_table_reports_the_winning_start(self):
+        # the humans answer as the uniform twin ensemble does, so the personas
+        # start is optimal (objective 0) and wins every joint cell
+        cols = np.random.default_rng(3).integers(1, 5, size=(40, 10))
+        p_all = [ensemble_distribution(uniform_baseline(40, 4), cols[:, j], 4)
+                 for j in range(10)]
+        rows = cross_table(p_all, cols, 4, cfg=MirrorDescentConfig(max_iters=300))["rows"]
+        for row in rows.values():
+            personas = row["personas_only"]
+            assert personas["train_objective_value"] == 0.0
+            assert personas["start"] == "personas_only"
+            assert personas["steps"] == STALL_PATIENCE
+            # the joint cell is the personas run, start and steps included
+            assert row["personas_and_dummies"] == personas
+            assert row["dummies_only"]["start"] == "dummies_only"
+            assert row["dummies_only"]["train_objective_value"] > 0.0
+
+    @pytest.mark.parametrize("kind", ALL)
+    def test_stacked_grads_match_2d_rows(self, kind):
+        # row 0 of run 0 ties at the KS maximum (|F - G| = 0.25 at the first
+        # two indices), where the first maximizing index carries the subgradient
+        p = np.array([[0.5, 0.0, 0.5], [0.2, 0.3, 0.5]])
+        q = np.array([[[0.25, 0.5, 0.25], [0.2, 0.3, 0.5]],
+                      [[0.5, 0.0, 0.5], [0.1, 0.6, 0.3]]])
+        got = distcal._grads_wrt_q(kind, p, q, 1e-9)
+        for run in range(len(q)):
+            assert np.array_equal(got[run], onehot_oracle.grads_wrt_q(kind, p, q[run], 1e-9))
+
+    def test_cross_table_warns_nothing(self):
+        # the first step's stall test must not evaluate inf - inf
+        world, p_all, samples, _ = generate_discrete_world(40, 10, 4, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cross_table(p_all, samples[:, :10], 4, cfg=MirrorDescentConfig(max_iters=250))
+
+    def test_non_finite_gradient_names_the_run(self, monkeypatch):
+        world, p_all, samples, _ = generate_discrete_world(30, 8, 3, seed=16)
+        real_grads = distcal._grads_wrt_q
+
+        def poisoned(kind, p, q, eps):
+            grads = real_grads(kind, p, q, eps)
+            return np.full_like(grads, np.nan) if kind is Discrepancy.KL else grads
+
+        monkeypatch.setattr(distcal, "_grads_wrt_q", poisoned)
+        with pytest.raises(FloatingPointError, match=r"objective/gradient at iteration 1 "
+                           r"\(objective kl, start personas_and_dummies\)"):
+            cross_table(p_all, samples[:, :8], 3, cfg=MirrorDescentConfig(max_iters=20))
+        with pytest.raises(FloatingPointError,
+                           match=r"\(objective kl, start dummies_only\)"):
+            fit_weights(p_all[:8], samples[:, :8], "kl", EnsembleVariant.DUMMIES_ONLY)
