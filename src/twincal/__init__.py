@@ -70,9 +70,7 @@ from .regress import (
     RegressConfig,
     fit_columns,
     fit_elastic_net,
-    fit_nn,
     fit_ridge,
-    fit_si,
     fit_simplex,
 )
 from .synth import (

@@ -12,7 +12,7 @@ column is entirely missing).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -217,28 +217,12 @@ class EvalReport:
     method_label: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "method": self.method_label,
-            "orientation": self.orientation.value,
-            "fisher_z": self.fisher_z,
-            "mean": self.mean,
-            "se": self.se,
-            "baseline_mean": self.baseline_mean,
-            "baseline_se": self.baseline_se,
-            "pct_improvement": self.pct_improvement,
-            "skipped_count": self.skipped_count,
-            "per_target": [
-                {
-                    "index": r.index,
-                    "corr": r.corr,
-                    "baseline_corr": r.baseline_corr,
-                    "train_mse": r.train_mse,
-                    "transferred": r.transferred,
-                    "skipped": r.skipped,
-                }
-                for r in self.per_target
-            ],
-        }
+        """The fields, per-target results included, with ``method_label``
+        written as ``method``."""
+        payload = asdict(self)
+        payload["method"] = payload.pop("method_label")
+        payload["orientation"] = self.orientation.value
+        return payload
 
     def to_csv_rows(self) -> list[list]:
         rows = [["method", "target", "corr", "baseline_corr", "train_mse",

@@ -221,9 +221,12 @@ def _loo_inputs(args, config: dict):
         seed=seed,
     )
     human, twin = _matrices(args, config)
+    params = config.get("params")
+    if isinstance(params, dict):
+        params = {k: v for k, v in params.items() if v is not None}
     method = method_config(_resolve("method", args.method, config, default="ridge"),
                            _resolve("profile", args.profile, config),
-                           overrides=config.get("params"), seed=seed)
+                           overrides=params, seed=seed)
     return human, twin, method, settings
 
 

@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 DEFAULT_RANK_GRID = tuple(range(1, 9))
+# the share of the observed cells the rank search holds out
+_RANK_HOLDOUT_FRAC = 0.1
 
 
 class CompletionMethod(str, Enum):
@@ -239,13 +241,6 @@ def _als_half_step(
         raise DataError("singular normal equations in ALS; use lam > 0") from None
 
 
-def _als_objective(
-    values: np.ndarray, mask: np.ndarray, a: np.ndarray, b: np.ndarray, lam: float
-) -> float:
-    resid = np.where(mask, values - a @ b.T, 0.0)
-    return float((resid**2).sum() + lam * ((a**2).sum() + (b**2).sum()))
-
-
 def _als_sweeps(values: np.ndarray, mask: np.ndarray, start: np.ndarray,
                 cfg: CompletionConfig):
     """Yield the factors (A, B) after each alternating half-step.
@@ -369,40 +364,27 @@ def stacked_complete(task: StackedTask, cfg: CompletionConfig) -> np.ndarray:
     return _one_target(task, cfg, None, "stacked_complete")
 
 
-def estimate_effective_rank(
-    matrix: MaskedMatrix,
-    rank_grid,
-    holdout_frac: float = 0.1,
-    seed: int = 0,
-    *,
-    max_iters: int = 200,
-    tol: float = 1e-5,
-) -> int:
+def estimate_effective_rank(matrix: MaskedMatrix, rank_grid, seed: int = 0) -> int:
     """Pick the rank minimizing held-out imputation RMSE.
 
-    A seeded uniform sample of ``holdout_frac`` of the observed entries is
-    masked out (resampling up to 10 times if that breaks row/column
-    coverage), the hard-SVD refill runs at each grid rank from one
-    column-mean start, and the rank with the smallest held-out RMSE wins;
-    ties break toward the smaller rank. An unconverged refill is scored as
-    it stands, without a warning.
+    A seeded uniform sample of a tenth of the observed entries is masked out
+    (resampling up to 10 times if that breaks row/column coverage), the
+    hard-SVD refill runs at each grid rank from one column-mean start with
+    the step cap and tolerance :func:`impute_dense` fills with (the
+    :class:`CompletionConfig` defaults), and the rank with the smallest
+    held-out RMSE wins; ties break toward the smaller rank. An unconverged
+    refill is scored as it stands, without a warning.
     """
     grid = sorted(int(r) for r in rank_grid)
     if not grid:
         raise DataError("rank_grid must be nonempty")
     if grid[0] < 1:
         raise DataError(f"rank must be positive, got {grid[0]}")
-    check_integer("max_iters", max_iters, 1)
-    check_real("tol", tol)
-    if tol <= 0:
-        raise DataError("tol must be positive")
-    if not 0.0 < holdout_frac <= 0.5:
-        raise DataError("holdout_frac must lie in (0, 0.5]")
     _check_rank(grid[-1], matrix.shape)
     matrix.require_coverage()
 
     obs = np.argwhere(matrix.mask)
-    n_hold = max(1, int(round(holdout_frac * len(obs))))
+    n_hold = max(1, int(round(_RANK_HOLDOUT_FRAC * len(obs))))
     rng = np.random.default_rng(seed)
     picks = []  # the held-out cells in draw order, the order the RMSE sums them
 
@@ -420,9 +402,8 @@ def estimate_effective_rank(
     start = _mean_filled(matrix.values, train_mask)
     rmses = []
     for rank in grid:
-        filled, _, _ = _refill(
-            matrix.values, train_mask, start, rank, 0.0, max_iters, tol
-        )
+        cfg = CompletionConfig(CompletionMethod.HARD_SVD, rank=rank)
+        filled, _ = _solve(matrix.values, train_mask, start, cfg)
         rmses.append(float(np.sqrt(np.mean((filled[rows, cols] - truth) ** 2))))
     return grid[int(np.argmin(rmses))]
 

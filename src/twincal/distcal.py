@@ -31,7 +31,6 @@ __all__ = [
     "objective_and_gradient",
     "evaluate_on_questions",
     "cross_table",
-    "CROSS_TABLE_METRICS",
 ]
 
 
@@ -123,6 +122,8 @@ class EnsembleWeights:
 DECAY_POWER = 0.5
 # stop early after this many iterations without a relative ``tol`` improvement
 STALL_PATIENCE = 200
+# the default clamp on chi-square and KL denominators
+_EPSILON_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,7 @@ class MirrorDescentConfig:
     eta0: float = 1.0
     max_iters: int = 2000
     tol: float = 1e-8
-    epsilon_floor: float = 1e-9
+    epsilon_floor: float = _EPSILON_FLOOR
 
     def __post_init__(self) -> None:
         for name in ("eta0", "tol", "epsilon_floor"):
@@ -230,23 +231,16 @@ def _scores(kind: Discrepancy, p: np.ndarray, q: np.ndarray, eps: float) -> np.n
     return values if kind is Discrepancy.CHI_SQUARE else np.maximum(values, 0.0)
 
 
-def discrepancy(
-    spec: Discrepancy | str,
-    p: Categorical,
-    q: Categorical,
-    *,
-    epsilon_floor: float = 1e-9,
-) -> float:
+def discrepancy(spec: Discrepancy | str, p: Categorical, q: Categorical) -> float:
     """Evaluate one discrepancy measure between two categorical distributions.
 
-    The chi-square and KL denominators are clamped at ``epsilon_floor`` so
-    empty-support mixtures produce finite (if huge) values instead of
-    dividing by zero.
+    The chi-square and KL denominators are clamped at 1e-9 so empty-support
+    mixtures produce finite (if huge) values instead of dividing by zero.
     """
     kind = Discrepancy(spec)
     if p.n_categories != q.n_categories:
         raise DataError("distributions must share the category count")
-    return float(_scores(kind, p.probs[None, :], q.probs[None, :], epsilon_floor)[0])
+    return float(_scores(kind, p.probs[None, :], q.probs[None, :], _EPSILON_FLOOR)[0])
 
 
 def _onehot(twin_cols: np.ndarray, n_categories: int) -> np.ndarray:
@@ -361,19 +355,18 @@ def objective_and_gradient(
     p_train,
     twin_cols: np.ndarray,
     spec: Discrepancy | str,
-    *,
-    epsilon_floor: float = 1e-9,
 ):
     """Average discrepancy over training questions and its (sub)gradient.
 
-    The gradient is taken with respect to the raw (w, pi) coordinates of the
-    mixture map, i.e. exactly the quantity mirror descent exponentiates.
-    Exposed separately so the analytic gradients can be checked against
-    finite differences.
+    Denominators are clamped as in :func:`discrepancy`. The gradient is
+    taken with respect to the raw (w, pi) coordinates of the mixture map,
+    i.e. exactly the quantity mirror descent exponentiates. Exposed
+    separately so the analytic gradients can be checked against finite
+    differences.
     """
     kind = Discrepancy(spec)
     p, onehot = _prepare(p_train, twin_cols)
-    return _objective(w, pi, p, onehot, kind, epsilon_floor)
+    return _objective(w, pi, p, onehot, kind, _EPSILON_FLOOR)
 
 
 def _mirror_descent(runs, p: np.ndarray, onehot: np.ndarray, cfg: MirrorDescentConfig):
@@ -461,7 +454,7 @@ def _fit_variants(p, onehot, kinds, variants, cfg: MirrorDescentConfig) -> dict:
         raise DataError("fitting needs at least one twin")
     joint = EnsembleVariant.PERSONAS_AND_DUMMIES
     starts = [s for s in EnsembleVariant if joint in variants or s in variants]
-    runs = [(kind, start) for kind in dict.fromkeys(kinds) for start in starts]
+    runs = [(kind, start) for kind in kinds for start in starts]
     done = dict(zip(runs, _mirror_descent(runs, p, onehot, cfg)))
     fitted = {}
     for kind in kinds:
@@ -501,9 +494,6 @@ def fit_weights(
 # three ensemble variants per cell, plus the uniform baseline row).
 # ---------------------------------------------------------------------------
 
-CROSS_TABLE_METRICS = tuple(Discrepancy)
-
-
 def _mean_se(values: np.ndarray) -> dict:
     se = 0.0 if values.size <= 1 else float(values.std(ddof=1) / np.sqrt(values.size))
     return {"mean": float(values.mean()), "se": se}
@@ -515,13 +505,12 @@ def evaluate_on_questions(
     twin_cols: np.ndarray,
     n_categories: int,
     metric: Discrepancy,
-    *,
-    epsilon_floor: float = 1e-9,
 ) -> np.ndarray:
-    """Per-question discrepancy of the ensemble prediction against truth."""
+    """Per-question discrepancy of the ensemble prediction against truth,
+    with denominators clamped as in :func:`discrepancy`."""
     p, onehot = _prepare(p_list, twin_cols, n_categories)
     q = _predictions(onehot, weights)
-    return _scores(Discrepancy(metric), p, q, epsilon_floor)
+    return _scores(Discrepancy(metric), p, q, _EPSILON_FLOOR)
 
 
 def cross_table(
@@ -532,8 +521,6 @@ def cross_table(
     cfg: MirrorDescentConfig | None = None,
     test_frac: float = 0.2,
     seed: int = 0,
-    objectives=CROSS_TABLE_METRICS,
-    variants=tuple(EnsembleVariant),
 ) -> dict:
     """Fit every training objective/variant pair and score on every metric.
 
@@ -545,8 +532,6 @@ def cross_table(
     and, per cell, the start whose run won and that run's step count.
     """
     cfg = cfg or MirrorDescentConfig()
-    objectives = [Discrepancy(o) for o in objectives]
-    variants = [EnsembleVariant(v) for v in variants]
     p, onehot = _prepare(p_all, twin_cols, n_categories)
     train_idx, test_idx = split_questions(p.shape[0], test_frac, seed)
     train, test = onehot[train_idx], onehot[test_idx]
@@ -555,7 +540,7 @@ def cross_table(
         q = _predictions(test, weights)
         return {
             metric.value: _mean_se(_scores(metric, p[test_idx], q, cfg.epsilon_floor))
-            for metric in CROSS_TABLE_METRICS
+            for metric in Discrepancy
         }
 
     def cell(weights: EnsembleWeights, start: EnsembleVariant) -> dict:
@@ -574,10 +559,10 @@ def cross_table(
         "test_questions": [int(j) for j in test_idx],
         "rows": {},
     }
-    fitted = _fit_variants(p[train_idx], train, objectives, variants, cfg)
-    for objective in objectives:
+    fitted = _fit_variants(p[train_idx], train, Discrepancy, EnsembleVariant, cfg)
+    for objective in Discrepancy:
         table["rows"][objective.value] = {
-            variant.value: cell(*fitted[objective, variant]) for variant in variants
+            variant.value: cell(*fitted[objective, variant]) for variant in EnsembleVariant
         }
     table["baseline"] = test_metrics(uniform_baseline(onehot.shape[2], n_categories))
     return table

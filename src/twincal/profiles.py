@@ -9,14 +9,11 @@ from __future__ import annotations
 
 from dataclasses import fields
 
-from .completion import CompletionConfig
+from .completion import CompletionConfig, CompletionMethod
 from .matcore import DataError
-from .regress import FAMILIES as REGRESSION_METHODS, RegressConfig
+from .regress import FAMILIES, RegressConfig
 
-__all__ = ["PROFILES", "profile_names", "method_config", "REGRESSION_METHODS",
-           "COMPLETION_METHODS"]
-
-COMPLETION_METHODS = ("hsv", "ssv", "als", "sp")
+__all__ = ["PROFILES", "profile_names", "method_config"]
 
 PROFILES: dict[str, dict[str, dict]] = {
     "movielens.new_question": {
@@ -102,17 +99,18 @@ def method_config(
     if overrides:
         params.update(overrides)
 
-    if method in REGRESSION_METHODS:
+    completion_methods = tuple(m.value for m in CompletionMethod)
+    if method in FAMILIES:
         cls, selector = RegressConfig, "family"
         params.setdefault("seed", seed)
-    elif method in COMPLETION_METHODS:
+    elif method in completion_methods:
         cls, selector = CompletionConfig, "method"
         if "rank" not in params:
             raise DataError(f"method {method!r} needs a rank: set params.rank or a profile")
     else:
         raise DataError(
             f"unknown method {method!r}; expected one of "
-            f"{REGRESSION_METHODS + COMPLETION_METHODS}"
+            f"{FAMILIES + completion_methods}"
         )
     unknown = sorted(set(params) - ({f.name for f in fields(cls)} - {selector}))
     if unknown:

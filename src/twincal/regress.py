@@ -7,17 +7,18 @@ linear families except the simplex-constrained one fit on column-centered
 data and recover the intercept afterward; the simplex family keeps
 convex-combination semantics with a fixed zero intercept.
 
-Each family has one solver that fits every target at once: the linear ones
-(``*_coefficients``) work from a Gram matrix, and :func:`nn_parameters`
-trains one stacked network. Each also solves the leave-one-out design, where
-every column of a matrix is regressed on the others. The ``fit_*`` functions
-are the one-target case of :func:`fit_columns`.
+Behind it each family has one private solver that fits every target at
+once: the linear ones (``_*_coefficients``) work from a Gram matrix, and
+``_nn_parameters`` trains one stacked network. Each also solves the
+leave-one-out design, where every column of a matrix is regressed on the
+others. :func:`fit_ridge`, :func:`fit_elastic_net` and :func:`fit_simplex`
+are one-target cases of :func:`fit_columns`.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,18 +32,16 @@ __all__ = [
     "fit_ridge",
     "fit_elastic_net",
     "fit_simplex",
-    "ridge_coefficients",
-    "elastic_net_coefficients",
-    "simplex_coefficients",
-    "si_coefficients",
-    "nn_parameters",
-    "fit_si",
-    "fit_nn",
     "project_simplex",
     "nn_loss_and_grad",
 ]
 
 FAMILIES = ("ridge", "lasso", "en", "nn", "sc", "si")
+
+# step caps and stop tolerances (largest coefficient change in a step) of the
+# proximal-gradient families
+_ENET_MAX_ITERS, _ENET_TOL = 2000, 1e-7
+_SIMPLEX_MAX_ITERS, _SIMPLEX_TOL = 5000, 1e-12
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,7 @@ class LinearModel:
 @dataclass(frozen=True)
 class NnModel:
     """Fully-connected ReLU network with a scalar output head; stacked
-    parameters (see :func:`nn_parameters`) predict an n x t array."""
+    parameters (see ``_nn_parameters``) predict an n x t array."""
 
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
@@ -149,7 +148,7 @@ def fit_columns(
     n, m = x.shape
     if cfg.family == "nn":
         targets = x[:, exclude] if y is None else y.reshape(n, -1)
-        weights, biases = nn_parameters(x, targets, cfg, exclude)
+        weights, biases = _nn_parameters(x, targets, cfg, exclude)
         if y is not None and y.ndim == 1:
             return NnModel(tuple(w[0] for w in weights), tuple(b[0, 0] for b in biases))
         return NnModel(weights, biases)
@@ -165,16 +164,16 @@ def fit_columns(
         cross = xc.T @ (y - y_means) / n
     columns = cross.reshape(m, -1)
     if cfg.family == "ridge":
-        coef = ridge_coefficients(gram, columns, cfg.lam, exclude)
+        coef = _ridge_coefficients(gram, columns, cfg.lam, exclude)
     elif cfg.family == "sc":
-        coef = simplex_coefficients(gram, columns, cfg.lam, exclude)
+        coef = _simplex_coefficients(gram, columns, cfg.lam, exclude)
     elif cfg.family == "si":
         width = m if exclude is None else m - 1
         rank = min(n, width) if cfg.rank is None else min(cfg.rank, n, width)
-        coef = si_coefficients(gram, columns, rank, cfg.lam, exclude)
+        coef = _si_coefficients(gram, columns, rank, cfg.lam, exclude)
     else:
         l1_ratio = 1.0 if cfg.family == "lasso" else cfg.l1_ratio
-        coef = elastic_net_coefficients(gram, columns, cfg.alpha, l1_ratio, exclude)
+        coef = _elastic_net_coefficients(gram, columns, cfg.alpha, l1_ratio, exclude)
     coef = coef.reshape(cross.shape)
     return LinearModel(coef, y_means - means @ coef, cfg.family)
 
@@ -190,7 +189,7 @@ def _sub_grams(gram: np.ndarray, exclude: np.ndarray | None):
     return idx, gram[idx[:, :, None], idx[:, None, :]]
 
 
-def ridge_coefficients(
+def _ridge_coefficients(
     gram: np.ndarray, cross: np.ndarray, lam: float, exclude: np.ndarray | None = None
 ) -> np.ndarray:
     """l2-penalized least squares for every column of ``cross`` at once.
@@ -276,22 +275,19 @@ def _proximal_gradient(hessian, cross, step, beta, prox, bounds, *, accelerate,
     return out
 
 
-def elastic_net_coefficients(
+def _elastic_net_coefficients(
     gram: np.ndarray,
     cross: np.ndarray,
     alpha: float,
     l1_ratio: float,
     exclude: np.ndarray | None = None,
-    *,
-    max_iters: int = 2000,
-    tol: float = 1e-7,
 ) -> np.ndarray:
     """Accelerated proximal gradient (FISTA) for every column of ``cross`` at once.
 
     Each column c minimizes (1/2) b'Gb - b'cross[:, c] + penalty, the
     covariance form of (1/2n)||y - Xb||^2 + penalty; see
     :func:`fit_elastic_net` for the penalty. ``gram``, ``cross`` and
-    ``exclude`` are as in :func:`ridge_coefficients`; an excluded coordinate
+    ``exclude`` are as in ``_ridge_coefficients``; an excluded coordinate
     stays exactly 0, and so do constant (zero-variance) features. Each
     target starts at 0 and takes gradient steps 1/L on the smooth part, with
     L the top eigenvalue of its own Gram plus alpha * (1 - l1_ratio), then
@@ -311,8 +307,8 @@ def elastic_net_coefficients(
     return _proximal_gradient(
         gram + l2 * np.eye(p), cross, step, np.zeros((t, p)),
         lambda v, bound: v - np.minimum(np.maximum(v, -bound), bound), thresh,
-        accelerate=True, max_iters=max_iters, tol=tol,
-        message=f"elastic net did not converge within {max_iters} steps",
+        accelerate=True, max_iters=_ENET_MAX_ITERS, tol=_ENET_TOL,
+        message=f"elastic net did not converge within {_ENET_MAX_ITERS} steps",
     ).T
 
 
@@ -331,7 +327,7 @@ def fit_elastic_net(
     precomputed) and stop when the largest coefficient change in a step
     drops below 1e-7, after at most 2000 steps. Constant (zero-variance)
     columns keep coefficient 0. This is the one-target case of
-    :func:`elastic_net_coefficients`.
+    :func:`fit_columns`.
     """
     family = "lasso" if l1_ratio == 1.0 else "en"
     return fit_columns(x, RegressConfig(family, alpha=alpha, l1_ratio=l1_ratio), y)
@@ -359,20 +355,17 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return _project_rows(v[None, :])[0]
 
 
-def simplex_coefficients(
+def _simplex_coefficients(
     gram: np.ndarray,
     cross: np.ndarray,
     lam: float,
     exclude: np.ndarray | None = None,
-    *,
-    max_iters: int = 5000,
-    tol: float = 1e-12,
 ) -> np.ndarray:
     """Projected gradient over the simplex for every column of ``cross`` at once.
 
     Column c minimizes (1/2) b'Gb - b'cross[:, c] + (lam/2)||b||^2 over
     b >= 0, sum(b) = 1 (uncentered ``gram``; see :func:`fit_simplex`), with
-    ``exclude`` as in :func:`ridge_coefficients`: an excluded coordinate is
+    ``exclude`` as in ``_ridge_coefficients``: an excluded coordinate is
     outside the target's simplex. Each target starts uniform on its simplex
     and takes steps 1/L, with L the top eigenvalue of its own Gram (excluded
     row and column removed) plus lam, each followed by the projection and
@@ -391,8 +384,8 @@ def simplex_coefficients(
     out = _proximal_gradient(
         gram + lam * np.eye(p), cross, _step_sizes(gram, exclude, lam, t)[:, None], start,
         lambda v, mask: _project_rows(v + mask), held,
-        accelerate=False, max_iters=max_iters, tol=tol,
-        message=f"simplex fit did not converge within {max_iters} steps",
+        accelerate=False, max_iters=_SIMPLEX_MAX_ITERS, tol=_SIMPLEX_TOL,
+        message=f"simplex fit did not converge within {_SIMPLEX_MAX_ITERS} steps",
     )
     if np.any(out.min(axis=1) < -1e-12) or np.any(np.abs(out.sum(axis=1) - 1.0) > 1e-8):
         raise DataError("simplex projection produced an infeasible point")
@@ -406,12 +399,12 @@ def fit_simplex(x: np.ndarray, y: np.ndarray, lam: float = 0.0) -> LinearModel:
     sum(b) = 1 (intercept fixed at 0: the prediction stays a convex
     combination of the columns). Step size 1/L with L the top eigenvalue of
     X'X/n + lam; returns the last iterate, warning on non-convergence.
-    This is the one-target case of :func:`simplex_coefficients`.
+    This is the one-target case of :func:`fit_columns`.
     """
     return fit_columns(x, RegressConfig("sc", lam=lam), y)
 
 
-def si_coefficients(
+def _si_coefficients(
     gram: np.ndarray, cross: np.ndarray, rank: int, lam: float,
     exclude: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -420,7 +413,7 @@ def si_coefficients(
     Column c's coefficients are V_r diag(1/(e_r + lam)) V_r' cross[:, c],
     with (e_r, V_r) the top eigenpairs of the centered ``gram`` X'X/n (its
     right singular pairs), less row and column ``exclude[c]`` with
-    ``exclude`` (as in :func:`ridge_coefficients`). One batched ``eigh``
+    ``exclude`` (as in ``_ridge_coefficients``). One batched ``eigh``
     serves all targets; ``rank`` must lie in [1, coordinates per target].
     """
     idx, grams = _sub_grams(gram, exclude)
@@ -433,22 +426,6 @@ def si_coefficients(
     coef = np.zeros(cross.shape)
     coef[idx, cols] = (vecs @ (theta / (vals + lam))[:, :, None])[:, :, 0]
     return coef
-
-
-def fit_si(x: np.ndarray, y: np.ndarray, rank: int, lam: float = 0.0) -> LinearModel:
-    """Ridge regression in the top-``rank`` right-singular coordinates of X.
-
-    Equivalent to principal-component ridge: project the centered design
-    onto its leading right singular vectors, ridge-solve there, and map the
-    coefficients back. With rank = n_features this reproduces
-    :func:`fit_ridge` exactly, and the returned coefficients always lie in
-    the span of the top singular directions. This is the one-target case of
-    :func:`si_coefficients`.
-    """
-    cfg = RegressConfig("si", lam=lam, rank=rank)
-    if not 1 <= rank <= min(np.shape(x)):
-        raise DataError(f"rank {rank} out of range for a design of shape {np.shape(x)}")
-    return fit_columns(x, cfg, y)
 
 
 # ---------------------------------------------------------------------------
@@ -498,22 +475,26 @@ def nn_loss_and_grad(weights, biases, x, y, weight_decay: float = 0.0):
     return loss, grad_w, grad_b
 
 
-def nn_parameters(
+def _nn_parameters(
     x: np.ndarray, y: np.ndarray, cfg: RegressConfig, exclude: np.ndarray | None = None
 ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """Train one ReLU network per column of ``y`` on the rows of ``x``, at once.
 
-    Returns weights and biases stacked on a leading axis of t networks (t x
-    fan_in x fan_out, t x 1 x fan_out). ``exclude`` is as in
-    :func:`ridge_coefficients`; network c's first-layer row ``exclude[c]``
-    is held at 0. Each network gets the initial draws and minibatches of its
-    one-target :func:`fit_nn`, its own Adam state and its own early stop,
-    after which it leaves the stacks: it is neither computed nor updated.
+    Adam on minibatches; the last 10% of rows form a fixed validation split,
+    and a network stops when its validation MSE fails to improve for
+    ``cfg.patience`` epochs, keeping its best parameters. Fully
+    deterministic given ``cfg.seed``. Returns weights and biases stacked on
+    a leading axis of t networks (t x fan_in x fan_out, t x 1 x fan_out).
+    ``exclude`` is as in ``_ridge_coefficients``; network c's first-layer
+    row ``exclude[c]`` is held at 0. Each network gets the initial draws and
+    minibatches of its one-target fit, its own Adam state and its own early
+    stop, after which it leaves the stacks: it is neither computed nor
+    updated.
     """
     x = np.asarray(x, dtype=np.float64)
     n, m = x.shape
     if n < 2:
-        raise DataError("fit_nn requires at least 2 rows")
+        raise DataError("the network family requires at least 2 rows")
 
     t = y.shape[1]
     live = np.ones((t, m, 1))               # 0 on a held-out input's first-layer row
@@ -591,13 +572,3 @@ def nn_parameters(
             )
     return tuple(best[:layers]), tuple(best[layers:])
 
-
-def fit_nn(x: np.ndarray, y: np.ndarray, cfg: RegressConfig) -> NnModel:
-    """Train the ReLU network with Adam, minibatches, and early stopping.
-
-    The last 10% of rows form a fixed validation split; training stops when
-    validation MSE fails to improve for ``cfg.patience`` epochs and the best
-    parameters are restored. Fully deterministic given ``cfg.seed``. This is
-    the one-target case of :func:`nn_parameters`.
-    """
-    return fit_columns(x, replace(cfg, family="nn"), y)

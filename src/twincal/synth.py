@@ -79,11 +79,6 @@ class LatentWorld:
         coef, *_ = np.linalg.lstsq(twin.T, human.T, rcond=None)
         return float(np.linalg.norm(human - coef.T @ twin))
 
-    def column_space_residual(self) -> float:
-        """Same inclusion residual for the user geometry (new-user setting)."""
-        coef, *_ = np.linalg.lstsq(self.twin_user_factors, self.user_factors, rcond=None)
-        return float(np.linalg.norm(self.user_factors - self.twin_user_factors @ coef))
-
 
 def _coverage_mask(
     rng: np.random.Generator, shape: tuple[int, int], missing_frac: float

@@ -6,9 +6,10 @@ projected gradient with a one-vector simplex projection, SVD-space ridge and
 a one-network Adam trainer. The linear ones return the coefficients, the
 intercept and whether the loop converged, so tests can compare coefficients,
 fits and convergence counts target by target; the network trainer returns
-its weights and biases. Then comes the thin-SVD refill loop that
-``twincal.completion._refill`` replaced with a Gram eigendecomposition, and
-the per-target completion leave-one-out loop that
+its weights and biases. Then come the regularized ALS objective, which no
+ALS half-step in ``twincal.completion`` may raise, the thin-SVD refill loop
+that ``twincal.completion._refill`` replaced with a Gram eigendecomposition,
+and the per-target completion leave-one-out loop that
 ``twincal.completion.held_out_columns`` replaced by holding each target
 column out in place. Last come the cell-at-a-time CSV reader and writer that
 ``twincal.matcore.read_matrix_csv`` and ``write_matrix_csv`` replaced with a
@@ -219,6 +220,12 @@ def nn(x, y, cfg):
     if best_params is not None:
         weights, biases = best_params
     return weights, biases, epochs
+
+
+def als_objective(values, mask, a, b, lam):
+    """Squared error of A B' on the observed cells plus lam (||A||^2 + ||B||^2)."""
+    resid = np.where(mask, values - a @ b.T, 0.0)
+    return float((resid**2).sum() + lam * ((a**2).sum() + (b**2).sum()))
 
 
 def svd_refill(values, mask, start, rank, lam, max_iters, tol):

@@ -426,7 +426,7 @@ class TestFailureModes:
         def failing_fit(x, y, cfg, exclude=None):
             raise error("diverged")
 
-        monkeypatch.setattr(twincal.regress, "nn_parameters", failing_fit)
+        monkeypatch.setattr(twincal.regress, "_nn_parameters", failing_fit)
         hp, tp = write_pair(tmp_path, alignment="identical")
         rc = main(["calibrate", "--human", str(hp), "--twin", str(tp),
                    "--method", "nn", "--out", str(tmp_path / "o")])
@@ -868,6 +868,16 @@ class TestSettingRules:
             assert rc == 0
             outs[name] = read_bytes_tree(tmp_path / name / "o")
         assert outs["null"] == outs["unset"] != outs["off"]
+
+    def test_null_param_takes_the_profile_value(self, tmp_path, monkeypatch):
+        outs = {}
+        for name, lam in [("null", None), ("profile", 1000.0), ("default", 1.0)]:
+            rc, _ = self.run(tmp_path / name, monkeypatch, "calibrate",
+                             {"params": {"lam": lam}},
+                             ["--method", "ridge", "--profile", "movielens.new_question"])
+            assert rc == 0
+            outs[name] = read_bytes_tree(tmp_path / name / "o")
+        assert outs["null"] == outs["profile"] != outs["default"]
 
     @pytest.mark.parametrize("eta0", [float("nan"), "nan"])
     def test_nan_eta0_exit_2(self, tmp_path, capsys, monkeypatch, eta0):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 import scalar_oracles as oracle
 
+import twincal.completion as completion
 from twincal.completion import (
     CompletionConfig,
     CompletionMethod,
     StackedTask,
     _als_half_step,
-    _als_objective,
     _als_sweeps,
     _mean_filled,
     _refill,
@@ -166,8 +166,6 @@ class TestRefillOracle:
     ])
     def test_public_solvers_match_and_warn_alike(self, monkeypatch, n, m, method,
                                                  rank, lam, max_iters):
-        import twincal.completion as completion
-
         matrix = low_rank_masked(n, m, 3, 0.3, seed=43)
         config = cfg(method, rank, lam=lam, max_iters=max_iters, tol=1e-9)
         solver = hard_impute if method == "hsv" else soft_impute
@@ -186,8 +184,6 @@ class TestRefillOracle:
 
     @pytest.mark.parametrize("n,m", [(40, 15), (12, 30)])
     def test_synthetic_prior_matches(self, monkeypatch, n, m):
-        import twincal.completion as completion
-
         rng = np.random.default_rng(44)
         human = low_rank_masked(n, m, 2, 0.25, seed=45)
         observed = np.where(human.mask, human.values, 0.0)
@@ -201,8 +197,6 @@ class TestRefillOracle:
 
     @pytest.mark.parametrize("n,m", [(48, 16), (16, 48)])
     def test_rank_search_and_dense_impute_match(self, monkeypatch, n, m):
-        import twincal.completion as completion
-
         rng = np.random.default_rng(46)
         tables = []
         for seed in range(3):
@@ -323,7 +317,7 @@ class TestAls:
         start = _mean_filled(m.values, m.mask)
         sweeps = _als_sweeps(m.values, m.mask, start, cfg("als", 3, lam=0.1))
         for count, (a, b) in enumerate(sweeps):
-            objectives.append(_als_objective(values, m.mask, a, b, 0.1))
+            objectives.append(oracle.als_objective(values, m.mask, a, b, 0.1))
             if count >= 40:
                 break
         assert np.all(np.diff(objectives) <= 1e-9)
@@ -391,8 +385,6 @@ class TestBatchedAlsHalfStep:
     ])
     def test_als_impute_matches_loop_and_warns_alike(self, monkeypatch, rank, lam,
                                                      max_iters, tol):
-        import twincal.completion as completion
-
         m = low_rank_masked(20, 14, 3, 0.3, seed=30 + rank)
         config = cfg("als", rank, lam=lam, max_iters=max_iters, tol=tol)
 
@@ -551,12 +543,23 @@ class TestEffectiveRank:
         with pytest.raises(DataError):
             estimate_effective_rank(m, [], seed=0)
 
-    def test_no_warning_when_refill_stops_at_its_cap(self):
+    def test_no_warning_when_refill_stops_at_its_cap(self, monkeypatch):
         m = low_rank_masked(30, 20, 3, 0.2, seed=29)
+        converged = []
+        solve = completion._solve
+
+        def spy(*args):
+            out = solve(*args)
+            converged.append(out[1])
+            return out
+
+        monkeypatch.setattr(completion, "_solve", spy)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rank = estimate_effective_rank(m, range(1, 6), seed=0, max_iters=2, tol=1e-16)
+            rank = estimate_effective_rank(m, range(1, 6), seed=0)
         assert rank in range(1, 6)
+        # the refill at rank 4, one above the matrix's, runs to its cap
+        assert converged == [True, True, True, False, True]
 
     def test_diagonal_only_matrix_has_no_covered_holdout(self):
         # every observed cell is the only one in its row: no holdout keeps coverage
@@ -564,20 +567,16 @@ class TestEffectiveRank:
         with pytest.raises(DataError, match="holdout preserving row/column coverage"):
             estimate_effective_rank(m, [1, 2], seed=0)
 
-    def test_bad_holdout_frac(self):
-        m = low_rank_masked(10, 8, 2, 0.1, seed=27)
-        with pytest.raises(DataError):
-            estimate_effective_rank(m, [1, 2], holdout_frac=0.9, seed=0)
-
     @pytest.mark.parametrize("kwargs,name", [
         ({"max_iters": True}, "max_iters"), ({"max_iters": 2.5}, "max_iters"),
         ({"max_iters": 0}, "max_iters"), ({"tol": float("nan")}, "tol"),
         ({"tol": True}, "tol"), ({"tol": 0.0}, "tol"),
     ])
     def test_bad_refill_settings_rejected(self, kwargs, name):
-        m = low_rank_masked(30, 8, 2, 0.1, seed=28)
+        # the rank search refills with a CompletionConfig's settings, which
+        # reject these
         with pytest.raises(DataError, match=name):
-            estimate_effective_rank(m, [1, 2], seed=0, **kwargs)
+            CompletionConfig(CompletionMethod.HARD_SVD, rank=2, **kwargs)
 
 
 class TestConfigValidation:

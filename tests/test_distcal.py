@@ -345,9 +345,10 @@ class TestSplitAndCrossTable:
     def test_cross_table_schema(self):
         world, p_all, samples, _ = generate_discrete_world(60, 10, 4, seed=11)
         cfg = MirrorDescentConfig(max_iters=150)
-        table = cross_table(p_all, samples[:, :10], 4, cfg=cfg, seed=0,
-                            objectives=[Discrepancy.TV],
-                            variants=[EnsembleVariant.PERSONAS_AND_DUMMIES])
+        table = cross_table(p_all, samples[:, :10], 4, cfg=cfg, seed=0)
+        # every training objective with every variant
+        assert {objective: set(cells) for objective, cells in table["rows"].items()} == {
+            d.value: {v.value for v in EnsembleVariant} for d in Discrepancy}
         row = table["rows"]["tv"]["personas_and_dummies"]
         assert set(row["test_metrics"]) == {d.value for d in Discrepancy}
         assert len(row["weights"]["w"]) == 60
@@ -463,8 +464,7 @@ class TestMixtureMap:
         assert len(calls) == 1 and len(calls[0]) == 3 * len(ALL)
         assert set(calls[0]) == {(kind, start) for kind in ALL for start in EnsembleVariant}
         calls.clear()
-        cross_table(p_all, samples[:, :8], 3, cfg=cfg, objectives=["tv"],
-                    variants=[EnsembleVariant.PERSONAS_ONLY])
+        fit_weights(p_all, samples[:, :8], "tv", EnsembleVariant.PERSONAS_ONLY, cfg)
         # the one run from the personas face (use_w, not use_pi)
         assert calls == [[(Discrepancy.TV, EnsembleVariant.PERSONAS_ONLY)]]
 

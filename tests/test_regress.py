@@ -4,25 +4,24 @@ import numpy as np
 import pytest
 import scalar_oracles as oracle
 
+import twincal.regress as regress
 from twincal.matcore import ConvergenceWarning, DataError
 from twincal.regress import (
     FAMILIES,
     LinearModel,
     NnModel,
     RegressConfig,
-    elastic_net_coefficients,
+    _elastic_net_coefficients,
+    _nn_parameters,
+    _ridge_coefficients,
+    _si_coefficients,
+    _simplex_coefficients,
     fit_columns,
     fit_elastic_net,
-    fit_nn,
     fit_ridge,
-    fit_si,
     fit_simplex,
     nn_loss_and_grad,
-    nn_parameters,
     project_simplex,
-    ridge_coefficients,
-    si_coefficients,
-    simplex_coefficients,
 )
 
 
@@ -44,7 +43,7 @@ def gram_cross(x, y, centered=True):
 class TestRidge:
     def test_identity_design_no_centering(self):
         y = np.array([2.0, -1.0, 0.5])
-        coef = ridge_coefficients(*gram_cross(np.eye(3), y, centered=False), 0.0)[:, 0]
+        coef = _ridge_coefficients(*gram_cross(np.eye(3), y, centered=False), 0.0)[:, 0]
         assert np.allclose(coef, y, atol=1e-12)
 
     def test_huge_lambda_predicts_mean(self):
@@ -66,7 +65,7 @@ class TestRidge:
     def test_singular_at_zero_lambda(self):
         x = np.ones((4, 2))  # rank deficient
         with pytest.raises(DataError):
-            ridge_coefficients(*gram_cross(x, np.arange(4.0), centered=False), 0.0)
+            _ridge_coefficients(*gram_cross(x, np.arange(4.0), centered=False), 0.0)
 
     def test_coefficient_norm_shrinks_with_lambda(self):
         x, y, _ = random_xy(40, 8, seed=2, noise=0.5)
@@ -78,9 +77,10 @@ class TestRidge:
 
 
 class TestElasticNet:
-    def test_alpha_zero_matches_least_squares(self):
+    def test_alpha_zero_matches_least_squares(self, monkeypatch):
+        monkeypatch.setattr(regress, "_ENET_MAX_ITERS", 20000)
         x, y, beta = random_xy(50, 6, seed=3)
-        coef = elastic_net_coefficients(*gram_cross(x, y), 0.0, 0.5, max_iters=20000)[:, 0]
+        coef = _elastic_net_coefficients(*gram_cross(x, y), 0.0, 0.5)[:, 0]
         assert np.max(np.abs(coef - beta)) < 1e-6
 
     def test_orthonormal_design_closed_form(self):
@@ -90,7 +90,7 @@ class TestElasticNet:
         x = q * np.sqrt(24)
         y = rng.normal(size=24)
         alpha = 0.15
-        coef = elastic_net_coefficients(*gram_cross(x, y, centered=False), alpha, 1.0)[:, 0]
+        coef = _elastic_net_coefficients(*gram_cross(x, y, centered=False), alpha, 1.0)[:, 0]
         rho = x.T @ y / 24
         expected = np.sign(rho) * np.maximum(np.abs(rho) - alpha, 0.0)
         assert np.max(np.abs(coef - expected)) < 1e-10
@@ -188,7 +188,7 @@ class TestSimplex:
 class TestSi:
     def test_full_rank_equals_ridge(self):
         x, y, _ = random_xy(30, 6, seed=11, noise=0.3)
-        si = fit_si(x, y, 6, 0.2)
+        si = fit_columns(x, RegressConfig("si", rank=6, lam=0.2), y)
         ridge = fit_ridge(x, y, 0.2)
         assert np.max(np.abs(si.coefficients - ridge.coefficients)) < 1e-8
         assert abs(si.intercept - ridge.intercept) < 1e-8
@@ -199,13 +199,13 @@ class TestSi:
         v = rng.normal(size=5)
         x = np.outer(u, v)
         y = 2.0 * u
-        coef = si_coefficients(*gram_cross(x, y, centered=False), 1, 0.0)[:, 0]
+        coef = _si_coefficients(*gram_cross(x, y, centered=False), 1, 0.0)[:, 0]
         assert np.max(np.abs(x @ coef - y)) < 1e-8
 
     def test_coefficients_in_top_subspace(self):
         x, y, _ = random_xy(30, 10, seed=13, noise=0.2)
         rank = 4
-        model = fit_si(x, y, rank, 0.01)
+        model = fit_columns(x, RegressConfig("si", rank=rank, lam=0.01), y)
         xc = x - x.mean(0)
         _, _, vt = np.linalg.svd(xc, full_matrices=False)
         basis = vt[:rank].T
@@ -214,8 +214,13 @@ class TestSi:
 
     def test_rank_out_of_range(self):
         x, y, _ = random_xy(10, 4, seed=14)
-        with pytest.raises(DataError):
-            fit_si(x, y, 5, 0.1)
+        for rank in (0, -1):
+            with pytest.raises(DataError, match="rank"):
+                fit_columns(x, RegressConfig("si", rank=rank, lam=0.1), y)
+        # a rank above the design's is clamped to it
+        clamped = fit_columns(x, RegressConfig("si", rank=5, lam=0.1), y)
+        full = fit_columns(x, RegressConfig("si", rank=4, lam=0.1), y)
+        assert np.array_equal(clamped.coefficients, full.coefficients)
 
 
 class TestNn:
@@ -225,7 +230,7 @@ class TestNn:
         y = x @ np.array([1.0, -2.0, 0.5])
         cfg = RegressConfig(family="nn", hidden_sizes=(16,), epochs=800,
                             learning_rate=1e-2, patience=100, batch_size=64, seed=0)
-        model = fit_nn(x, y, cfg)
+        model = fit_columns(x, cfg, y)
         mse = float(np.mean((model.predict(x) - y) ** 2))
         assert mse < 1e-3
 
@@ -266,8 +271,8 @@ class TestNn:
         x = rng.normal(size=(60, 4))
         y = rng.normal(size=60)
         cfg = RegressConfig(family="nn", hidden_sizes=(5,), epochs=20, seed=3)
-        a = fit_nn(x, y, cfg)
-        b = fit_nn(x, y, cfg)
+        a = fit_columns(x, cfg, y)
+        b = fit_columns(x, cfg, y)
         for wa, wb in zip(a.weights, b.weights):
             assert np.array_equal(wa, wb)
         for ba, bb in zip(a.biases, b.biases):
@@ -277,8 +282,8 @@ class TestNn:
         rng = np.random.default_rng(18)
         x = rng.normal(size=(40, 3))
         y = rng.normal(size=40)
-        model = fit_nn(x, y, RegressConfig(family="nn", hidden_sizes=(4,),
-                                           epochs=5, seed=0))
+        model = fit_columns(x, RegressConfig(family="nn", hidden_sizes=(4,),
+                                             epochs=5, seed=0), y)
         out = model.predict(np.zeros((1, 3)))
         h = np.maximum(model.biases[0], 0.0)
         expected = h @ model.weights[1][:, 0] + model.biases[1][0]
@@ -288,8 +293,8 @@ class TestNn:
         rng = np.random.default_rng(19)
         x = rng.normal(size=(50, 3))
         y = rng.normal(size=50)
-        model = fit_nn(x, y, RegressConfig(family="nn", hidden_sizes=(6, 4),
-                                           epochs=5, seed=1))
+        model = fit_columns(x, RegressConfig(family="nn", hidden_sizes=(6, 4),
+                                             epochs=5, seed=1), y)
         assert len(model.weights) == 3
         assert np.all(np.isfinite(model.predict(x)))
 
@@ -367,13 +372,13 @@ class TestConfig:
                 lambda: fit_elastic_net(x, y, bad, 0.5),
                 lambda: fit_elastic_net(x, y, 0.1, bad),
                 lambda: fit_simplex(x, y, bad),
-                lambda: fit_si(x, y, 2, bad),
+                lambda: fit_columns(x, RegressConfig("si", rank=2, lam=bad), y),
             ):
                 with pytest.raises(DataError):
                     fit()
         for rank in (True, 2.0, "2"):
             with pytest.raises(DataError, match="rank"):
-                fit_si(x, y, rank)
+                fit_columns(x, RegressConfig("si", rank=rank), y)
 
 
 # ---------------------------------------------------------------------------
@@ -469,32 +474,32 @@ def loo_batched(t, kernel, centered=True):
 FAMILIES_VS_ORACLE = {
     "ridge": (
         lambda x, y: oracle.ridge(x, y, 0.5),
-        lambda g, c, e: ridge_coefficients(g, c, 0.5, e),
+        lambda g, c, e: _ridge_coefficients(g, c, 0.5, e),
         True, EXACTISH_TOL,
     ),
     "lasso": (
         lambda x, y: converged_enet(x, y, 0.05, 1.0),
-        lambda g, c, e: elastic_net_coefficients(g, c, 0.05, 1.0, e),
+        lambda g, c, e: _elastic_net_coefficients(g, c, 0.05, 1.0, e),
         True, ENET_TOL,
     ),
     "en": (
         lambda x, y: converged_enet(x, y, 0.1, 0.3),
-        lambda g, c, e: elastic_net_coefficients(g, c, 0.1, 0.3, e),
+        lambda g, c, e: _elastic_net_coefficients(g, c, 0.1, 0.3, e),
         True, ENET_TOL,
     ),
     "sc": (
         lambda x, y: oracle.simplex(x, y, 0.01, max_iters=300),
-        lambda g, c, e: simplex_coefficients(g, c, 0.01, e, max_iters=300),
+        lambda g, c, e: _simplex_coefficients(g, c, 0.01, e),
         False, SIMPLEX_TOL,
     ),
     "si": (
         lambda x, y: oracle.si(x, y, 4, 0.1),
-        lambda g, c, e: si_coefficients(g, c, 4, 0.1, e),
+        lambda g, c, e: _si_coefficients(g, c, 4, 0.1, e),
         True, EXACTISH_TOL,
     ),
     "si-full": (
         lambda x, y: oracle.si(x, y, 8, 0.1),
-        lambda g, c, e: si_coefficients(g, c, 8, 0.1, e),
+        lambda g, c, e: _si_coefficients(g, c, 8, 0.1, e),
         True, EXACTISH_TOL,
     ),
 }
@@ -502,7 +507,9 @@ FAMILIES_VS_ORACLE = {
 
 class TestBatchedLooKernels:
     @pytest.mark.parametrize("family", sorted(FAMILIES_VS_ORACLE))
-    def test_matches_scalar_oracle(self, family):
+    def test_matches_scalar_oracle(self, family, monkeypatch):
+        # the sc kernel stops at the oracle's 300-step cap
+        monkeypatch.setattr(regress, "_SIMPLEX_MAX_ITERS", 300)
         one_fit, kernel, centered, tol = FAMILIES_VS_ORACLE[family]
         t = loo_world()
         human = t + np.random.default_rng(31).normal(scale=0.2, size=t.shape)
@@ -530,10 +537,11 @@ class TestBatchedLooKernels:
     @pytest.mark.filterwarnings("ignore::twincal.matcore.ConvergenceWarning")
     @pytest.mark.parametrize("cap", [300, 5000])
     @pytest.mark.parametrize("n,m", [(60, 9), (96, 48)])
-    def test_simplex_last_iterate_is_best(self, n, m, cap):
+    def test_simplex_last_iterate_is_best(self, n, m, cap, monkeypatch):
+        monkeypatch.setattr(regress, "_SIMPLEX_MAX_ITERS", cap)
         t = loo_world(n=n, m=m)
         gram = t.T @ t / n
-        coef = simplex_coefficients(gram, gram.copy(), 0.01, np.arange(m), max_iters=cap)
+        coef = _simplex_coefficients(gram, gram.copy(), 0.01, np.arange(m))
         for j in range(m):
             feats = np.arange(m) != j
             sub, cross = gram[np.ix_(feats, feats)], gram[feats, j]
@@ -548,7 +556,7 @@ class TestBatchedLooKernels:
         t = loo_world()
         m = t.shape[1]
         gram = centered_gram(t)
-        coef = elastic_net_coefficients(gram, gram.copy(), alpha, l1, np.arange(m))
+        coef = _elastic_net_coefficients(gram, gram.copy(), alpha, l1, np.arange(m))
         for j in range(m):
             feats = np.arange(m) != j
             sub, cross, b = gram[np.ix_(feats, feats)], gram[feats, j], coef[feats, j]
@@ -563,12 +571,13 @@ class TestBatchedLooKernels:
             assert np.all(np.abs(grad[~on]) <= alpha * l1 + ENET_KKT_TOL)
 
     @pytest.mark.parametrize("family", sorted(ENET_PENALTIES))
-    def test_elastic_net_caps_split_converged_and_unconverged(self, family):
+    def test_elastic_net_caps_split_converged_and_unconverged(self, family, monkeypatch):
+        monkeypatch.setattr(regress, "_ENET_MAX_ITERS", ENET_CAP)
         alpha, l1 = ENET_PENALTIES[family]
         t = loo_world()
         m = t.shape[1]
         coef, _, n_warn = loo_batched(
-            t, lambda g, c, e: elastic_net_coefficients(g, c, alpha, l1, e, max_iters=ENET_CAP)
+            t, lambda g, c, e: _elastic_net_coefficients(g, c, alpha, l1, e)
         )
         # each target of the batch takes the steps of its own one-target run
         gram = centered_gram(t)
@@ -576,8 +585,7 @@ class TestBatchedLooKernels:
         for j in range(m):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", ConvergenceWarning)
-                single = elastic_net_coefficients(gram, gram[:, [j]], alpha, l1, [j],
-                                                  max_iters=ENET_CAP)
+                single = _elastic_net_coefficients(gram, gram[:, [j]], alpha, l1, [j])
             single_warn += len(caught)
             assert np.max(np.abs(coef[:, j] - single[:, 0])) <= EXACTISH_TOL
         assert n_warn == single_warn
@@ -590,7 +598,7 @@ class TestBatchedLooKernels:
         for fit, ref in [
             (fit_ridge(x, y, 0.5), oracle.ridge(x, y, 0.5)),
             (fit_simplex(x, y, 0.01), oracle.simplex(x, y, 0.01)),
-            (fit_si(x, y, 3, 0.1), oracle.si(x, y, 3, 0.1)),
+            (fit_columns(x, RegressConfig("si", rank=3, lam=0.1), y), oracle.si(x, y, 3, 0.1)),
         ]:
             assert np.max(np.abs(fit.coefficients - ref[0])) <= SIMPLEX_TOL
             assert abs(fit.intercept - ref[1]) <= SIMPLEX_TOL
@@ -599,7 +607,7 @@ class TestBatchedLooKernels:
         xc, yc = x - x.mean(axis=0), y - y.mean()
         gram, cross = xc.T @ xc / len(y), xc.T @ yc / len(y)
         en = fit_elastic_net(x, y, 0.1, 0.3)
-        column = elastic_net_coefficients(gram, cross[:, None], 0.1, 0.3)[:, 0]
+        column = _elastic_net_coefficients(gram, cross[:, None], 0.1, 0.3)[:, 0]
         assert np.array_equal(en.coefficients, column)
         ref = converged_enet(x, y, 0.1, 0.3)
         assert (enet_objective(gram, cross, en.coefficients, 0.1, 0.3)
@@ -613,15 +621,13 @@ class TestBatchedLooKernels:
             assert np.array_equal(project_simplex(v), oracle.project_simplex(v))
 
     def test_simplex_feasibility_error(self, monkeypatch):
-        import twincal.regress as regress
-
         # a broken projection that returns the all-ones vector, the exact
         # (off-simplex) fit of y = x @ 1, must not come back as a model
         monkeypatch.setattr(regress, "_project_rows", lambda v: np.ones(v.shape))
+        monkeypatch.setattr(regress, "_SIMPLEX_MAX_ITERS", 3)
         x = random_xy(20, 4, seed=33)[0]
         with pytest.raises(DataError, match="infeasible"):
-            simplex_coefficients(*gram_cross(x, x.sum(axis=1), centered=False), 0.0,
-                                 max_iters=3)
+            _simplex_coefficients(*gram_cross(x, x.sum(axis=1), centered=False), 0.0)
 
     def test_si_rank_must_be_positive_and_fit_the_design(self):
         t = loo_world()
@@ -629,15 +635,13 @@ class TestBatchedLooKernels:
         cols = np.arange(t.shape[1])
         for rank in (0, -1, t.shape[1]):
             with pytest.raises(DataError, match="rank"):
-                si_coefficients(gram, gram.copy(), rank, 0.1, cols)
+                _si_coefficients(gram, gram.copy(), rank, 0.1, cols)
         with pytest.raises(DataError, match="rank"):
-            si_coefficients(gram, gram[:, :2], t.shape[1] + 1, 0.1)
+            _si_coefficients(gram, gram[:, :2], t.shape[1] + 1, 0.1)
 
     @pytest.mark.filterwarnings("ignore::twincal.matcore.ConvergenceWarning")
     @pytest.mark.parametrize("m", [9, 48, 60])
     def test_simplex_step_sizes_match_the_loop_bitwise(self, m, monkeypatch):
-        import twincal.regress as regress
-
         t = loo_world(n=2 * m, m=m)
         gram = t.T @ t / t.shape[0]
         cols = np.arange(m)
@@ -651,7 +655,8 @@ class TestBatchedLooKernels:
             return seen[-1]
 
         monkeypatch.setattr(regress.np.linalg, "eigvalsh", spy)
-        simplex_coefficients(gram, gram.copy(), 0.0, cols, max_iters=1)
+        monkeypatch.setattr(regress, "_SIMPLEX_MAX_ITERS", 1)
+        _simplex_coefficients(gram, gram.copy(), 0.0, cols)
         assert len(seen) == 1 and seen[0].shape == (m, m - 1)
         assert np.array_equal(seen[0][:, -1], np.array(loop))
 
@@ -689,7 +694,7 @@ class TestStackedNetwork:
         early = [e for e in epochs if e < NN_CFG.epochs]
         assert len(set(early)) >= 5, "targets should stop at different epochs"
 
-        weights, biases = nn_parameters(t, t, NN_CFG, np.arange(10))
+        weights, biases = _nn_parameters(t, t, NN_CFG, np.arange(10))
         assert weights[0].shape == (10, 10, 6) and biases[0].shape == (10, 1, 6)
         # each network's own input row stays exactly 0
         assert np.all(weights[0][np.arange(10), np.arange(10)] == 0.0)
@@ -701,22 +706,20 @@ class TestStackedNetwork:
     def test_one_target_fit_is_the_kernel(self):
         t = loo_world(n=80, m=10)
         x, y = np.delete(t, 0, axis=1), t[:, 0]
-        model = fit_nn(x, y, NN_CFG)
+        model = fit_columns(x, NN_CFG, y)
         weights, biases, _ = oracle.nn(x, y, NN_CFG)
         for got, want in zip(model.weights + model.biases, weights + biases):
             assert got.shape == want.shape
             assert_close(got, want, NN_RTOL)
 
     def test_stopped_network_neither_raises_nor_updates(self, monkeypatch):
-        import twincal.regress as regress
-
         t = loo_world(n=80, m=10)
         _, epochs = nn_loo_oracle(t, NN_CFG)
         first = int(np.argmin(epochs))
         later = max(range(10), key=lambda j: epochs[j])
         assert epochs[first] < epochs[later]
         batches = -(-(80 - 8) // NN_CFG.batch_size)   # per epoch, 72 training rows
-        expected = nn_parameters(t, t, NN_CFG, np.arange(10))
+        expected = _nn_parameters(t, t, NN_CFG, np.arange(10))
         clean = regress.nn_loss_and_grad
 
         stacked = []   # networks in the stacks, per call
@@ -737,7 +740,7 @@ class TestStackedNetwork:
 
         # the first network to stop leaves the stacks: NaN after its stop changes nothing
         monkeypatch.setattr(regress, "nn_loss_and_grad", poisoned(first))
-        got = nn_parameters(t, t, NN_CFG, np.arange(10))
+        got = _nn_parameters(t, t, NN_CFG, np.arange(10))
         for a, b in zip(got[0] + got[1], expected[0] + expected[1]):
             assert np.array_equal(a, b)
         stops = np.bincount(epochs, minlength=NN_CFG.epochs + 1)
@@ -747,4 +750,4 @@ class TestStackedNetwork:
         # a network still training raises at the same point
         monkeypatch.setattr(regress, "nn_loss_and_grad", poisoned(later))
         with pytest.raises(FloatingPointError, match=f"epoch {epochs[first]};"):
-            nn_parameters(t, t, NN_CFG, np.arange(10))
+            _nn_parameters(t, t, NN_CFG, np.arange(10))
