@@ -25,7 +25,7 @@ from .matcore import (
     UndefinedCorrelationError,
     mean_correlation,
     pearson,
-    standardize_columns,
+    standardize_dense,
 )
 from .regress import RegressConfig, fit_columns
 
@@ -103,13 +103,16 @@ def _prepared(
     With ``standardize`` off the stats are the identity, so de-standardization
     is a no-op and the fits run on the raw scale.
     """
-    human_dense, _ = impute_dense(human, rank, seed)
+    # impute_dense returns a new array, so the human standardizes in place
+    # before the twin is imputed; the imputed twin is kept as the baseline
+    human_fit, _ = impute_dense(human, rank, seed)
+    if standardize:
+        standardize_dense(human_fit, out=human_fit)
     twin_imputed, _ = impute_dense(twin, rank, seed)
     if not standardize:
-        return human_dense, twin_imputed, ColumnStats.identity(twin.n_cols), twin_imputed
-    h_std, _ = standardize_columns(MaskedMatrix.from_dense(human_dense))
-    t_std, t_stats = standardize_columns(MaskedMatrix.from_dense(twin_imputed))
-    return h_std.values, t_std.values, t_stats, twin_imputed
+        return human_fit, twin_imputed, ColumnStats.identity(twin.n_cols), twin_imputed
+    twin_fit, t_stats = standardize_dense(twin_imputed)
+    return human_fit, twin_fit, t_stats, twin_imputed
 
 
 def _transfer(
@@ -127,11 +130,14 @@ def _transfer(
     model = fit_columns(twin, cfg, exclude=targets)
     # C order (a stacked network predicts a transposed view), so every
     # family's MSEs sum in the same order
-    fitted = np.ascontiguousarray(model.predict(twin))
-    pred = model.predict(human)
-    # in place: the n x t residuals are the largest temporaries of the engine
-    fitted -= twin[:, targets]
-    return np.mean(np.square(fitted, out=fitted), axis=0), pred
+    residuals = np.ascontiguousarray(model.predict(twin))
+    # in place, a target at a time, and gone before the human is predicted:
+    # the n x t residuals are the largest temporaries of the engine
+    for c, j in enumerate(targets):
+        residuals[:, c] -= twin[:, j]
+    train_mses = np.mean(np.square(residuals, out=residuals), axis=0)
+    del residuals
+    return train_mses, model.predict(human)
 
 
 def fit_and_transfer(
@@ -299,6 +305,7 @@ def _loo_predictions(
         human_fit, twin_fit, twin_stats, twin_dense = _prepared(
             human, twin, impute_rank, standardize, seed)
         train_mses, pred = _transfer(twin_fit, human_fit, method, cols)
+        del human_fit, twin_fit  # before inverting makes two more n x m arrays
         return twin_stats.invert(pred), train_mses, twin_dense
 
     twin_dense, _ = impute_dense(twin, impute_rank, seed)
@@ -401,9 +408,8 @@ def loo_evaluate(
     report = _aggregate(results, fisher_z, orientation, label)
     if return_predictions:
         gated = np.array([not r.transferred for r in results])
-        final = predictions.copy()
-        final[:, gated] = twin_dense[:, gated]
-        return report, final
+        predictions[:, gated] = twin_dense[:, gated]
+        return report, predictions
     return report
 
 

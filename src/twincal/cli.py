@@ -17,6 +17,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from enum import Enum
@@ -181,8 +182,8 @@ def _finite_or_null(value, keep_inf: bool):
         return {k: _finite_or_null(v, keep_inf) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_finite_or_null(v, keep_inf) for v in value]
-    if isinstance(value, float) and not np.isfinite(value):
-        return value if keep_inf and not np.isnan(value) else None
+    if isinstance(value, float) and not math.isfinite(value):
+        return value if keep_inf and not math.isnan(value) else None
     return value
 
 

@@ -118,9 +118,13 @@ def _mean_filled(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def _small_change(recon: np.ndarray, recon_prev: np.ndarray, tol: float) -> bool:
-    """The stop rule: relative Frobenius change of the reconstruction < tol."""
+    """The stop rule: relative Frobenius change of the reconstruction < tol.
+
+    The difference is taken into ``recon_prev``, which is left as scratch.
+    """
     denom = max(float(np.linalg.norm(recon_prev)), 1e-12)
-    return float(np.linalg.norm(recon - recon_prev)) / denom < tol
+    change = np.subtract(recon, recon_prev, out=recon_prev)
+    return float(np.linalg.norm(change)) / denom < tol
 
 
 def _refill(
@@ -147,9 +151,14 @@ def _refill(
     reconstruction is X·V·diag(f(σ)/σ)·Vᵀ, from the left for a wide X, with
     f(σ) = σ for the hard threshold and max(σ - lam, 0) for the soft one; a
     σ at or below lam gets the factor 0.
+
+    Three full-size buffers are the loop's own: the fill, refilled in place
+    once X·V is taken (``start`` is only read), and two reconstructions
+    that take turns, the stop rule's difference landing in the older one.
     """
     filled = recon = start
-    recon_prev: np.ndarray | None = None
+    # the last two reconstruction products (transposed for a wide X)
+    product = prev = None
     tall = start.shape[0] >= start.shape[1]
     for _ in range(max_iters):
         x = filled if tall else filled.T
@@ -159,11 +168,15 @@ def _refill(
         if lam > 0:
             sv = np.sqrt(np.maximum(eig[-rank:], 0.0))
             scores *= np.divide(sv - lam, sv, out=np.zeros(rank), where=sv > lam)
-        recon = scores @ top.T if tall else (scores @ top.T).T
-        filled = np.where(mask, values, recon)
-        if recon_prev is not None and _small_change(recon, recon_prev, tol):
+        product, prev = np.matmul(scores, top.T, out=prev), product
+        recon = product if tall else product.T
+        if filled is start:
+            filled = np.where(mask, values, recon)
+        else:
+            np.copyto(filled, recon)
+            np.copyto(filled, values, where=mask)
+        if prev is not None and _small_change(product, prev, tol):
             return filled, recon, True
-        recon_prev = recon
     return filled, recon, False
 
 

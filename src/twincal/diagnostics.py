@@ -146,14 +146,19 @@ class AlignmentReport:
 def _to_dense_demeaned(
     matrix: MaskedMatrix | np.ndarray, rank: int | None, seed: int
 ) -> tuple[np.ndarray, int]:
-    """The imputed, column-demeaned matrix and the imputation rank (0 if none)."""
+    """The imputed, column-demeaned matrix and the imputation rank (0 if none).
+
+    The result is always a new array: an imputed matrix is demeaned in place,
+    a dense input into a copy.
+    """
     if isinstance(matrix, MaskedMatrix):
         dense, used_rank = impute_dense(matrix, rank, seed)
-    else:
-        dense, used_rank = np.asarray(matrix, dtype=np.float64), 0
-        if not np.all(np.isfinite(dense)):
-            raise DataError("dense input contains non-finite cells; impute first")
-    return dense - dense.mean(axis=0), used_rank
+        dense -= dense.mean(axis=0)
+        return dense, used_rank
+    dense = np.asarray(matrix, dtype=np.float64)
+    if not np.all(np.isfinite(dense)):
+        raise DataError("dense input contains non-finite cells; impute first")
+    return dense - dense.mean(axis=0), 0
 
 
 def alignment_report(
@@ -179,7 +184,6 @@ def alignment_report(
     if rank is not None:
         check_integer("rank", rank, 1)
     h, human_impute_rank = _to_dense_demeaned(human, impute_rank, seed)
-    t, _ = _to_dense_demeaned(twin, impute_rank, seed)
     if rank is None:
         if impute_rank is None and human_impute_rank:
             rank = human_impute_rank
@@ -187,16 +191,17 @@ def alignment_report(
             masked = human if isinstance(human, MaskedMatrix) else MaskedMatrix.from_dense(human)
             grid = [r for r in DEFAULT_RANK_GRID if r <= min(masked.shape)]
             rank = estimate_effective_rank(masked, grid, seed=seed)
+    twin_shape = twin.shape if isinstance(twin, MaskedMatrix) else np.shape(twin)
     row_space = axis is SubspaceAxis.ROW_SPACE
     if row_space:
-        if h.shape[1] != t.shape[1]:
+        if h.shape[1] != twin_shape[1]:
             raise DataError("row-space comparison needs equal column counts")
     else:
-        if h.shape[0] != t.shape[0]:
+        if h.shape[0] != twin_shape[0]:
             raise DataError("column-space comparison needs equal row counts")
 
     r_max = rank + 2
-    limit = min(min(h.shape), min(t.shape))
+    limit = min(min(h.shape), min(twin_shape))
     if r_max > limit:
         warnings.warn(
             f"r_max={r_max} exceeds the rank bound {limit}; clamping",
@@ -205,19 +210,28 @@ def alignment_report(
         )
         r_max = limit
 
-    rng = np.random.default_rng(seed)
-    gaussian = rng.normal(size=t.shape)
-    gaussian -= gaussian.mean(axis=0)
-    shuffled = h.copy()
-    for j in range(shuffled.shape[1]):
-        shuffled[:, j] = shuffled[rng.permutation(shuffled.shape[0]), j]
-
-    bases, spectra = [], []
-    for matrix in (h, t, gaussian, shuffled):
+    def decomposed(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A copy of the r_max leading singular vectors (a view would keep the
+        whole factor alive), and the singular values."""
         left, sv, _ = np.linalg.svd(matrix.T if row_space else matrix, full_matrices=False)
-        bases.append(left[:, :r_max])
-        spectra.append(sv)
-    q_human, q_twin, q_gaussian, q_shuffled = bases
+        return left[:, :r_max].copy(), sv
+
+    # One full-size matrix at a time. The human is decomposed, then shuffled
+    # in place (``h`` is this function's own) and decomposed again; the
+    # Gaussian baseline, drawn first from the seed, is drawn twice so the
+    # permutations still follow it in the stream. The twin is imputed last.
+    q_human, human_spectrum = decomposed(h)
+    rng = np.random.default_rng(seed)
+    rng.normal(size=twin_shape)
+    for j in range(h.shape[1]):
+        h[:, j] = h[rng.permutation(h.shape[0]), j]
+    q_shuffled, _ = decomposed(h)
+    del h
+    gaussian = np.random.default_rng(seed).normal(size=twin_shape)
+    gaussian -= gaussian.mean(axis=0)
+    q_gaussian, _ = decomposed(gaussian)
+    del gaussian
+    q_twin, twin_spectrum = decomposed(_to_dense_demeaned(twin, impute_rank, seed)[0])
     cos, dist = _angle_curves(q_human, q_twin)
     g_cos, g_dist = _angle_curves(q_human, q_gaussian)
     s_cos, s_dist = _angle_curves(q_human, q_shuffled)
@@ -232,8 +246,8 @@ def alignment_report(
         shuffled_cosines=s_cos,
         shuffled_proj_frobenius=s_dist,
         seed=seed,
-        human_spectrum=spectra[0],
-        twin_spectrum=spectra[1],
+        human_spectrum=human_spectrum,
+        twin_spectrum=twin_spectrum,
     )
 
 

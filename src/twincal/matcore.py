@@ -69,7 +69,7 @@ class MaskedMatrix:
             raise DataError(
                 f"values shape {values.shape} != mask shape {mask.shape}"
             )
-        if not np.all(np.isfinite(values[mask])):
+        if not np.all(np.isfinite(values), where=mask):
             raise DataError("observed entries must be finite")
         values[~mask] = np.nan
         values.flags.writeable = False
@@ -210,6 +210,26 @@ def standardize_columns(matrix: MaskedMatrix) -> tuple[MaskedMatrix, ColumnStats
     return MaskedMatrix(standardized, mask), ColumnStats(means, stds)
 
 
+def standardize_dense(values: np.ndarray, out: np.ndarray | None = None
+                      ) -> tuple[np.ndarray, ColumnStats]:
+    """:func:`standardize_columns` of a finite, fully observed dense matrix.
+
+    The result has the same bits, as a plain array, and takes one full-size
+    temporary (the squares) besides itself. It is written into ``out``,
+    which may be ``values``; by default it is a new array.
+    """
+    n = values.shape[0]
+    means = values.sum(axis=0) / n
+    col_max = values.max(axis=0)
+    constant = col_max == values.min(axis=0)
+    means = np.where(constant, col_max, means)
+    centered = np.subtract(values, means, out=out)
+    stds = np.where(constant, 0.0, np.sqrt(np.square(centered).sum(axis=0) / n))
+    centered /= np.where(constant, 1.0, stds)
+    centered[:, constant] = 0.0
+    return centered, ColumnStats(means, stds)
+
+
 def pearson(a: np.ndarray, b: np.ndarray) -> float:
     """Pearson correlation of two equal-length vectors.
 
@@ -272,6 +292,8 @@ def mean_correlation(
 # missing cell (" NA ", "NA " ...) fails float() and takes _read_cells
 _MISSING = frozenset(("", "NA", "Na", "nA", "na"))
 _NAN = float("nan")
+# the cells the writer turns into Python floats at a time
+_WRITE_BLOCK_CELLS = 1 << 13
 
 
 def _is_missing(cell: str) -> bool:
@@ -315,10 +337,18 @@ def write_matrix_csv(
     col_labels: list[str] | None = None,
     label_header: str = "id",
 ) -> None:
-    """Write a (masked) matrix in the toolkit's CSV interchange format."""
-    if not isinstance(matrix, MaskedMatrix):
-        matrix = MaskedMatrix.from_dense(np.asarray(matrix, dtype=np.float64))
-    n, m = matrix.shape
+    """Write a (masked) matrix in the toolkit's CSV interchange format.
+
+    A dense matrix's non-finite cells are written as missing, as
+    :meth:`MaskedMatrix.from_dense` would mark them.
+    """
+    if isinstance(matrix, MaskedMatrix):
+        values = matrix.values
+    else:
+        values = np.asarray(matrix, dtype=np.float64)
+        if values.ndim != 2:
+            raise DataError(f"expected a 2-d matrix, got ndim={values.ndim}")
+    n, m = values.shape
     if m == 0:
         raise DataError(f"{path}: a matrix CSV needs at least one data column")
     if row_labels is None:
@@ -327,14 +357,19 @@ def write_matrix_csv(
         col_labels = [f"c{j}" for j in range(m)]
     if len(row_labels) != n or len(col_labels) != m:
         raise DataError("label lengths do not match matrix dimensions")
-    # observed cells are finite, so the only "nan" in a formatted row of
-    # values is a missing cell
+    # every non-finite cell is NaN after the np.where below, so the only
+    # "nan" in a formatted row of values is a missing cell
     row_format = ",".join(["%.17g"] * m) + "\n"
+    prefixes = _label_prefixes(row_labels)
+    # rows become Python floats a block at a time, not all at once
+    step = max(1, _WRITE_BLOCK_CELLS // m)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow([label_header, *col_labels])
-        fh.writelines(prefix + (row_format % tuple(row)).replace("nan", "NA")
-                      for prefix, row in zip(_label_prefixes(row_labels),
-                                             matrix.values.tolist()))
+        for start in range(0, n, step):
+            block = values[start:start + step]
+            rows = np.where(np.isfinite(block), block, np.nan).tolist()
+            fh.writelines(prefix + (row_format % tuple(row)).replace("nan", "NA")
+                          for prefix, row in zip(prefixes[start:start + step], rows))
 
 
 def read_matrix_csv(path, *, return_labels: bool = False):
@@ -384,6 +419,7 @@ def read_matrix_csv(path, *, return_labels: bool = False):
     if non_finite is not None:
         raise DataError(non_finite)
     values = np.array(rows)
+    rows = None  # the row arrays go before MaskedMatrix copies the values
     matrix = MaskedMatrix(values, ~np.isnan(values))
     if return_labels:
         return matrix, row_labels, col_labels

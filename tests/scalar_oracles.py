@@ -11,9 +11,13 @@ ALS half-step in ``twincal.completion`` may raise, the thin-SVD refill loop
 that ``twincal.completion._refill`` replaced with a Gram eigendecomposition,
 and the per-target completion leave-one-out loop that
 ``twincal.completion.held_out_columns`` replaced by holding each target
-column out in place. Last come the cell-at-a-time CSV reader and writer that
-``twincal.matcore.read_matrix_csv`` and ``write_matrix_csv`` replaced with a
-row-at-a-time reader and one format string per written row.
+column out in place. Three bodies follow as their modules had them before
+they held fewer full-size buffers, each giving the same bits: the refill
+loop with new buffers every iteration, standardization of a dense matrix
+through a ``MaskedMatrix``, and the alignment report that built all four
+matrices before decomposing any. Last come the cell-at-a-time CSV reader and
+writer that ``twincal.matcore.read_matrix_csv`` and ``write_matrix_csv``
+replaced with a row-at-a-time reader and one format string per written row.
 """
 
 import csv
@@ -22,15 +26,19 @@ import warnings
 import numpy as np
 
 from twincal.completion import (
+    DEFAULT_RANK_GRID,
     CompletionMethod,
     StackedTask,
     _check_rank,
     _mean_filled,
     _refill,
     als_impute,
+    estimate_effective_rank,
     hard_impute,
+    impute_dense,
     soft_impute,
 )
+from twincal.diagnostics import AlignmentReport, SubspaceAxis, _angle_curves
 from twincal.matcore import ConvergenceWarning, DataError, MaskedMatrix
 
 
@@ -312,6 +320,98 @@ def completion_loo(human, twin, cfg, twin_dense):
             solve = synthetic_prior_impute if sp else stacked_complete
             predictions[:, j] = solve(task, cfg)
     return predictions
+
+
+def gram_refill(values, mask, start, rank, lam, max_iters, tol):
+    """``completion._refill`` as it allocated before it reused its buffers: a
+    new reconstruction, fill and difference each iteration."""
+    filled = recon = start
+    recon_prev = None
+    tall = start.shape[0] >= start.shape[1]
+    for _ in range(max_iters):
+        x = filled if tall else filled.T
+        eig, vecs = np.linalg.eigh(x.T @ x)
+        top = vecs[:, -rank:]
+        scores = x @ top
+        if lam > 0:
+            sv = np.sqrt(np.maximum(eig[-rank:], 0.0))
+            scores *= np.divide(sv - lam, sv, out=np.zeros(rank), where=sv > lam)
+        recon = scores @ top.T if tall else (scores @ top.T).T
+        filled = np.where(mask, values, recon)
+        if recon_prev is not None:
+            denom = max(float(np.linalg.norm(recon_prev)), 1e-12)
+            if float(np.linalg.norm(recon - recon_prev)) / denom < tol:
+                return filled, recon, True
+        recon_prev = recon
+    return filled, recon, False
+
+
+def standardize_masked(values):
+    """A dense matrix standardized the way ``calibrate`` did before
+    ``matcore.standardize_dense``: through a :class:`MaskedMatrix` and the
+    masked ``standardize_columns`` body. Returns (values, means, stds)."""
+    matrix = MaskedMatrix.from_dense(values)
+    mask = matrix.mask
+    counts = mask.sum(axis=0)
+    filled = np.where(mask, matrix.values, 0.0)
+    means = filled.sum(axis=0) / counts
+    col_max = np.where(mask, matrix.values, -np.inf).max(axis=0)
+    col_min = np.where(mask, matrix.values, np.inf).min(axis=0)
+    constant = col_max == col_min
+    means = np.where(constant, col_max, means)
+    centered = np.where(mask, matrix.values - means, 0.0)
+    stds = np.sqrt((centered**2).sum(axis=0) / counts)
+    stds = np.where(constant, 0.0, stds)
+    scale = np.where(constant, 1.0, stds)
+    standardized = np.where(mask, centered / scale, np.nan)
+    standardized[:, constant] = np.where(mask[:, constant], 0.0, np.nan)
+    return MaskedMatrix(standardized, mask).values, means, stds
+
+
+def alignment_report(human, twin, axis, seed=0, *, rank=None, impute_rank=None):
+    """``diagnostics.alignment_report`` with every matrix built up front: both
+    imputed, demeaned copies, both baselines, then four SVDs whose bases
+    are views of the full factors."""
+    def dense_demeaned(matrix):
+        if isinstance(matrix, MaskedMatrix):
+            dense, used_rank = impute_dense(matrix, impute_rank, seed)
+        else:
+            dense, used_rank = np.asarray(matrix, dtype=np.float64), 0
+        return dense - dense.mean(axis=0), used_rank
+
+    axis = SubspaceAxis(axis)
+    h, human_impute_rank = dense_demeaned(human)
+    t, _ = dense_demeaned(twin)
+    if rank is None:
+        if impute_rank is None and human_impute_rank:
+            rank = human_impute_rank
+        else:
+            masked = human if isinstance(human, MaskedMatrix) else MaskedMatrix.from_dense(human)
+            grid = [r for r in DEFAULT_RANK_GRID if r <= min(masked.shape)]
+            rank = estimate_effective_rank(masked, grid, seed=seed)
+    row_space = axis is SubspaceAxis.ROW_SPACE
+    r_max = min(rank + 2, min(h.shape), min(t.shape))
+    rng = np.random.default_rng(seed)
+    gaussian = rng.normal(size=t.shape)
+    gaussian -= gaussian.mean(axis=0)
+    shuffled = h.copy()
+    for j in range(shuffled.shape[1]):
+        shuffled[:, j] = shuffled[rng.permutation(shuffled.shape[0]), j]
+    bases, spectra = [], []
+    for matrix in (h, t, gaussian, shuffled):
+        left, sv, _ = np.linalg.svd(matrix.T if row_space else matrix, full_matrices=False)
+        bases.append(left[:, :r_max])
+        spectra.append(sv)
+    q_human, q_twin, q_gaussian, q_shuffled = bases
+    cos, dist = _angle_curves(q_human, q_twin)
+    g_cos, g_dist = _angle_curves(q_human, q_gaussian)
+    s_cos, s_dist = _angle_curves(q_human, q_shuffled)
+    return AlignmentReport(
+        axis=axis, rank=int(rank), r_max=int(r_max), cosines=cos, proj_frobenius=dist,
+        gaussian_cosines=g_cos, gaussian_proj_frobenius=g_dist,
+        shuffled_cosines=s_cos, shuffled_proj_frobenius=s_dist, seed=seed,
+        human_spectrum=spectra[0], twin_spectrum=spectra[1],
+    )
 
 
 def _format_cell(x: float) -> str:

@@ -114,6 +114,24 @@ class TestDeterminism:
 class TestBlasThreads:
     """Same bytes at 1 and 2 OpenBLAS threads, each fixed at process start."""
 
+    @staticmethod
+    def run_at_threads(tmp_path, *argv):
+        """The files ``twincal <argv>`` writes, and its stderr, at 1 and at 2
+        OpenBLAS threads (one ``--out`` directory each)."""
+        src = str(Path(twincal.__file__).resolve().parents[1])
+        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        outs, errs = [], []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads_{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            done = subprocess.run(
+                [sys.executable, "-m", "twincal.cli", *argv, "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            outs.append(read_bytes_tree(out))
+            errs.append(done.stderr)
+        return outs, errs
+
     @pytest.mark.parametrize("method,flags", [
         ("hsv", ("--orientation", "new_user", "--profile", "movielens.new_user")),
         ("ssv", ("--orientation", "new_user", "--profile", "movielens.new_user")),
@@ -131,18 +149,8 @@ class TestBlasThreads:
             config = tmp_path / "capped.json"
             config.write_text(json.dumps({"params": {"max_iters": 10}}))
             flags += ("--config", str(config))
-        src = str(Path(twincal.__file__).resolve().parents[1])
-        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-        outs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads_{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-            subprocess.run(
-                [sys.executable, "-m", "twincal.cli", "calibrate", "--human", str(hp),
-                 "--twin", str(tp), "--method", method, *flags, "--out", str(out)],
-                env=env, check=True, capture_output=True, timeout=300,
-            )
-            outs.append(read_bytes_tree(out))
+        outs, _ = self.run_at_threads(tmp_path, "calibrate", "--human", str(hp),
+                                      "--twin", str(tp), "--method", method, *flags)
         report = json.loads(outs[0]["report.json"])
         assert report["method"] == method and report["skipped_count"] == 0
         assert outs[0] == outs[1]
@@ -156,22 +164,23 @@ class TestBlasThreads:
         write_matrix_csv(hp, codes.astype(float))
         write_matrix_csv(tp, samples[:, :12].astype(float))
         config.write_text(json.dumps({"n_categories": 5, "mirror_descent": {"max_iters": 300}}))
-        src = str(Path(twincal.__file__).resolve().parents[1])
-        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-        outs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads_{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-            done = subprocess.run(
-                [sys.executable, "-m", "twincal.cli", "distcal", "--config", str(config),
-                 "--human", str(hp), "--twin", str(tp), "--out", str(out)],
-                env=env, check=True, capture_output=True, timeout=300,
-            )
-            assert done.stderr == b""
-            outs.append(read_bytes_tree(out))
+        outs, errs = self.run_at_threads(tmp_path, "distcal", "--config", str(config),
+                                         "--human", str(hp), "--twin", str(tp))
+        assert errs == [b"", b""]
         table = json.loads(outs[0]["cross_table.json"])
         steps = [cell["steps"] for row in table["rows"].values() for cell in row.values()]
         assert min(steps) < 300 == max(steps)
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("axis", ["row_space", "column_space"])
+    def test_diagnose_bytes_equal(self, tmp_path, axis):
+        # no rank or impute_rank: the human's imputation rank is searched and reused
+        hp, tp = write_pair(tmp_path, seed=12, n=80, m=24, d=3, noise_sigma=0.1,
+                            alignment="linear_distortion", missing_frac=0.2)
+        outs, errs = self.run_at_threads(tmp_path, "diagnose", "--human", str(hp),
+                                         "--twin", str(tp), "--axis", axis)
+        assert errs == [b"", b""]
+        assert json.loads(outs[0]["alignment.json"])["axis"] == axis
         assert outs[0] == outs[1]
 
 

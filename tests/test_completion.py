@@ -90,6 +90,44 @@ def rank_one_start(n, m, seed):
     return np.where(mask, truth, np.nan), mask, truth
 
 
+def same_bits(got, want):
+    """Equal shape, bytes and memory layout (the layout steers later BLAS calls)."""
+    return (got.shape == want.shape and got.tobytes() == want.tobytes()
+            and got.flags.f_contiguous == want.flags.f_contiguous)
+
+
+class TestRefillBuffers:
+    """The refill kernel, which reuses its buffers, against its allocating body."""
+
+    @pytest.mark.parametrize("n,m", [(30, 12), (12, 30)])
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("lam,max_iters,tol,converges", [
+        (0.0, 500, 1e-9, True),
+        (0.0, 6, 1e-15, False),            # stops at the cap
+        (0.5, 500, 1e-9, True),
+        (0.5, 6, 1e-15, False),
+    ])
+    def test_same_bits(self, n, m, transposed, lam, max_iters, tol, converges):
+        matrix = low_rank_masked(n, m, 3, 0.3, seed=n + 2 * m)
+        if transposed:                     # Fortran-ordered values and mask
+            matrix = matrix.transpose()
+        start = _mean_filled(matrix.values, matrix.mask)
+        held = start.copy(order="K")
+        got = _refill(matrix.values, matrix.mask, start, 3, lam, max_iters, tol)
+        assert same_bits(start, held)      # the caller's start is only read
+        want = oracle.gram_refill(matrix.values, matrix.mask, start, 3, lam, max_iters, tol)
+        assert got[2] is want[2] is converges
+        assert same_bits(got[0], want[0])
+        assert same_bits(got[1], want[1])
+
+    def test_impute_dense_same_bits(self, monkeypatch):
+        matrix = low_rank_masked(40, 15, 3, 0.3, seed=4)
+        got, rank = impute_dense(matrix)
+        monkeypatch.setattr(completion, "_refill", oracle.gram_refill)
+        want, want_rank = impute_dense(matrix)
+        assert rank == want_rank and same_bits(got, want)
+
+
 class TestRefillOracle:
     """The Gram-eigendecomposition refill against the thin-SVD loop it replaced."""
 

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scalar_oracles as oracle
 
 import twincal.completion
 import twincal.diagnostics
@@ -268,6 +269,40 @@ class TestAlignmentReport:
         assert payload["r_max"] == report.r_max
         assert len(payload["cosines"]) == report.r_max
         assert len(payload["baselines"]["gaussian"]["proj_frobenius"]) == report.r_max
+
+
+class TestAlignmentBuffers:
+    """The report, built one full-size matrix at a time, against the body that
+    built all four up front: every field bit for bit."""
+
+    @staticmethod
+    def assert_same_report(got, want):
+        for name, value in vars(want).items():
+            if isinstance(value, np.ndarray):
+                assert getattr(got, name).tobytes() == value.tobytes(), name
+            else:
+                assert getattr(got, name) == value, name
+
+    @pytest.mark.parametrize("axis", ["row_space", "column_space"])
+    @pytest.mark.parametrize("kwargs", [{}, {"rank": 2, "impute_rank": 4}],
+                             ids=["searched", "fixed"])
+    def test_masked_inputs(self, axis, kwargs):
+        _, human, twin, _ = generate_latent_world(
+            60, 14, 3, seed=16, missing_frac=0.2, alignment="linear_distortion",
+            noise_sigma=0.1)
+        twin = MaskedMatrix(twin.values[:, :14], twin.mask[:, :14])
+        self.assert_same_report(alignment_report(human, twin, axis, seed=3, **kwargs),
+                                oracle.alignment_report(human, twin, axis, seed=3, **kwargs))
+
+    @pytest.mark.parametrize("axis", ["row_space", "column_space"])
+    def test_dense_inputs_are_only_read(self, axis):
+        rng = np.random.default_rng(17)
+        human = rng.normal(size=(30, 10))
+        twin = human + 0.1 * rng.normal(size=(30, 10))
+        held = human.copy(), twin.copy()
+        got = alignment_report(human, twin, axis, seed=1, rank=2)
+        assert np.array_equal(human, held[0]) and np.array_equal(twin, held[1])
+        self.assert_same_report(got, oracle.alignment_report(human, twin, axis, seed=1, rank=2))
 
 
 class TestVarianceExplained:

@@ -19,6 +19,7 @@ from twincal.matcore import (
     pearson,
     read_matrix_csv,
     standardize_columns,
+    standardize_dense,
     write_matrix_csv,
 )
 
@@ -122,6 +123,27 @@ class TestStandardize:
         stats = ColumnStats.identity(3)
         x = np.arange(6.0).reshape(2, 3)
         assert np.array_equal(stats.invert(x), x)
+
+
+class TestStandardizeDense:
+    """The dense path against the MaskedMatrix round trip it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_same_bits_as_masked_path(self, order):
+        rng = np.random.default_rng(14)
+        values = np.asarray(rng.normal(3.0, 2.5, (60, 9)), order=order)
+        values[:, 4] = 7.25  # a constant column
+        want, means, stds = oracle.standardize_masked(values)
+        held = values.copy(order="K")
+        for out in (None, values.copy(order="K")):
+            got, stats = standardize_dense(values if out is None else out, out=out)
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.f_contiguous == want.flags.f_contiguous
+            assert stats.means.tobytes() == means.tobytes()
+            assert stats.stds.tobytes() == stds.tobytes()
+        assert out is got                       # written in place
+        assert values.tobytes() == held.tobytes()  # no out: the input is kept
+        assert stats.stds[4] == 0.0 and np.all(got[:, 4] == 0.0)
 
 
 class TestPearson:
@@ -238,6 +260,14 @@ class TestCsvOracleParity:
                 write_matrix_csv(tmp_path / "new.csv", matrix, **kwargs)
                 oracle.write_matrix_csv_cells(tmp_path / "old.csv", matrix, **kwargs)
                 assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_writes_byte_equal_across_blocks(self, tmp_path):
+        # rows become Python floats a block at a time; a dense inf is missing
+        values = self.special((9000 // 7 + 5, 7), seed=15)
+        values[3, 2], values[-1, 0] = np.inf, -np.inf
+        write_matrix_csv(tmp_path / "new.csv", values)
+        oracle.write_matrix_csv_cells(tmp_path / "old.csv", values)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_labels_are_not_missing_cells(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -5,7 +5,8 @@ import pytest
 import scalar_oracles as oracle
 
 import twincal.regress as regress
-from twincal.matcore import ConvergenceWarning, DataError
+from twincal.calibrate import loo_evaluate
+from twincal.matcore import ConvergenceWarning, DataError, MaskedMatrix
 from twincal.regress import (
     FAMILIES,
     LinearModel,
@@ -347,6 +348,34 @@ class TestFitColumns:
                 fit(*args)
             assert [w.category for w in caught] == [ConvergenceWarning]
             assert caught[0].filename == __file__
+
+    @staticmethod
+    def warned_at(monkeypatch, call):
+        """The (file, line) each ConvergenceWarning of ``call()`` names, with
+        every simplex fit capped at 3 steps."""
+        monkeypatch.setattr(regress, "_SIMPLEX_MAX_ITERS", 3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert caught and {w.category for w in caught} == {ConvergenceWarning}
+        return {(w.filename, w.lineno) for w in caught}
+
+    def test_fit_columns_warning_names_its_caller(self, monkeypatch):
+        x, y, _ = random_xy(30, 6, seed=26)
+        call = lambda: fit_columns(x, RegressConfig("sc"), y)  # noqa: E731
+        assert self.warned_at(monkeypatch, call) == {(__file__, call.__code__.co_firstlineno)}
+
+    def test_fit_simplex_warning_names_its_caller(self, monkeypatch):
+        x, y, _ = random_xy(30, 6, seed=27)
+        call = lambda: fit_simplex(x, y)  # noqa: E731
+        assert self.warned_at(monkeypatch, call) == {(__file__, call.__code__.co_firstlineno)}
+
+    def test_loo_warnings_name_the_loo_caller(self, monkeypatch):
+        # one warning per capped target, each naming this file, not calibrate.py
+        x = random_xy(30, 6, seed=28)[0]
+        human, twin = MaskedMatrix.from_dense(x), MaskedMatrix.from_dense(x + 0.1)
+        call = lambda: loo_evaluate(human, twin, RegressConfig("sc"))  # noqa: E731
+        assert self.warned_at(monkeypatch, call) == {(__file__, call.__code__.co_firstlineno)}
 
     def test_takes_y_or_exclude(self):
         x = random_xy(10, 3, seed=25)[0]
