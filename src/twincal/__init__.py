@@ -60,7 +60,6 @@ from .matcore import (
     mean_correlation,
     pearson,
     read_matrix_csv,
-    standardize_columns,
     write_matrix_csv,
 )
 from .profiles import PROFILES, method_config, profile_names

@@ -158,7 +158,7 @@ def fit_and_transfer(
     # the human matrix has no target column; a zero one aligns it with the twin
     human = np.insert(human, j, 0.0, axis=1)
     train_mses, pred = _transfer(twin, human, task.method, np.array([j]))
-    prediction = twin_stats.invert_column(pred[:, 0], j)
+    prediction = pred[:, 0] * twin_stats.stds[j] + twin_stats.means[j]
     return prediction, TransferDiagnostic(float(train_mses[0]))
 
 

@@ -35,11 +35,12 @@ from .synth import generate_discrete_world, generate_latent_world
 ENV_PREFIX = "SYNDIGITS_"
 
 class CliError(DataError):
-    """Bad command-line input; ``path`` names the file at fault, if any."""
+    """Bad command-line input; ``filename`` names the file at fault, if any,
+    as on an :class:`OSError`."""
 
     def __init__(self, message: str, *, path: str | None = None):
         super().__init__(message)
-        self.path = path
+        self.filename = path
 
 
 def _load_config(path: str | None) -> dict:
@@ -450,13 +451,14 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, KeyError, FloatingPointError, MemoryError) as exc:
-        # DataError (CliError too) marks bad input; np.linalg.LinAlgError is a ValueError
+    except (ValueError, KeyError, FloatingPointError, MemoryError, OSError) as exc:
+        # DataError (CliError too) and OSError (a path that cannot be read or
+        # written) mark bad input; np.linalg.LinAlgError is a ValueError
         payload = {"error": str(exc), "kind": type(exc).__name__}
-        if isinstance(exc, CliError) and exc.path is not None:
-            payload["path"] = exc.path
+        if getattr(exc, "filename", None) is not None:
+            payload["path"] = str(exc.filename)
         print(json.dumps(payload, sort_keys=True))
-        return 2 if isinstance(exc, DataError) else 1
+        return 2 if isinstance(exc, (DataError, OSError)) else 1
 
 
 if __name__ == "__main__":

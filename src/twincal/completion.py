@@ -10,7 +10,6 @@ one-target cases.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -23,6 +22,7 @@ from .matcore import (
     check_integer,
     check_real,
     draw_covered_mask,
+    warn_at_caller,
 )
 
 __all__ = [
@@ -181,12 +181,8 @@ def _refill(
 
 
 def _warn_not_converged(name: str, max_iters: int) -> None:
-    warnings.warn(
-        f"{name} did not converge within {max_iters} iterations; "
-        "returning the best iterate",
-        ConvergenceWarning,
-        stacklevel=4,
-    )
+    warn_at_caller(f"{name} did not converge within {max_iters} iterations; "
+                   "returning the best iterate", ConvergenceWarning)
 
 
 def _checked_start(matrix: MaskedMatrix, rank: int) -> np.ndarray:
@@ -377,17 +373,21 @@ def stacked_complete(task: StackedTask, cfg: CompletionConfig) -> np.ndarray:
     return _one_target(task, cfg, None, "stacked_complete")
 
 
-def estimate_effective_rank(matrix: MaskedMatrix, rank_grid, seed: int = 0) -> int:
-    """Pick the rank minimizing held-out imputation RMSE.
+def estimate_effective_rank(matrix: MaskedMatrix, rank_grid=None, seed: int = 0) -> int:
+    """Pick the rank on ``rank_grid`` minimizing held-out imputation RMSE.
 
-    A seeded uniform sample of a tenth of the observed entries is masked out
-    (resampling up to 10 times if that breaks row/column coverage), the
-    hard-SVD refill runs at each grid rank from one column-mean start with
-    the step cap and tolerance :func:`impute_dense` fills with (the
-    :class:`CompletionConfig` defaults), and the rank with the smallest
-    held-out RMSE wins; ties break toward the smaller rank. An unconverged
-    refill is scored as it stands, without a warning.
+    The default grid is the ranks 1 to 8 (``DEFAULT_RANK_GRID``) that do not
+    exceed min(n, m). A seeded uniform sample of a tenth of the observed
+    entries is masked out (resampling up to 10 times if that breaks
+    row/column coverage), the hard-SVD refill runs at each grid rank from
+    one column-mean start with the step cap and tolerance
+    :func:`impute_dense` fills with (the :class:`CompletionConfig`
+    defaults), and the rank with the smallest held-out RMSE wins; ties break
+    toward the smaller rank. An unconverged refill is scored as it stands,
+    without a warning.
     """
+    if rank_grid is None:
+        rank_grid = [r for r in DEFAULT_RANK_GRID if r <= min(matrix.shape)]
     grid = sorted(int(r) for r in rank_grid)
     if not grid:
         raise DataError("rank_grid must be nonempty")
@@ -435,8 +435,7 @@ def impute_dense(
     if matrix.is_fully_observed():
         return matrix.values.copy(), 0
     if rank is None:
-        grid = [r for r in DEFAULT_RANK_GRID if r <= min(matrix.shape)]
-        rank = estimate_effective_rank(matrix, grid, seed=seed)
+        rank = estimate_effective_rank(matrix, seed=seed)
     cfg = CompletionConfig(CompletionMethod.HARD_SVD, rank=rank)
     filled, _ = _solve(matrix.values, matrix.mask, _checked_start(matrix, rank), cfg)
     return filled, rank

@@ -10,14 +10,13 @@ ever formed.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .completion import DEFAULT_RANK_GRID, estimate_effective_rank, impute_dense
-from .matcore import DataError, MaskedMatrix, check_integer
+from .completion import estimate_effective_rank, impute_dense
+from .matcore import DataError, MaskedMatrix, check_integer, warn_at_caller
 
 __all__ = [
     "SubspaceAxis",
@@ -189,8 +188,7 @@ def alignment_report(
             rank = human_impute_rank
         else:
             masked = human if isinstance(human, MaskedMatrix) else MaskedMatrix.from_dense(human)
-            grid = [r for r in DEFAULT_RANK_GRID if r <= min(masked.shape)]
-            rank = estimate_effective_rank(masked, grid, seed=seed)
+            rank = estimate_effective_rank(masked, seed=seed)
     twin_shape = twin.shape if isinstance(twin, MaskedMatrix) else np.shape(twin)
     row_space = axis is SubspaceAxis.ROW_SPACE
     if row_space:
@@ -203,11 +201,7 @@ def alignment_report(
     r_max = rank + 2
     limit = min(min(h.shape), min(twin_shape))
     if r_max > limit:
-        warnings.warn(
-            f"r_max={r_max} exceeds the rank bound {limit}; clamping",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        warn_at_caller(f"r_max={r_max} exceeds the rank bound {limit}; clamping")
         r_max = limit
 
     def decomposed(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -327,16 +327,11 @@ def _objective(w, pi, p, onehot: np.ndarray, kinds, eps: float):
     """Mean discrepancy over the rows of p and its gradient in (w, pi), per run.
 
     ``w`` (R, n) and ``pi`` (R, K) stack R runs and ``kinds`` names each
-    run's objective; 1-d ``w`` and ``pi`` with a single kind are the one-run
-    case. The mixture is q_j = sum_i w_i * onehot(answer_ij) + pi for every
-    question j at once. Subgradient steps on TV, KS and the CDF objectives
+    run's objective. The mixture is q_j = sum_i w_i * onehot(answer_ij) + pi
+    for every question j at once. Subgradient steps on TV, KS and the CDF objectives
     turn last-bit changes in q into other iterates, so fits round as numpy's
     ``einsum`` sums; each row of the stacked sums has the one-run bits.
     """
-    if np.ndim(w) == 1:
-        obj, grad_w, grad_pi = _objective(
-            np.asarray(w)[None], np.asarray(pi)[None], p, onehot, [kinds], eps)
-        return float(obj[0]), grad_w[0], grad_pi[0]
     q = np.einsum("mkn,rn->rmk", onehot, w) + pi[:, None, :]
     values, gq = np.empty(q.shape[:2]), np.empty_like(q)
     groups: dict = {}
@@ -366,7 +361,9 @@ def objective_and_gradient(
     """
     kind = Discrepancy(spec)
     p, onehot = _prepare(p_train, twin_cols)
-    return _objective(w, pi, p, onehot, kind, _EPSILON_FLOOR)
+    obj, grad_w, grad_pi = _objective(np.asarray(w)[None], np.asarray(pi)[None], p, onehot,
+                                      [kind], _EPSILON_FLOOR)
+    return float(obj[0]), grad_w[0], grad_pi[0]
 
 
 def _mirror_descent(runs, p: np.ndarray, onehot: np.ndarray, cfg: MirrorDescentConfig):

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -23,7 +25,6 @@ __all__ = [
     "MaskedMatrix",
     "draw_covered_mask",
     "ColumnStats",
-    "standardize_columns",
     "pearson",
     "mean_correlation",
     "write_matrix_csv",
@@ -45,6 +46,20 @@ class UndefinedCorrelationError(DataError):
 
 class ConvergenceWarning(RuntimeWarning):
     """An iterative solver stopped at max_iters before reaching tolerance."""
+
+
+# the package's source files, whose frames a warning skips
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def warn_at_caller(message: str, category: type[Warning] = RuntimeWarning) -> None:
+    """Warn, naming the first frame outside the package: the line that called
+    into twincal, however deep the call went (Python 3.10 has no
+    ``skip_file_prefixes``)."""
+    level, frame = 1, sys._getframe()
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        level, frame = level + 1, frame.f_back
+    warnings.warn(message, category, stacklevel=level)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,46 +190,14 @@ class ColumnStats:
         """Map standardized values back to the original scale."""
         return x * self.stds + self.means
 
-    def invert_column(self, x: np.ndarray, j: int) -> np.ndarray:
-        return x * self.stds[j] + self.means[j]
-
-
-def standardize_columns(matrix: MaskedMatrix) -> tuple[MaskedMatrix, ColumnStats]:
-    """Standardize each column to observed mean 0 and population std 1.
-
-    Constant columns are centered to zero and their std is recorded as 0 so
-    the transform stays exactly invertible. Raises :class:`EmptyColumnError`
-    if any column has no observed entries.
-    """
-    mask = matrix.mask
-    counts = mask.sum(axis=0)
-    if np.any(counts == 0):
-        j = int(np.flatnonzero(counts == 0)[0])
-        raise EmptyColumnError(f"column {j} has no observed entries")
-
-    filled = np.where(mask, matrix.values, 0.0)
-    means = filled.sum(axis=0) / counts
-    # exact detection of constant columns via observed range, not float std
-    col_max = np.where(mask, matrix.values, -np.inf).max(axis=0)
-    col_min = np.where(mask, matrix.values, np.inf).min(axis=0)
-    constant = col_max == col_min
-    means = np.where(constant, col_max, means)
-
-    centered = np.where(mask, matrix.values - means, 0.0)
-    stds = np.sqrt((centered**2).sum(axis=0) / counts)
-    stds = np.where(constant, 0.0, stds)
-
-    scale = np.where(constant, 1.0, stds)
-    standardized = np.where(mask, centered / scale, np.nan)
-    standardized[:, constant] = np.where(mask[:, constant], 0.0, np.nan)
-    return MaskedMatrix(standardized, mask), ColumnStats(means, stds)
-
 
 def standardize_dense(values: np.ndarray, out: np.ndarray | None = None
                       ) -> tuple[np.ndarray, ColumnStats]:
-    """:func:`standardize_columns` of a finite, fully observed dense matrix.
+    """Standardize each column of a finite, fully observed dense matrix to
+    mean 0 and population std 1.
 
-    The result has the same bits, as a plain array, and takes one full-size
+    A constant column is set to zero and its std recorded as 0, so the
+    transform stays exactly invertible. The result takes one full-size
     temporary (the squares) besides itself. It is written into ``out``,
     which may be ``values``; by default it is a new array.
     """
@@ -267,11 +250,7 @@ def mean_correlation(
     if fisher_z:
         limit = 1.0 - 1e-12
         if np.any(np.abs(corrs) >= 1.0):
-            warnings.warn(
-                "correlation magnitude 1 clamped for the z-transform",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            warn_at_caller("correlation magnitude 1 clamped for the z-transform")
             corrs = np.clip(corrs, -limit, limit)
         z = np.arctanh(corrs)
         mean = float(np.tanh(z.mean()))
@@ -377,12 +356,13 @@ def read_matrix_csv(path, *, return_labels: bool = False):
 
     "NA" (any case) and empty cells are missing; whitespace around a cell is
     ignored. Returns a :class:`MaskedMatrix`, optionally with
-    (row_labels, col_labels). A ragged row or a cell that is not a number
-    raises :class:`DataError` in row order; a non-finite cell (``inf``,
+    (row_labels, col_labels). A ragged row, a cell that is not a number or
+    one the csv module cannot read (longer than its field limit) raises
+    :class:`DataError` in row order; a non-finite cell (``inf``,
     ``nan``) raises after every row has parsed, naming the first one.
     """
     no_rows = f"{path}: expected a header row plus at least one data row"
-    row_labels, rows, non_finite = [], [], None
+    row_labels, rows, non_finite, header = [], [], None, None
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -414,6 +394,9 @@ def read_matrix_csv(path, *, return_labels: bool = False):
                 rows.append(values)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # raised by the reader, so the rows before it parsed
+        where = "header" if header is None else f"row {len(rows) + 1}"
+        raise DataError(f"{path}: {where}: {exc}") from None
     if not rows:
         raise DataError(no_rows)
     if non_finite is not None:

@@ -17,14 +17,11 @@ are one-target cases of :func:`fit_columns`.
 
 from __future__ import annotations
 
-import os
-import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import ConvergenceWarning, DataError, check_integer, check_real
+from .matcore import ConvergenceWarning, DataError, check_integer, check_real, warn_at_caller
 
 __all__ = [
     "LinearModel",
@@ -44,8 +41,6 @@ FAMILIES = ("ridge", "lasso", "en", "nn", "sc", "si")
 # proximal-gradient families
 _ENET_MAX_ITERS, _ENET_TOL = 2000, 1e-7
 _SIMPLEX_MAX_ITERS, _SIMPLEX_TOL = 5000, 1e-12
-# the package's source files, whose frames a ConvergenceWarning skips
-_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 @dataclass(frozen=True)
@@ -272,21 +267,9 @@ def _proximal_gradient(hessian, cross, step, beta, prox, bounds, *, accelerate,
             if not running.size:
                 break
     out[running] = beta
-    stacklevel = _outside_stacklevel()
     for _ in range(running.size):
-        warnings.warn(message, ConvergenceWarning, stacklevel=stacklevel)
+        warn_at_caller(message, ConvergenceWarning)
     return out
-
-
-def _outside_stacklevel() -> int:
-    """The ``stacklevel`` at which a warning raised by this function's caller
-    names the first frame outside the package: the line that called into
-    twincal, however deep the call went (Python 3.10 has no
-    ``skip_file_prefixes``)."""
-    level, frame = 1, sys._getframe(1)
-    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
-        level, frame = level + 1, frame.f_back
-    return level
 
 
 def _elastic_net_coefficients(

@@ -259,6 +259,19 @@ class DiscreteWorld:
         return Categorical(probs / probs.sum())
 
 
+def _simplex_vector(name: str, value, size: int, length: str,
+                    positive: bool = False) -> np.ndarray:
+    """``value`` as a float vector, after checking that it has ``size``
+    entries, each nonnegative (positive if ``positive``; NaN is neither),
+    summing to 1."""
+    vec = np.asarray(value, dtype=np.float64)
+    if (vec.shape != (size,) or not np.all(vec > 0 if positive else vec >= 0)
+            or abs(vec.sum() - 1) > 1e-10):
+        raise DataError(f"{name} must be a {'positive ' if positive else ''}"
+                        f"length-{length} simplex vector")
+    return vec
+
+
 def generate_discrete_world(
     n_twins: int,
     n_questions: int,
@@ -298,24 +311,18 @@ def generate_discrete_world(
     if target_coeffs is None:
         coeffs = np.full(n_questions, 1.0 / n_questions)
     else:
-        coeffs = np.asarray(target_coeffs, dtype=np.float64)
-        if coeffs.shape != (n_questions,) or coeffs.min() < 0 or abs(coeffs.sum() - 1) > 1e-10:
-            raise DataError("target_coeffs must be a length-m simplex vector")
+        coeffs = _simplex_vector("target_coeffs", target_coeffs, n_questions, "m")
     profiles[n_questions] = np.einsum("j,jdk->dk", coeffs, profiles[:n_questions])
 
     if twin_mixture is None:
         mu = np.full(s, 1.0 / s)
     else:
-        mu = np.asarray(twin_mixture, dtype=np.float64)
-        if mu.shape != (s,) or mu.min() <= 0 or abs(mu.sum() - 1) > 1e-10:
-            raise DataError("twin_mixture must be a positive length-S simplex vector")
+        mu = _simplex_vector("twin_mixture", twin_mixture, s, "S", positive=True)
     if human_mixture is None:
         nu = mu * reweight_decay ** np.arange(s)
         nu /= nu.sum()
     else:
-        nu = np.asarray(human_mixture, dtype=np.float64)
-        if nu.shape != (s,) or nu.min() < 0 or abs(nu.sum() - 1) > 1e-10:
-            raise DataError("human_mixture must be a length-S simplex vector")
+        nu = _simplex_vector("human_mixture", human_mixture, s, "S")
     bound = float(np.max(nu / mu))
 
     twin_atoms = rng.choice(s, size=n_twins, p=mu)

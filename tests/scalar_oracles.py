@@ -349,7 +349,8 @@ def gram_refill(values, mask, start, rank, lam, max_iters, tol):
 def standardize_masked(values):
     """A dense matrix standardized the way ``calibrate`` did before
     ``matcore.standardize_dense``: through a :class:`MaskedMatrix` and the
-    masked ``standardize_columns`` body. Returns (values, means, stds)."""
+    masked body of the former ``standardize_columns``, with NaN cells as
+    missing. Returns (values, means, stds); missing cells stay NaN."""
     matrix = MaskedMatrix.from_dense(values)
     mask = matrix.mask
     counts = mask.sum(axis=0)

@@ -14,7 +14,7 @@ from twincal.calibrate import (
     sweep_thresholds,
 )
 from twincal.completion import CompletionConfig, impute_dense
-from twincal.matcore import DataError, MaskedMatrix
+from twincal.matcore import DataError, MaskedMatrix, standardize_dense
 from twincal.regress import RegressConfig
 from twincal.synth import generate_latent_world
 
@@ -209,16 +209,15 @@ class TestLooEvaluate:
     def test_standardization_of_inputs_invariance(self):
         # fully observed pair: pre-standardizing both inputs changes nothing
         # in the reported correlations (affine invariance end to end)
-        from twincal.matcore import standardize_columns
-
         _, human, twin, _ = generate_latent_world(
             40, 12, 3, seed=14, alignment="linear_distortion",
             noise_sigma=0.1, row_bias_scale=0.4,
         )
         twin_features = MaskedMatrix.from_dense(twin.values[:, :12])
+        assert human.is_fully_observed() and twin_features.is_fully_observed()
         report = loo_evaluate(human, twin_features, RIDGE)
-        h_std, _ = standardize_columns(human)
-        t_std, _ = standardize_columns(twin_features)
+        h_std = MaskedMatrix.from_dense(standardize_dense(human.values)[0])
+        t_std = MaskedMatrix.from_dense(standardize_dense(twin_features.values)[0])
         report_std = loo_evaluate(h_std, t_std, RIDGE)
         for a, b in zip(report.per_target, report_std.per_target):
             assert a.corr == pytest.approx(b.corr, abs=1e-10)

@@ -731,6 +731,27 @@ class TestFailureModes:
         assert self._one_error_line(capsys) == {
             "error": f"config file not found: {cfg}", "kind": "CliError", "path": str(cfg)}
 
+    @pytest.mark.parametrize("case", ["human_is_a_directory", "config_is_a_directory",
+                                      "out_is_a_file"])
+    def test_unusable_path_is_error_json_exit_2(self, tmp_path, capsys, case):
+        hp, tp = write_pair(tmp_path)
+        out = tmp_path / "o"
+        argv, kind, path = {
+            "human_is_a_directory": (["calibrate", "--human", str(tmp_path), "--twin", str(tp),
+                                      "--out", str(out)], "IsADirectoryError", tmp_path),
+            "config_is_a_directory": (["calibrate", "--config", str(tmp_path), "--human",
+                                       str(hp), "--twin", str(tp), "--out", str(out)],
+                                      "IsADirectoryError", tmp_path),
+            "out_is_a_file": (["synth", "--out", str(hp)], "FileExistsError", hp),
+        }[case]
+        held = hp.read_bytes()
+        rc = main(argv)
+        assert rc == 2
+        payload = self._one_error_line(capsys)
+        assert (payload["kind"], payload["path"]) == (kind, str(path))
+        assert str(path) in payload["error"]
+        assert not out.exists() and hp.read_bytes() == held
+
     @pytest.mark.parametrize("rank", [-3, 0])
     def test_diagnose_rank_below_one_exit_2(self, tmp_path, capsys, rank):
         hp, tp = write_pair(tmp_path, alignment="identical")

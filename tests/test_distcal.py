@@ -397,10 +397,11 @@ class TestMixtureMap:
             want = np.einsum("mkn,n->mk", indicators, w) + pi
             assert np.array_equal(q, want / want.sum(axis=1, keepdims=True))
             for kind in (Discrepancy.TV, Discrepancy.KL, Discrepancy.CDF_L2):
-                fit = distcal._objective(w, pi, p, got, kind, 1e-9)
+                # one run, stacked as the optimizer stacks its runs
+                fit = distcal._objective(w[None], pi[None], p, got, [kind], 1e-9)
                 oracle = onehot_oracle.objective_and_gradient(w, pi, p, cols, kind)
                 for g, o in zip(fit, oracle):
-                    assert np.array_equal(g, o)
+                    assert np.array_equal(g[0], o)
 
     def test_evaluate_matches_per_question_loop(self):
         world, p_all, samples, _ = generate_discrete_world(70, 12, 5, seed=13)

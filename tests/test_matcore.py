@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -18,7 +19,6 @@ from twincal.matcore import (
     mean_correlation,
     pearson,
     read_matrix_csv,
-    standardize_columns,
     standardize_dense,
     write_matrix_csv,
 )
@@ -55,6 +55,12 @@ class TestMaskedMatrix:
         with pytest.raises(ValueError):
             m.mask[0, 0] = False
 
+    def test_coverage_names_the_empty_column_or_row(self):
+        with pytest.raises(EmptyColumnError, match="column 1 has no observed entries"):
+            masked([[1.0, np.nan], [2.0, np.nan]]).require_coverage()
+        with pytest.raises(EmptyColumnError, match="row 1 has no observed entries"):
+            masked([[1.0, 2.0], [np.nan, np.nan]]).require_coverage()
+
     def test_construction_copies_input(self):
         source = np.array([[1.0, 2.0]])
         m = MaskedMatrix(source, np.ones((1, 2), dtype=bool))
@@ -84,40 +90,23 @@ class TestDrawCoveredMask:
 
 class TestStandardize:
     def test_symmetric_two_point_column(self):
-        std, stats = standardize_columns(masked([[2.0], [4.0]]))
-        assert np.allclose(std.values[:, 0], [-1.0, 1.0])
+        std, stats = standardize_dense(np.array([[2.0], [4.0]]))
+        assert np.allclose(std[:, 0], [-1.0, 1.0])
         assert stats.means[0] == 3.0
         assert stats.stds[0] == 1.0
 
     def test_constant_column_convention(self):
-        std, stats = standardize_columns(masked([[5.0], [5.0], [5.0]]))
-        assert np.all(std.values[:, 0] == 0.0)
+        std, stats = standardize_dense(np.array([[5.0], [5.0], [5.0]]))
+        assert np.all(std[:, 0] == 0.0)
         assert stats.stds[0] == 0.0
         assert stats.means[0] == 5.0
-
-    def test_missing_entries_ignored(self):
-        # oracle: mean/std over the observed entries {1, 3} only
-        std, stats = standardize_columns(masked([[1.0], [np.nan], [3.0]]))
-        assert stats.means[0] == pytest.approx(2.0)
-        assert stats.stds[0] == pytest.approx(1.0)
-        assert std.values[0, 0] == pytest.approx(-1.0)
-        assert np.isnan(std.values[1, 0])
-        assert std.values[2, 0] == pytest.approx(1.0)
-
-    def test_empty_column_rejected_with_index(self):
-        values = np.array([[1.0, np.nan], [2.0, np.nan]])
-        with pytest.raises(EmptyColumnError, match="column 1"):
-            standardize_columns(MaskedMatrix.from_dense(values))
 
     def test_round_trip_within_1e12(self):
         rng = np.random.default_rng(0)
         values = rng.normal(3.0, 2.5, (40, 12))
-        values[rng.random((40, 12)) < 0.2] = np.nan
         values[:, 3] = 7.25  # constant column
-        m = MaskedMatrix.from_dense(values)
-        std, stats = standardize_columns(m)
-        back = stats.invert(np.where(m.mask, std.values, 0.0))
-        assert np.max(np.abs(back[m.mask] - m.values[m.mask])) < 1e-12
+        std, stats = standardize_dense(values)
+        assert np.max(np.abs(stats.invert(std) - values)) < 1e-12
 
     def test_identity_stats_are_noop(self):
         stats = ColumnStats.identity(3)
@@ -338,6 +327,18 @@ class TestCsvFormatChecks:
         with pytest.raises(DataError, match="at least one data column"):
             write_matrix_csv(path, np.zeros((3, 0)))
         assert not path.exists()
+
+    @pytest.mark.parametrize("where", ["header", "row 2"])
+    def test_overlong_cell_rejected_with_its_row(self, tmp_path, where):
+        # the csv module reads no field longer than its limit
+        limit = csv.field_size_limit()
+        long = "1" * (limit + 1)
+        path = tmp_path / "m.csv"
+        text = f"id,{long}\nr0,1\n" if where == "header" else f"id,c0\nr0,1\nr1,{long}\n"
+        path.write_text(text)
+        with pytest.raises(DataError) as err:
+            read_matrix_csv(path)
+        assert str(err.value) == f"{path}: {where}: field larger than field limit ({limit})"
 
     def test_non_utf8_rejected(self, tmp_path):
         path = tmp_path / "m.csv"

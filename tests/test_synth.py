@@ -150,6 +150,19 @@ class TestDiscreteWorld:
             generate_discrete_world(10, 5, 3, seed=0,
                                     target_coeffs=np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("target_coeffs", [0.5, 0.5, 0.5, 0.5, 0.5], "target_coeffs must be a length-m"),
+        ("target_coeffs", [0.25, 0.25, 0.5], "target_coeffs must be a length-m"),
+        ("target_coeffs", [np.nan, 0.25, 0.25, 0.25, 0.25], "target_coeffs must be a length-m"),
+        ("twin_mixture", [0.0, 0.5, 0.5], "twin_mixture must be a positive length-S"),
+        ("twin_mixture", [np.nan, 0.5, 0.5], "twin_mixture must be a positive length-S"),
+        ("human_mixture", [-0.5, 0.5, 1.0], "human_mixture must be a length-S"),
+        ("human_mixture", [np.nan, 0.0, 1.0], "human_mixture must be a length-S"),
+    ])
+    def test_non_simplex_vector_named(self, key, value, message):
+        with pytest.raises(DataError, match=f"^{message} simplex vector$"):
+            generate_discrete_world(10, 5, 3, support_size=3, seed=0, **{key: np.array(value)})
+
     def test_noiseless_identical_alignment_correlates_perfectly(self):
         # twin columns equal human columns: every method's input is consistent
         from twincal.calibrate import loo_evaluate
