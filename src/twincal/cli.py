@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from enum import Enum
 from pathlib import Path
 
@@ -315,9 +316,6 @@ def cmd_distcal(args) -> int:
     test_frac = _config(config, "test_frac", 0.2)
     out = _out_dir(args, config)
 
-    twin_codes = twin.values.astype(np.int64)
-    if np.any(np.abs(twin.values - twin_codes) > 0):
-        raise CliError("twin matrix must hold integer category codes")
     p_all = []
     for j in range(human.n_cols):
         observed, _ = human.column(j)
@@ -328,7 +326,7 @@ def cmd_distcal(args) -> int:
             raise CliError(f"human column {j} must hold integer category codes")
         p_all.append(Categorical.from_codes(codes, n_categories))
 
-    table = cross_table(p_all, twin_codes, n_categories, cfg=md_cfg,
+    table = cross_table(p_all, twin.values, n_categories, cfg=md_cfg,
                         test_frac=test_frac, seed=seed)
     _write_json(out / "cross_table.json", table)
 
@@ -447,10 +445,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning as ``twincal: <Category>: <message>``: the source line a
+    library caller sees means nothing to a command-line user."""
+    print(f"twincal: {category.__name__}: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            args = build_parser().parse_args(argv)
+            return args.func(args)
     except (ValueError, KeyError, FloatingPointError, MemoryError, OSError) as exc:
         # DataError (CliError too) and OSError (a path that cannot be read or
         # written) mark bad input; np.linalg.LinAlgError is a ValueError

@@ -104,9 +104,10 @@ class StackedTask:
             raise DataError("twin target column has no observed entries")
 
 
-def _check_rank(rank: int, shape: tuple[int, int]) -> None:
+def _check_rank(rank: int, shape: tuple[int, int], what: str = "") -> None:
+    """Reject a rank above min(shape); ``what`` says which matrix has that shape."""
     if rank > min(shape):
-        raise DataError(f"rank {rank} exceeds min{shape}")
+        raise DataError(f"rank {rank} exceeds min{shape}{what}")
 
 
 def _mean_filled(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -309,7 +310,8 @@ def held_out_columns(human: MaskedMatrix, twin: MaskedMatrix, cfg: CompletionCon
     blocks = (human,) if sp else (human, twin)
     values = np.concatenate([block.values for block in blocks])
     observed = np.concatenate([block.mask for block in blocks])
-    _check_rank(cfg.rank, values.shape)
+    problem = "the human matrix" if sp else "the human and twin matrices stacked"
+    _check_rank(cfg.rank, values.shape, f" of {problem}, which {cfg.method.value} completes")
     predictions = np.empty((n, len(targets)))
     converged = np.empty(len(targets), dtype=bool)
     for t, j in enumerate(targets):

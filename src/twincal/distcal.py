@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .matcore import DataError, check_integer, check_real
+from .matcore import DataError, _mean_se, check_integer, check_real
 
 __all__ = [
     "Categorical",
@@ -168,66 +168,45 @@ def _codes(codes, n_categories: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Discrepancy measures. `_values` and `_grads_wrt_q` take (m, K) truths and
-# (..., m, K) mixtures, so the optimizer evaluates every training question of
-# every stacked run at once.
+# Discrepancy measures.
 # ---------------------------------------------------------------------------
 
-def _values(kind: Discrepancy, p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:
-    if kind is Discrepancy.TV:
-        return 0.5 * np.abs(p - q).sum(axis=-1)
-    if kind is Discrepancy.CHI_SQUARE:
-        qc = np.maximum(q, eps)
-        return (p**2 / qc).sum(axis=-1) - 1.0
-    if kind is Discrepancy.KL:
-        qc = np.maximum(q, eps)
-        terms = np.where(p > 0, p * (np.log(np.maximum(p, eps)) - np.log(qc)), 0.0)
-        return terms.sum(axis=-1)
-    if kind is Discrepancy.HELLINGER:
-        return 1.0 - np.sqrt(p * q).sum(axis=-1)
-    f = np.cumsum(p, axis=-1)
-    g = np.cumsum(q, axis=-1)
-    if kind is Discrepancy.KS:
-        return np.abs(f - g).max(axis=-1)
-    if kind is Discrepancy.CDF_L1:
-        return np.abs(f - g).sum(axis=-1)
-    if kind is Discrepancy.CDF_L2:
-        return ((f - g) ** 2).sum(axis=-1)
-    raise DataError(f"unknown discrepancy {kind!r}")
+def _discrepancies(kind: Discrepancy, p: np.ndarray, q: np.ndarray, eps: float):
+    """Each row's discrepancy and its (sub)gradient with respect to q.
 
-
-def _grads_wrt_q(kind: Discrepancy, p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:
-    """(Sub)gradient of each row's discrepancy with respect to q."""
+    ``p`` holds (m, K) truths and ``q`` (..., m, K) mixtures, so the optimizer
+    evaluates every training question of every stacked run at once. The
+    chi-square, KL and Hellinger kinds share the clamped q; the CDF kinds
+    share the gap G - F between the mixture's and the truth's CDFs.
+    """
     if kind is Discrepancy.TV:
-        return 0.5 * np.sign(q - p)
-    if kind is Discrepancy.CHI_SQUARE:
+        diff = q - p
+        return 0.5 * np.abs(diff).sum(axis=-1), 0.5 * np.sign(diff)
+    if kind in (Discrepancy.CHI_SQUARE, Discrepancy.KL, Discrepancy.HELLINGER):
         qc = np.maximum(q, eps)
-        return np.where(q > eps, -((p / qc) ** 2), 0.0)
-    if kind is Discrepancy.KL:
-        qc = np.maximum(q, eps)
-        return np.where(q > eps, -p / qc, 0.0)
-    if kind is Discrepancy.HELLINGER:
-        qc = np.maximum(q, eps)
-        return -0.5 * np.sqrt(p / qc)
-    f = np.cumsum(p, axis=-1)
-    g = np.cumsum(q, axis=-1)
+        if kind is Discrepancy.CHI_SQUARE:
+            return (p**2 / qc).sum(axis=-1) - 1.0, np.where(q > eps, -((p / qc) ** 2), 0.0)
+        if kind is Discrepancy.KL:
+            terms = np.where(p > 0, p * (np.log(np.maximum(p, eps)) - np.log(qc)), 0.0)
+            return terms.sum(axis=-1), np.where(q > eps, -p / qc, 0.0)
+        return 1.0 - np.sqrt(p * q).sum(axis=-1), -0.5 * np.sqrt(p / qc)
+    gap = np.cumsum(q, axis=-1) - np.cumsum(p, axis=-1)
     if kind is Discrepancy.KS:
+        size = np.abs(gap)
         # subgradient at the first maximizing CDF index
-        star = np.argmax(np.abs(f - g), axis=-1)[..., None]
+        star = np.argmax(size, axis=-1)[..., None]
         grad = (np.arange(p.shape[-1]) <= star).astype(np.float64)
-        return grad * np.sign(np.take_along_axis(g - f, star, axis=-1))
+        return size.max(axis=-1), grad * np.sign(np.take_along_axis(gap, star, axis=-1))
     if kind is Discrepancy.CDF_L1:
-        s = np.sign(g - f)
-        return np.cumsum(s[..., ::-1], axis=-1)[..., ::-1]
-    if kind is Discrepancy.CDF_L2:
-        s = 2.0 * (g - f)
-        return np.cumsum(s[..., ::-1], axis=-1)[..., ::-1]
-    raise DataError(f"unknown discrepancy {kind!r}")
+        value, slope = np.abs(gap).sum(axis=-1), np.sign(gap)
+    else:
+        value, slope = (gap**2).sum(axis=-1), 2.0 * gap
+    return value, np.cumsum(slope[..., ::-1], axis=-1)[..., ::-1]
 
 
 def _scores(kind: Discrepancy, p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:
     """Row discrepancies as reported: rounding below zero is clamped, except chi2."""
-    values = _values(kind, p, q, eps)
+    values = _discrepancies(kind, p, q, eps)[0]
     return values if kind is Discrepancy.CHI_SQUARE else np.maximum(values, 0.0)
 
 
@@ -338,8 +317,7 @@ def _objective(w, pi, p, onehot: np.ndarray, kinds, eps: float):
     for r, kind in enumerate(kinds):
         groups.setdefault(kind, []).append(r)
     for kind, rows in groups.items():
-        values[rows] = _values(kind, p, q[rows], eps)
-        gq[rows] = _grads_wrt_q(kind, p, q[rows], eps)
+        values[rows], gq[rows] = _discrepancies(kind, p, q[rows], eps)
     grad_w = np.einsum("mkn,rmk->rn", onehot, gq) / p.shape[0]
     return values.mean(axis=1), grad_w, gq.mean(axis=1)
 
@@ -398,8 +376,8 @@ def _mirror_descent(runs, p: np.ndarray, onehot: np.ndarray, cfg: MirrorDescentC
         if not live.size:
             break
         obj, grad_w, grad_pi = _objective(w, pi, p, onehot, kinds, cfg.epsilon_floor)
-        bad = ~np.isfinite(obj) | (use_w & ~np.isfinite(grad_w).all(axis=1)) | (
-            use_pi & ~np.isfinite(grad_pi).all(axis=1))
+        bad = ~(np.isfinite(obj) & np.isfinite(grad_w).all(axis=1)
+                & np.isfinite(grad_pi).all(axis=1))
         if bad.any():
             raise failed(f"non-finite mirror-descent objective/gradient at iteration {t}", bad)
         trace[live, t - 1] = obj
@@ -427,10 +405,9 @@ def _mirror_descent(runs, p: np.ndarray, onehot: np.ndarray, cfg: MirrorDescentC
         shift = np.maximum(np.where(use_w, grad_w.max(axis=1), -np.inf),
                            np.where(use_pi, grad_pi.max(axis=1), -np.inf))
         eta = cfg.eta0 / t**DECAY_POWER
-        w = np.where(use_w[:, None],
-                     w * np.exp(np.minimum(-eta * (grad_w - shift[:, None]), 50.0)), w)
-        pi = np.where(use_pi[:, None],
-                      pi * np.exp(np.minimum(-eta * (grad_pi - shift[:, None]), 50.0)), pi)
+        # an off-face coordinate is exactly 0 and its factor finite, so it stays 0
+        w = w * np.exp(np.minimum(-eta * (grad_w - shift[:, None]), 50.0))
+        pi = pi * np.exp(np.minimum(-eta * (grad_pi - shift[:, None]), 50.0))
         total = w.sum(axis=1) + pi.sum(axis=1)
         collapsed = (total <= 0) | ~np.isfinite(total)
         if collapsed.any():
@@ -491,11 +468,6 @@ def fit_weights(
 # three ensemble variants per cell, plus the uniform baseline row).
 # ---------------------------------------------------------------------------
 
-def _mean_se(values: np.ndarray) -> dict:
-    se = 0.0 if values.size <= 1 else float(values.std(ddof=1) / np.sqrt(values.size))
-    return {"mean": float(values.mean()), "se": se}
-
-
 def evaluate_on_questions(
     weights: EnsembleWeights,
     p_list,
@@ -535,10 +507,8 @@ def cross_table(
 
     def test_metrics(weights: EnsembleWeights) -> dict:
         q = _predictions(test, weights)
-        return {
-            metric.value: _mean_se(_scores(metric, p[test_idx], q, cfg.epsilon_floor))
-            for metric in Discrepancy
-        }
+        scores = {m.value: _scores(m, p[test_idx], q, cfg.epsilon_floor) for m in Discrepancy}
+        return {name: dict(zip(("mean", "se"), _mean_se(s))) for name, s in scores.items()}
 
     def cell(weights: EnsembleWeights, start: EnsembleVariant) -> dict:
         return {

@@ -252,13 +252,16 @@ def mean_correlation(
         if np.any(np.abs(corrs) >= 1.0):
             warn_at_caller("correlation magnitude 1 clamped for the z-transform")
             corrs = np.clip(corrs, -limit, limit)
-        z = np.arctanh(corrs)
-        mean = float(np.tanh(z.mean()))
-        se = 0.0 if z.size == 1 else float(z.std(ddof=1) / np.sqrt(z.size))
-    else:
-        mean = float(corrs.mean())
-        se = 0.0 if corrs.size == 1 else float(corrs.std(ddof=1) / np.sqrt(corrs.size))
-    return mean, se
+        mean, se = _mean_se(np.arctanh(corrs))
+        return float(np.tanh(mean)), se
+    return _mean_se(corrs)
+
+
+def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error std(ddof=1) / sqrt(n) of a nonempty vector; se = 0
+    for one value."""
+    se = 0.0 if values.size == 1 else float(values.std(ddof=1) / np.sqrt(values.size))
+    return float(values.mean()), se
 
 
 # ---------------------------------------------------------------------------

@@ -5,21 +5,16 @@ explicit (m, K, n) indicator tensor contracted by ``einsum``. ``twincal.distcal`
 computes the same formula; this copy builds the tensor and the objective on its
 own, so tests can check the library's tensor layout and sums bit for bit.
 
-``mirror_descent_run`` is the one-run exponentiated-gradient loop that
-``distcal`` ran once per (objective, start) before its runs were stacked, on
-the one-run sums and the 2-d KS and CDF subgradients of that loop.
+``values`` and ``grads_wrt_q`` write each discrepancy and its subgradient in q
+from its formula, on the 2-d rows of one run, with no code from
+``twincal.distcal``. ``mirror_descent_run`` is the one-run
+exponentiated-gradient loop that ``distcal`` ran once per (objective, start)
+before its runs were stacked.
 """
 
 import numpy as np
 
-from twincal.distcal import (
-    DECAY_POWER,
-    STALL_PATIENCE,
-    Discrepancy,
-    EnsembleVariant,
-    _grads_wrt_q,
-    _values,
-)
+from twincal.distcal import DECAY_POWER, STALL_PATIENCE, Discrepancy, EnsembleVariant
 
 
 def onehot(twin_cols, n_categories):
@@ -30,8 +25,37 @@ def onehot(twin_cols, n_categories):
     return out
 
 
+def values(kind, p, q, eps):
+    """Row discrepancies of (m, K) arrays; chi2 and KL clamp q at ``eps``, and
+    KL takes 0 log 0 = 0."""
+    if kind is Discrepancy.TV:
+        return 0.5 * np.abs(p - q).sum(axis=1)
+    if kind is Discrepancy.CHI_SQUARE:
+        return (p**2 / np.maximum(q, eps)).sum(axis=1) - 1.0
+    if kind is Discrepancy.KL:
+        log_p = np.log(np.where(p > 0, p, 1.0))
+        return np.where(p > 0, p * (log_p - np.log(np.maximum(q, eps))), 0.0).sum(axis=1)
+    if kind is Discrepancy.HELLINGER:
+        return 1.0 - np.sqrt(p * q).sum(axis=1)
+    gap = np.abs(np.cumsum(p, axis=1) - np.cumsum(q, axis=1))
+    if kind is Discrepancy.KS:
+        return gap.max(axis=1)
+    if kind is Discrepancy.CDF_L1:
+        return gap.sum(axis=1)
+    return (gap**2).sum(axis=1)
+
+
 def grads_wrt_q(kind, p, q, eps):
-    """Row subgradients in q of (m, K) arrays; KS and the CDF objectives on 2-d rows."""
+    """Row subgradients in q of (m, K) arrays. chi2 and KL are flat where q is
+    clamped; Hellinger divides by the clamped q."""
+    if kind is Discrepancy.TV:
+        return 0.5 * np.sign(q - p)
+    if kind is Discrepancy.CHI_SQUARE:
+        return np.where(q > eps, -((p / np.maximum(q, eps)) ** 2), 0.0)
+    if kind is Discrepancy.KL:
+        return np.where(q > eps, -p / np.maximum(q, eps), 0.0)
+    if kind is Discrepancy.HELLINGER:
+        return -0.5 * np.sqrt(p / np.maximum(q, eps))
     f = np.cumsum(p, axis=-1)
     g = np.cumsum(q, axis=-1)
     k = p.shape[-1]
@@ -46,10 +70,8 @@ def grads_wrt_q(kind, p, q, eps):
     if kind is Discrepancy.CDF_L1:
         s = np.sign(g - f)
         return np.cumsum(s[:, ::-1], axis=-1)[:, ::-1]
-    if kind is Discrepancy.CDF_L2:
-        s = 2.0 * (g - f)
-        return np.cumsum(s[:, ::-1], axis=-1)[:, ::-1]
-    return _grads_wrt_q(kind, p, q, eps)
+    s = 2.0 * (g - f)
+    return np.cumsum(s[:, ::-1], axis=-1)[:, ::-1]
 
 
 def objective(w, pi, p, indicators, kind, epsilon_floor):
@@ -57,7 +79,7 @@ def objective(w, pi, p, indicators, kind, epsilon_floor):
     q = np.einsum("mkn,n->mk", indicators, w) + pi[None, :]
     gq = grads_wrt_q(kind, p, q, epsilon_floor)
     grad_w = np.einsum("mkn,mk->n", indicators, gq) / p.shape[0]
-    return float(_values(kind, p, q, epsilon_floor).mean()), grad_w, gq.mean(axis=0)
+    return float(values(kind, p, q, epsilon_floor).mean()), grad_w, gq.mean(axis=0)
 
 
 def objective_and_gradient(w, pi, p, twin_cols, kind, epsilon_floor=1e-9):

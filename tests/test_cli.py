@@ -365,6 +365,21 @@ class TestDistcalCommand:
         assert "human column 2" in payload["error"]
         assert not (tmp_path / "o" / "cross_table.json").exists()
 
+    def test_non_integer_twin_code_exit_2(self, tmp_path, capsys):
+        # the twin's codes are checked once, by the library
+        world, marginals, samples, _ = generate_discrete_world(20, 4, 3, seed=5)
+        twin = samples[:, :4].astype(float)
+        twin[3, 1] = 1.5
+        hp, tp = tmp_path / "h.csv", tmp_path / "t.csv"
+        write_matrix_csv(hp, np.ones((30, 4)))
+        write_matrix_csv(tp, twin)
+        rc = main(["distcal", "--human", str(hp), "--twin", str(tp),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "category codes must be finite integers", "kind": "DataError"}
+        assert not (tmp_path / "o" / "cross_table.json").exists()
+
 
 class TestEvalSweepCommand:
     def test_sweep_csv(self, tmp_path):
@@ -458,6 +473,30 @@ class TestFailureModes:
         assert rc == 1
         assert self._one_error_line(capsys) == {"error": "Unable to allocate 37.3 TiB",
                                                 "kind": "MemoryError"}
+
+    def test_completion_rank_error_names_the_stack(self, tmp_path, capsys):
+        # the movielens.new_question ssv rank (15) exceeds the 12 questions
+        hp, tp = write_pair(tmp_path, n=60, m=12)
+        rc = main(["calibrate", "--human", str(hp), "--twin", str(tp), "--method", "ssv",
+                   "--profile", "movielens.new_question", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert self._one_error_line(capsys) == {
+            "error": "rank 15 exceeds min(120, 12) of the human and twin matrices "
+                     "stacked, which ssv completes",
+            "kind": "DataError"}
+
+    def test_warnings_print_without_a_source_line(self, tmp_path, capsys, monkeypatch):
+        import twincal.regress
+
+        monkeypatch.setattr(twincal.regress, "_SIMPLEX_MAX_ITERS", 3)  # every fit is capped
+        hp, tp = write_pair(tmp_path)
+        rc = main(["calibrate", "--human", str(hp), "--twin", str(tp), "--method", "sc",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 0
+        lines = capsys.readouterr().err.splitlines()
+        # every line has this form: no "path:line:" prefix, no source line
+        assert lines and set(lines) == {
+            "twincal: ConvergenceWarning: simplex fit did not converge within 3 steps"}
 
     def _one_error_line(self, capsys):
         captured = capsys.readouterr()

@@ -16,6 +16,7 @@ from twincal.completion import (
     als_impute,
     estimate_effective_rank,
     hard_impute,
+    held_out_columns,
     impute_dense,
     soft_impute,
     stacked_complete,
@@ -538,6 +539,22 @@ class TestStackedComplete:
         task, target = stacked_world(40, 15, 2, seed=22)
         out = stacked_complete(task, cfg("als", 2, lam=1e-6, max_iters=500, tol=1e-9))
         assert np.linalg.norm(out - target) / np.linalg.norm(target) < 1e-3
+
+
+class TestHeldOutColumnsRank:
+    """The rank error names the matrix that bounds the rank."""
+
+    @pytest.mark.parametrize("method,rank,problem", [
+        # rank 5 fits the 8 x 10 stack but not sp's 4 x 10 human matrix
+        ("hsv", 11, "min(8, 10) of the human and twin matrices stacked, which hsv"),
+        ("sp", 5, "min(4, 10) of the human matrix, which sp"),
+    ])
+    def test_rank_error_names_the_completed_matrix(self, method, rank, problem):
+        rng = np.random.default_rng(23)
+        human, twin = (MaskedMatrix.from_dense(rng.normal(size=(4, 10))) for _ in range(2))
+        with pytest.raises(DataError) as err:
+            held_out_columns(human, twin, cfg(method, rank), twin.values, [0])
+        assert str(err.value) == f"rank {rank} exceeds {problem} completes"
 
 
 class TestOneTargetWarnings:

@@ -559,9 +559,28 @@ class TestStackedMirrorDescent:
         p = np.array([[0.5, 0.0, 0.5], [0.2, 0.3, 0.5]])
         q = np.array([[[0.25, 0.5, 0.25], [0.2, 0.3, 0.5]],
                       [[0.5, 0.0, 0.5], [0.1, 0.6, 0.3]]])
-        got = distcal._grads_wrt_q(kind, p, q, 1e-9)
+        _, got = distcal._discrepancies(kind, p, q, 1e-9)
         for run in range(len(q)):
             assert np.array_equal(got[run], onehot_oracle.grads_wrt_q(kind, p, q[run], 1e-9))
+
+    @pytest.mark.parametrize("kind", ALL)
+    def test_discrepancies_match_formula_oracle(self, kind):
+        # p has zero cells; run 0 has q cells below eps (1e-12 and 0) and, in
+        # row 0, a KS tie (|F - G| = 0.25 at the first two indices); run 1
+        # matches p exactly in row 1, so every CDF gap there is 0
+        eps = 1e-9
+        p = np.array([[0.5, 0.0, 0.25, 0.25], [0.1, 0.2, 0.3, 0.4],
+                      [0.0, 0.5, 0.5, 0.0]])
+        q = np.array([[[0.25, 0.5, 1e-12, 0.25 - 1e-12], [0.4, 0.0, 0.35, 0.25],
+                       [0.125, 0.375, 0.25, 0.25]],
+                      [[0.7, 0.1, 0.1, 0.1], [0.1, 0.2, 0.3, 0.4],
+                       [0.25, 0.25, 0.25, 0.25]]])
+        values, grads = distcal._discrepancies(kind, p, q, eps)
+        assert values.shape == q.shape[:2] and grads.shape == q.shape
+        # the same formulas in the same float operations: bit for bit
+        for run in range(len(q)):
+            assert np.array_equal(values[run], onehot_oracle.values(kind, p, q[run], eps))
+            assert np.array_equal(grads[run], onehot_oracle.grads_wrt_q(kind, p, q[run], eps))
 
     def test_cross_table_warns_nothing(self):
         # the first step's stall test must not evaluate inf - inf
@@ -572,13 +591,13 @@ class TestStackedMirrorDescent:
 
     def test_non_finite_gradient_names_the_run(self, monkeypatch):
         world, p_all, samples, _ = generate_discrete_world(30, 8, 3, seed=16)
-        real_grads = distcal._grads_wrt_q
+        real = distcal._discrepancies
 
         def poisoned(kind, p, q, eps):
-            grads = real_grads(kind, p, q, eps)
-            return np.full_like(grads, np.nan) if kind is Discrepancy.KL else grads
+            values, grads = real(kind, p, q, eps)
+            return values, np.full_like(grads, np.nan) if kind is Discrepancy.KL else grads
 
-        monkeypatch.setattr(distcal, "_grads_wrt_q", poisoned)
+        monkeypatch.setattr(distcal, "_discrepancies", poisoned)
         with pytest.raises(FloatingPointError, match=r"objective/gradient at iteration 1 "
                            r"\(objective kl, start personas_and_dummies\)"):
             cross_table(p_all, samples[:, :8], 3, cfg=MirrorDescentConfig(max_iters=20))
