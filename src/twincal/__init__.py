@@ -51,7 +51,6 @@ from .distcal import (
     variance_ratio,
 )
 from .matcore import (
-    ColumnStats,
     ConvergenceWarning,
     DataError,
     EmptyColumnError,

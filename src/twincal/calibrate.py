@@ -19,7 +19,6 @@ import numpy as np
 
 from .completion import held_out_columns, impute_dense
 from .matcore import (
-    ColumnStats,
     DataError,
     MaskedMatrix,
     UndefinedCorrelationError,
@@ -95,13 +94,14 @@ class CalibrationTask:
 
 def _prepared(
     human: MaskedMatrix, twin: MaskedMatrix, rank: int | None, standardize: bool, seed: int
-) -> tuple[np.ndarray, np.ndarray, ColumnStats, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Impute each matrix separately, then (optionally) standardize columns.
 
     Returns the human and the twin on the fitting scale, the twin's column
-    stats, and the imputed twin on its own scale: the leave-one-out baseline.
-    With ``standardize`` off the stats are the identity, so de-standardization
-    is a no-op and the fits run on the raw scale.
+    means and stds, and the imputed twin on its own scale: the leave-one-out
+    baseline. With ``standardize`` off the fits run on the raw scale, with
+    means 0 and stds 1: de-standardizing (``x * stds + means``) still runs,
+    so a -0.0 prediction is written as 0, not -0.
     """
     # impute_dense returns a new array, so the human standardizes in place
     # before the twin is imputed; the imputed twin is kept as the baseline
@@ -110,9 +110,9 @@ def _prepared(
         standardize_dense(human_fit, out=human_fit)
     twin_imputed, _ = impute_dense(twin, rank, seed)
     if not standardize:
-        return human_fit, twin_imputed, ColumnStats.identity(twin.n_cols), twin_imputed
-    twin_fit, t_stats = standardize_dense(twin_imputed)
-    return human_fit, twin_fit, t_stats, twin_imputed
+        return (human_fit, twin_imputed, np.zeros(twin.n_cols), np.ones(twin.n_cols),
+                twin_imputed)
+    return (human_fit, *standardize_dense(twin_imputed), twin_imputed)
 
 
 def _transfer(
@@ -152,13 +152,13 @@ def fit_and_transfer(
     """
     if not isinstance(task.method, RegressConfig):
         raise DataError("fit_and_transfer requires a regression method")
-    human, twin, twin_stats, _ = _prepared(*task._oriented(), task.impute_rank,
-                                           task.standardize, task.seed)
+    human, twin, means, stds, _ = _prepared(*task._oriented(), task.impute_rank,
+                                            task.standardize, task.seed)
     j = task.target_index
     # the human matrix has no target column; a zero one aligns it with the twin
     human = np.insert(human, j, 0.0, axis=1)
     train_mses, pred = _transfer(twin, human, task.method, np.array([j]))
-    prediction = pred[:, 0] * twin_stats.stds[j] + twin_stats.means[j]
+    prediction = pred[:, 0] * stds[j] + means[j]
     return prediction, TransferDiagnostic(float(train_mses[0]))
 
 
@@ -230,21 +230,6 @@ class EvalReport:
         payload["orientation"] = self.orientation.value
         return payload
 
-    def to_csv_rows(self) -> list[list]:
-        rows = [["method", "target", "corr", "baseline_corr", "train_mse",
-                 "transferred", "skipped"]]
-        for r in self.per_target:
-            rows.append([
-                self.method_label,
-                r.index,
-                "" if r.corr is None else "%.17g" % r.corr,
-                "" if r.baseline_corr is None else "%.17g" % r.baseline_corr,
-                "" if r.train_mse is None else "%.17g" % r.train_mse,
-                int(r.transferred),
-                int(r.skipped),
-            ])
-        return rows
-
 
 def _method_label(method) -> str:
     if isinstance(method, RegressConfig):
@@ -302,11 +287,11 @@ def _loo_predictions(
     m = human.n_cols
     cols = np.arange(m)
     if isinstance(method, RegressConfig):
-        human_fit, twin_fit, twin_stats, twin_dense = _prepared(
+        human_fit, twin_fit, means, stds, twin_dense = _prepared(
             human, twin, impute_rank, standardize, seed)
         train_mses, pred = _transfer(twin_fit, human_fit, method, cols)
-        del human_fit, twin_fit  # before inverting makes two more n x m arrays
-        return twin_stats.invert(pred), train_mses, twin_dense
+        del human_fit, twin_fit  # before de-standardizing makes two more n x m arrays
+        return pred * stds + means, train_mses, twin_dense
 
     twin_dense, _ = impute_dense(twin, impute_rank, seed)
     predictions, _ = held_out_columns(human, twin, method, twin_dense, cols)

@@ -22,6 +22,7 @@ import os
 import sys
 import warnings
 from enum import Enum
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -197,14 +198,20 @@ def _write_json(path: Path, payload, *, keep_inf: bool = False) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: Path, rows) -> None:
+def _cell(value):
+    """A float as ``%.17g`` (so ``nan`` and ``inf`` as such), None as an empty
+    cell, anything else as ``csv.writer`` writes it."""
+    if value is None:
+        return ""
+    return "%.17g" % value if isinstance(value, float) else value
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write ``header``, then each row with every cell under one rule."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerows(rows)
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
+        writer.writerow(header)
+        writer.writerows([_cell(value) for value in row] for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +251,11 @@ def cmd_calibrate(args) -> int:
     if settings["orientation"] is Orientation.NEW_USER:
         predictions = predictions.T
     _write_json(out / "report.json", report.to_json_dict())
-    _write_csv(out / "per_target.csv", report.to_csv_rows())
+    _write_csv(out / "per_target.csv",
+               ["method", "target", "corr", "baseline_corr", "train_mse",
+                "transferred", "skipped"],
+               ([report.method_label, r.index, r.corr, r.baseline_corr, r.train_mse,
+                 int(r.transferred), int(r.skipped)] for r in report.per_target))
     write_matrix_csv(out / "predictions.csv", predictions)
     return 0
 
@@ -259,13 +270,8 @@ def cmd_eval_sweep(args) -> int:
     out = _out_dir(args, config)
 
     records = sweep_thresholds(human, twin, method, taus, **settings)
-    rows = [["tau", "mean", "se", "n_transferred", "skipped"]]
-    for rec in records:
-        rows.append([
-            _fmt(rec["tau"]), _fmt(rec["mean"]), _fmt(rec["se"]),
-            rec["n_transferred"], rec["skipped"],
-        ])
-    _write_csv(out / "sweep.csv", rows)
+    _write_csv(out / "sweep.csv", ["tau", "mean", "se", "n_transferred", "skipped"],
+               (rec.values() for rec in records))
     # a tau grid point of inf is echoed as Infinity, which readers of the
     # sweep compare with the float grid they asked for
     _write_json(out / "sweep.json", records, keep_inf=True)
@@ -286,15 +292,10 @@ def cmd_diagnose(args) -> int:
     report = alignment_report(human, twin, axis, seed, rank=rank, impute_rank=impute_rank)
     _write_json(out / "alignment.json", report.to_json_dict())
 
-    curve_h, curve_t = report.variance_curves()
-    rows = [["k", "human", "twin"]]
-    for k in range(max(len(curve_h), len(curve_t))):
-        rows.append([
-            k + 1,
-            _fmt(curve_h[k]) if k < len(curve_h) else "",
-            _fmt(curve_t[k]) if k < len(curve_t) else "",
-        ])
-    _write_csv(out / "variance_explained.csv", rows)
+    # a curve shorter than the other leaves its cells past its end empty
+    _write_csv(out / "variance_explained.csv", ["k", "human", "twin"],
+               ([k, *pair] for k, pair in
+                enumerate(zip_longest(*report.variance_curves()), start=1)))
     return 0
 
 
@@ -318,29 +319,24 @@ def cmd_distcal(args) -> int:
 
     p_all = []
     for j in range(human.n_cols):
-        observed, _ = human.column(j)
-        if observed.size == 0:
-            raise CliError(f"human column {j} has no observed responses")
-        codes = observed.astype(np.int64)
-        if np.any(observed != codes):
-            raise CliError(f"human column {j} must hold integer category codes")
-        p_all.append(Categorical.from_codes(codes, n_categories))
+        try:
+            p_all.append(Categorical.from_codes(human.column(j)[0], n_categories))
+        except DataError as exc:
+            raise CliError(f"human column {j}: {exc}") from exc
 
     table = cross_table(p_all, twin.values, n_categories, cfg=md_cfg,
                         test_frac=test_frac, seed=seed)
     _write_json(out / "cross_table.json", table)
 
-    rows = [["train_objective", "variant", "test_metric", "mean", "se"]]
-    for objective, variants in table["rows"].items():
-        for variant, cell in variants.items():
-            for metric, stats in cell["test_metrics"].items():
-                rows.append([
-                    objective, variant, metric,
-                    _fmt(stats["mean"]), _fmt(stats["se"]),
-                ])
-    for metric, stats in table["baseline"].items():
-        rows.append(["baseline", "uniform", metric, _fmt(stats["mean"]), _fmt(stats["se"])])
-    _write_csv(out / "cross_table.csv", rows)
+    cells = [(objective, variant, cell["test_metrics"])
+             for objective, variants in table["rows"].items()
+             for variant, cell in variants.items()]
+    cells.append(("baseline", "uniform", table["baseline"]))
+    _write_csv(out / "cross_table.csv",
+               ["train_objective", "variant", "test_metric", "mean", "se"],
+               ([objective, variant, metric, stats["mean"], stats["se"]]
+                for objective, variant, metrics in cells
+                for metric, stats in metrics.items()))
     return 0
 
 

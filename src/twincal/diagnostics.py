@@ -33,15 +33,17 @@ class SubspaceAxis(str, Enum):
     COLUMN_SPACE = "column_space"
 
 
-def _leading_basis(matrix: np.ndarray, k: int) -> np.ndarray:
-    """Orthonormal basis of the span of the leading-k left singular vectors."""
+def _leading_basis(matrix: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The leading k left singular vectors, an orthonormal basis of their
+    span, and all the singular values, from one thin SVD. The vectors are
+    copied out of the factor, since a view would keep all of it alive."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise DataError("expected a 2-d matrix")
     if not 1 <= k <= min(matrix.shape):
         raise DataError(f"k={k} exceeds the available rank bound {min(matrix.shape)}")
-    left, _, _ = np.linalg.svd(matrix, full_matrices=False)
-    return left[:, :k]
+    left, sv, _ = np.linalg.svd(matrix, full_matrices=False)
+    return left[:, :k].copy(), sv
 
 
 def _angle_curves(qa: np.ndarray, qb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -71,7 +73,7 @@ def principal_angle_cosines(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
     of the cross-Gram of the two orthonormal bases, sorted nonincreasing and
     clipped into [0, 1].
     """
-    return _angle_curves(_leading_basis(a, k), _leading_basis(b, k))[0]
+    return _angle_curves(_leading_basis(a, k)[0], _leading_basis(b, k)[0])[0]
 
 
 def projection_frobenius(a: np.ndarray, b: np.ndarray, k: int) -> float:
@@ -81,7 +83,7 @@ def projection_frobenius(a: np.ndarray, b: np.ndarray, k: int) -> float:
     most sqrt(2k); computed from the bases alone, without forming either
     projector.
     """
-    return float(_angle_curves(_leading_basis(a, k), _leading_basis(b, k))[1][-1])
+    return float(_angle_curves(_leading_basis(a, k)[0], _leading_basis(b, k)[0])[1][-1])
 
 
 def _variance_curve(singular_values: np.ndarray) -> np.ndarray:
@@ -204,28 +206,23 @@ def alignment_report(
         warn_at_caller(f"r_max={r_max} exceeds the rank bound {limit}; clamping")
         r_max = limit
 
-    def decomposed(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A copy of the r_max leading singular vectors (a view would keep the
-        whole factor alive), and the singular values."""
-        left, sv, _ = np.linalg.svd(matrix.T if row_space else matrix, full_matrices=False)
-        return left[:, :r_max].copy(), sv
-
     # One full-size matrix at a time. The human is decomposed, then shuffled
     # in place (``h`` is this function's own) and decomposed again; the
     # Gaussian baseline, drawn first from the seed, is drawn twice so the
     # permutations still follow it in the stream. The twin is imputed last.
-    q_human, human_spectrum = decomposed(h)
+    q_human, human_spectrum = _leading_basis(h.T if row_space else h, r_max)
     rng = np.random.default_rng(seed)
     rng.normal(size=twin_shape)
     for j in range(h.shape[1]):
         h[:, j] = h[rng.permutation(h.shape[0]), j]
-    q_shuffled, _ = decomposed(h)
+    q_shuffled, _ = _leading_basis(h.T if row_space else h, r_max)
     del h
     gaussian = np.random.default_rng(seed).normal(size=twin_shape)
     gaussian -= gaussian.mean(axis=0)
-    q_gaussian, _ = decomposed(gaussian)
+    q_gaussian, _ = _leading_basis(gaussian.T if row_space else gaussian, r_max)
     del gaussian
-    q_twin, twin_spectrum = decomposed(_to_dense_demeaned(twin, impute_rank, seed)[0])
+    twin_dense = _to_dense_demeaned(twin, impute_rank, seed)[0]
+    q_twin, twin_spectrum = _leading_basis(twin_dense.T if row_space else twin_dense, r_max)
     cos, dist = _angle_curves(q_human, q_twin)
     g_cos, g_dist = _angle_curves(q_human, q_gaussian)
     s_cos, s_dist = _angle_curves(q_human, q_shuffled)

@@ -154,14 +154,20 @@ class MirrorDescentConfig:
             raise DataError("tol must be positive")
 
 
-def _codes(codes, n_categories: int) -> np.ndarray:
-    """``codes`` as int64, after checking they are integers in 1..n_categories."""
+def _codes(codes, n_categories: int, name: str = "category codes") -> np.ndarray:
+    """``codes`` as int64, after checking they are integers in 1..n_categories;
+    an error names ``name`` and, in a matrix, the first bad cell."""
     values = np.asarray(codes, dtype=np.float64)
-    if not np.all(np.isfinite(values)) or np.any(values != np.round(values)):
-        raise DataError("category codes must be finite integers")
+    bad = ~np.isfinite(values) | (values != np.round(values))
+    if bad.any():
+        at = ""
+        if values.ndim == 2:
+            i, j = np.argwhere(bad)[0]
+            at = f"; row {i}, column {j} holds {values[i, j]:g}"
+        raise DataError(f"{name} must be finite integers{at}")
     if values.size and (values.min() < 1 or values.max() > n_categories):
         raise DataError(
-            f"category codes must lie in 1..{n_categories}, "
+            f"{name} must lie in 1..{n_categories}, "
             f"got range [{values.min():g}, {values.max():g}]"
         )
     return values.astype(np.int64)
@@ -224,7 +230,7 @@ def discrepancy(spec: Discrepancy | str, p: Categorical, q: Categorical) -> floa
 
 def _onehot(twin_cols: np.ndarray, n_categories: int) -> np.ndarray:
     """(m, K, n) indicator tensor of the (n, m) twin answers (codes 1..K)."""
-    codes = _codes(twin_cols, n_categories)
+    codes = _codes(twin_cols, n_categories, "twin category codes")
     n, m = codes.shape
     out = np.zeros((m, n_categories, n))
     out[np.arange(m)[:, None], codes.T - 1, np.arange(n)[None, :]] = 1.0

@@ -24,7 +24,6 @@ __all__ = [
     "ConvergenceWarning",
     "MaskedMatrix",
     "draw_covered_mask",
-    "ColumnStats",
     "pearson",
     "mean_correlation",
     "write_matrix_csv",
@@ -160,41 +159,11 @@ def draw_covered_mask(draw, what: str) -> np.ndarray:
     raise DataError(f"could not sample {what}")
 
 
-@dataclass(frozen=True)
-class ColumnStats:
-    """Per-column observed mean and population standard deviation.
-
-    A recorded std of exactly 0 marks a constant column; such columns
-    standardize to all zeros and invert back to their mean.
-    """
-
-    means: np.ndarray
-    stds: np.ndarray
-
-    def __post_init__(self) -> None:
-        means = np.asarray(self.means, dtype=np.float64)
-        stds = np.asarray(self.stds, dtype=np.float64)
-        if means.shape != stds.shape or means.ndim != 1:
-            raise DataError("means and stds must be 1-d vectors of equal length")
-        if np.any(stds < 0):
-            raise DataError("stds must be nonnegative")
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "stds", stds)
-
-    @classmethod
-    def identity(cls, n_cols: int) -> "ColumnStats":
-        """Stats that standardize/invert as a no-op (mean 0, std 1)."""
-        return cls(np.zeros(n_cols), np.ones(n_cols))
-
-    def invert(self, x: np.ndarray) -> np.ndarray:
-        """Map standardized values back to the original scale."""
-        return x * self.stds + self.means
-
-
 def standardize_dense(values: np.ndarray, out: np.ndarray | None = None
-                      ) -> tuple[np.ndarray, ColumnStats]:
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Standardize each column of a finite, fully observed dense matrix to
-    mean 0 and population std 1.
+    mean 0 and population std 1; returns the result and the column means and
+    population stds (``result * stds + means`` maps it back).
 
     A constant column is set to zero and its std recorded as 0, so the
     transform stays exactly invertible. The result takes one full-size
@@ -210,7 +179,7 @@ def standardize_dense(values: np.ndarray, out: np.ndarray | None = None
     stds = np.where(constant, 0.0, np.sqrt(np.square(centered).sum(axis=0) / n))
     centered /= np.where(constant, 1.0, stds)
     centered[:, constant] = 0.0
-    return centered, ColumnStats(means, stds)
+    return centered, means, stds
 
 
 def pearson(a: np.ndarray, b: np.ndarray) -> float:

@@ -240,9 +240,6 @@ class TestLooEvaluate:
         payload = report.to_json_dict()
         assert payload["fisher_z"] is True
         assert len(payload["per_target"]) == 8
-        rows = report.to_csv_rows()
-        assert rows[0][0] == "method"
-        assert len(rows) == 9
 
     def test_shape_mismatch_rejected(self):
         _, human, twin, _ = generate_latent_world(20, 8, 2, seed=17)

@@ -9,7 +9,9 @@ import pytest
 
 import twincal
 
+from twincal.calibrate import loo_evaluate
 from twincal.cli import _RULES, _resolve, main
+from twincal.diagnostics import alignment_report
 from twincal.matcore import MaskedMatrix, read_matrix_csv, write_matrix_csv
 from twincal.profiles import method_config
 from twincal.synth import generate_discrete_world, generate_latent_world
@@ -42,9 +44,34 @@ class TestCalibrateCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["method"] == "ridge"
         assert report["mean"] > 0.999
-        assert (out / "per_target.csv").exists()
+        lines = (out / "per_target.csv").read_text().splitlines()
+        assert lines[0] == "method,target,corr,baseline_corr,train_mse,transferred,skipped"
+        assert len(lines) == 1 + 12
         preds = read_matrix_csv(out / "predictions.csv")
         assert preds.shape == (40, 12)
+
+    def test_per_target_cells(self, tmp_path):
+        # a constant human target has no correlation: its corr and
+        # baseline_corr cells are empty and it is marked skipped
+        _, human, twin, _ = generate_latent_world(40, 6, 2, seed=2)
+        values = human.values.copy()
+        values[:, 3] = 2.0
+        hp, tp = tmp_path / "h.csv", tmp_path / "t.csv"
+        write_matrix_csv(hp, MaskedMatrix(values, human.mask))
+        write_matrix_csv(tp, MaskedMatrix(twin.values[:, :6], twin.mask[:, :6]))
+        out = tmp_path / "o"
+        assert main(["calibrate", "--human", str(hp), "--twin", str(tp),
+                     "--method", "ridge", "--out", str(out)]) == 0
+        report = loo_evaluate(read_matrix_csv(hp), read_matrix_csv(tp),
+                              method_config("ridge", None, seed=0))
+        rows = [line.split(",") for line in
+                (out / "per_target.csv").read_text().splitlines()[1:]]
+        for row, r in zip(rows, report.per_target, strict=True):
+            cells = ["" if v is None else "%.17g" % v
+                     for v in (r.corr, r.baseline_corr, r.train_mse)]
+            assert row == ["ridge", str(r.index), *cells, "1", str(int(r.skipped))]
+        assert rows[3][2:4] == ["", ""] and rows[3][6] == "1"
+        assert report.skipped_count == 1
 
     def test_missing_input_file_exit_2_with_path(self, tmp_path, capsys):
         rc = main(["calibrate", "--human", str(tmp_path / "nope.csv"),
@@ -195,6 +222,24 @@ class TestDiagnoseCommand:
         assert max(payload["proj_frobenius"]) < 1e-8
         assert payload["r_max"] == payload["rank"] + 2
         assert (out / "variance_explained.csv").exists()
+
+    def test_shorter_human_curve_leaves_empty_cells(self, tmp_path):
+        # column space of a 40 x 12 human against a 40 x 13 twin: the human
+        # curve has 12 points, the twin's 13
+        _, human, twin, _ = generate_latent_world(40, 12, 3, seed=6, noise_sigma=0.1)
+        hp, tp = tmp_path / "h.csv", tmp_path / "t.csv"
+        write_matrix_csv(hp, human)
+        write_matrix_csv(tp, twin)
+        out = tmp_path / "diag"
+        assert main(["diagnose", "--human", str(hp), "--twin", str(tp),
+                     "--axis", "column_space", "--out", str(out)]) == 0
+        curve_h, curve_t = alignment_report(
+            read_matrix_csv(hp), read_matrix_csv(tp), "column_space").variance_curves()
+        assert (len(curve_h), len(curve_t)) == (12, 13)
+        want = ["k,human,twin"] + [
+            f"{k},{'' if k > 12 else '%.17g' % curve_h[k - 1]},{'%.17g' % curve_t[k - 1]}"
+            for k in range(1, 14)]
+        assert (out / "variance_explained.csv").read_text().splitlines() == want
 
     def test_axis_from_orientation(self, tmp_path):
         hp, tp = write_pair(tmp_path, seed=7, noise_sigma=0.1)
@@ -377,7 +422,23 @@ class TestDistcalCommand:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
         assert json.loads(capsys.readouterr().out) == {
-            "error": "category codes must be finite integers", "kind": "DataError"}
+            "error": "twin category codes must be finite integers; row 3, column 1 holds 1.5",
+            "kind": "DataError"}
+        assert not (tmp_path / "o" / "cross_table.json").exists()
+
+    def test_out_of_range_human_code_names_the_column(self, tmp_path, capsys):
+        world, marginals, samples, _ = generate_discrete_world(20, 4, 3, seed=5)
+        human = np.ones((30, 4))
+        human[7, 1] = 7.0
+        hp, tp = tmp_path / "h.csv", tmp_path / "t.csv"
+        write_matrix_csv(hp, human)
+        write_matrix_csv(tp, samples[:, :4].astype(float))
+        rc = main(["distcal", "--human", str(hp), "--twin", str(tp),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "human column 1: category codes must lie in 1..3, got range [1, 7]",
+            "kind": "CliError"}
         assert not (tmp_path / "o" / "cross_table.json").exists()
 
 
@@ -393,6 +454,12 @@ class TestEvalSweepCommand:
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert lines[0] == "tau,mean,se,n_transferred,skipped"
         assert len(lines) == 4
+        # the inf row, cell by cell, from the ungated-at-inf report
+        report = loo_evaluate(read_matrix_csv(hp), read_matrix_csv(tp),
+                              method_config("ridge", None, seed=0), tau=float("inf"))
+        assert lines[3] == (f"inf,{'%.17g' % report.mean},{'%.17g' % report.se},"
+                            f"{sum(r.transferred for r in report.per_target)},"
+                            f"{report.skipped_count}")
 
 
 class TestOrientationAndGatingFlags:

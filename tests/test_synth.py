@@ -150,6 +150,19 @@ class TestDiscreteWorld:
             generate_discrete_world(10, 5, 3, seed=0,
                                     target_coeffs=np.array([1.0, 1.0]))
 
+    def test_valid_custom_mixtures_kept_as_given(self):
+        twin_mixture = np.array([0.5, 0.25, 0.25])
+        human_mixture = np.array([0.125, 0.125, 0.75])
+        target_coeffs = np.array([0.4, 0.3, 0.2, 0.1, 0.0])
+        world, _, _, _ = generate_discrete_world(
+            10, 5, 3, support_size=3, seed=0, twin_mixture=twin_mixture,
+            human_mixture=human_mixture, target_coeffs=target_coeffs)
+        assert np.array_equal(world.twin_mixture, twin_mixture)
+        assert np.array_equal(world.human_mixture, human_mixture)
+        assert np.array_equal(world.target_coeffs, target_coeffs)
+        assert world.reweight_bound == np.max(human_mixture / twin_mixture) == 3.0
+        assert world.exact_reweighting
+
     @pytest.mark.parametrize("key,value,message", [
         ("target_coeffs", [0.5, 0.5, 0.5, 0.5, 0.5], "target_coeffs must be a length-m"),
         ("target_coeffs", [0.25, 0.25, 0.5], "target_coeffs must be a length-m"),
