@@ -278,12 +278,6 @@ def _loo_predictions(
     completion methods complete the raw masked matrices with each target
     column held out in place, its unconverged targets left unreported.
     """
-    if human.shape != twin.shape:
-        raise DataError(
-            f"leave-one-out needs human and twin of equal shape, got "
-            f"{human.shape} and {twin.shape}; if the twin carries a trailing "
-            "held-out column, drop it (synth writes twin_features.csv for this)"
-        )
     m = human.n_cols
     cols = np.arange(m)
     if isinstance(method, RegressConfig):
@@ -334,14 +328,21 @@ def _loo_pass(
 ):
     """The one leave-one-out pass behind :func:`loo_evaluate` and the sweep.
 
-    Orients the pair (a new user is held out as a row) and checks that a
-    gated pass (``taus`` not None) runs a regression method at nonnegative
-    thresholds. Then it predicts every target and correlates the prediction
-    and the twin baseline with the observed human target (None where
-    undefined). Returns the orientation, those correlation pairs, the train
-    MSEs, the predictions and the twin baseline, in the oriented layout.
+    Checks that the pair has equal shapes, in the layout given, and orients
+    it (a new user is held out as a row). Checks that a gated pass (``taus``
+    not None) runs a regression method at nonnegative thresholds. Then it
+    predicts every target and correlates the prediction and the twin
+    baseline with the observed human target (None where undefined). Returns
+    the orientation, those correlation pairs, the train MSEs, the
+    predictions and the twin baseline, in the oriented layout.
     """
     orientation = Orientation(orientation)
+    if human.shape != twin.shape:
+        raise DataError(
+            f"leave-one-out needs human and twin of equal shape, got "
+            f"{human.shape} and {twin.shape}; if the twin carries a trailing "
+            "held-out column, drop it (synth writes twin_features.csv for this)"
+        )
     if orientation is Orientation.NEW_USER:
         human = human.transpose()
         twin = twin.transpose()

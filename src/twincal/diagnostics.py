@@ -145,26 +145,18 @@ class AlignmentReport:
 
 
 def _to_dense_demeaned(
-    matrix: MaskedMatrix | np.ndarray, rank: int | None, seed: int
+    matrix: MaskedMatrix, rank: int | None, seed: int
 ) -> tuple[np.ndarray, int]:
-    """The imputed, column-demeaned matrix and the imputation rank (0 if none).
-
-    The result is always a new array: an imputed matrix is demeaned in place,
-    a dense input into a copy.
-    """
-    if isinstance(matrix, MaskedMatrix):
-        dense, used_rank = impute_dense(matrix, rank, seed)
-        dense -= dense.mean(axis=0)
-        return dense, used_rank
-    dense = np.asarray(matrix, dtype=np.float64)
-    if not np.all(np.isfinite(dense)):
-        raise DataError("dense input contains non-finite cells; impute first")
-    return dense - dense.mean(axis=0), 0
+    """The imputed, column-demeaned matrix, a new array demeaned in place, and
+    the imputation rank (0 if the matrix is fully observed)."""
+    dense, used_rank = impute_dense(matrix, rank, seed)
+    dense -= dense.mean(axis=0)
+    return dense, used_rank
 
 
 def alignment_report(
-    human: MaskedMatrix | np.ndarray,
-    twin: MaskedMatrix | np.ndarray,
+    human: MaskedMatrix,
+    twin: MaskedMatrix,
     axis: SubspaceAxis | str = SubspaceAxis.ROW_SPACE,
     seed: int = 0,
     *,
@@ -176,9 +168,9 @@ def alignment_report(
     The effective rank is estimated on the human matrix by held-out hard
     imputation unless ``rank`` is given; when the human matrix is imputed at
     an estimated rank, that estimate is reused. r_max = rank + 2 is clamped
-    to the matrix dimensions with a warning. Both matrices are imputed (if
-    masked) and column-demeaned before taking singular subspaces: right
-    singular vectors for the row-space axis, left for the column-space axis.
+    to the matrix dimensions with a warning. Both matrices are imputed and
+    column-demeaned before taking singular subspaces: right singular vectors
+    for the row-space axis, left for the column-space axis.
     Each of the human, twin and two baseline matrices takes one thin SVD.
     """
     axis = SubspaceAxis(axis)
@@ -189,38 +181,35 @@ def alignment_report(
         if impute_rank is None and human_impute_rank:
             rank = human_impute_rank
         else:
-            masked = human if isinstance(human, MaskedMatrix) else MaskedMatrix.from_dense(human)
-            rank = estimate_effective_rank(masked, seed=seed)
-    twin_shape = twin.shape if isinstance(twin, MaskedMatrix) else np.shape(twin)
+            rank = estimate_effective_rank(human, seed=seed)
     row_space = axis is SubspaceAxis.ROW_SPACE
     if row_space:
-        if h.shape[1] != twin_shape[1]:
+        if h.shape[1] != twin.shape[1]:
             raise DataError("row-space comparison needs equal column counts")
     else:
-        if h.shape[0] != twin_shape[0]:
+        if h.shape[0] != twin.shape[0]:
             raise DataError("column-space comparison needs equal row counts")
 
     r_max = rank + 2
-    limit = min(min(h.shape), min(twin_shape))
+    limit = min(min(h.shape), min(twin.shape))
     if r_max > limit:
         warn_at_caller(f"r_max={r_max} exceeds the rank bound {limit}; clamping")
         r_max = limit
 
-    # One full-size matrix at a time. The human is decomposed, then shuffled
-    # in place (``h`` is this function's own) and decomposed again; the
-    # Gaussian baseline, drawn first from the seed, is drawn twice so the
-    # permutations still follow it in the stream. The twin is imputed last.
+    # The human is decomposed first. The Gaussian baseline, drawn first from
+    # the seed, is decomposed next, so that the permutations shuffling the
+    # human in place (``h`` is this function's own) follow it in the stream.
+    # The shuffled human is decomposed and dropped before the twin is imputed.
     q_human, human_spectrum = _leading_basis(h.T if row_space else h, r_max)
     rng = np.random.default_rng(seed)
-    rng.normal(size=twin_shape)
+    gaussian = rng.normal(size=twin.shape)
+    gaussian -= gaussian.mean(axis=0)
+    q_gaussian, _ = _leading_basis(gaussian.T if row_space else gaussian, r_max)
+    del gaussian
     for j in range(h.shape[1]):
         h[:, j] = h[rng.permutation(h.shape[0]), j]
     q_shuffled, _ = _leading_basis(h.T if row_space else h, r_max)
     del h
-    gaussian = np.random.default_rng(seed).normal(size=twin_shape)
-    gaussian -= gaussian.mean(axis=0)
-    q_gaussian, _ = _leading_basis(gaussian.T if row_space else gaussian, r_max)
-    del gaussian
     twin_dense = _to_dense_demeaned(twin, impute_rank, seed)[0]
     q_twin, twin_spectrum = _leading_basis(twin_dense.T if row_space else twin_dense, r_max)
     cos, dist = _angle_curves(q_human, q_twin)
@@ -242,16 +231,12 @@ def alignment_report(
     )
 
 
-def variance_explained(
-    matrix: MaskedMatrix | np.ndarray,
-    *,
-    impute_rank: int | None = None,
-    seed: int = 0,
-) -> np.ndarray:
+def variance_explained(matrix: MaskedMatrix, *, seed: int = 0) -> np.ndarray:
     """Cumulative fraction of variance captured by the leading directions.
 
-    Columns are demeaned first; the curve is nondecreasing and ends at 1.
-    Raises on an (effectively) zero matrix.
+    The matrix is imputed (at a searched rank) and its columns demeaned
+    first; the curve is nondecreasing and ends at 1. Raises on an
+    (effectively) zero matrix.
     """
-    demeaned, _ = _to_dense_demeaned(matrix, impute_rank, seed)
+    demeaned, _ = _to_dense_demeaned(matrix, None, seed)
     return _variance_curve(np.linalg.svd(demeaned, compute_uv=False))

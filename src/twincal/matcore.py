@@ -286,9 +286,9 @@ def write_matrix_csv(
     *,
     row_labels: list[str] | None = None,
     col_labels: list[str] | None = None,
-    label_header: str = "id",
 ) -> None:
-    """Write a (masked) matrix in the toolkit's CSV interchange format.
+    """Write a (masked) matrix in the toolkit's CSV interchange format, with
+    ``id`` as the header's first cell.
 
     A dense matrix's non-finite cells are written as missing, as
     :meth:`MaskedMatrix.from_dense` would mark them.
@@ -315,7 +315,7 @@ def write_matrix_csv(
     # rows become Python floats a block at a time, not all at once
     step = max(1, _WRITE_BLOCK_CELLS // m)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerow([label_header, *col_labels])
+        csv.writer(fh, lineterminator="\n").writerow(["id", *col_labels])
         for start in range(0, n, step):
             block = values[start:start + step]
             rows = np.where(np.isfinite(block), block, np.nan).tolist()

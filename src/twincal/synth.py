@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .distcal import Categorical
-from .matcore import DataError, MaskedMatrix, draw_covered_mask
+from .matcore import DataError, MaskedMatrix, check_real, draw_covered_mask
 
 __all__ = [
     "Alignment",
@@ -24,6 +24,16 @@ __all__ = [
     "generate_discrete_world",
     "tv_error_bound",
 ]
+
+# the condition number of the linear_distortion mixing map
+_CONDITION_NUMBER = 4.0
+# the Dirichlet concentration of each question's per-type response profile;
+# small values make the profiles nearly deterministic
+_QUESTION_CONCENTRATION = 0.06
+# the weight of each support atom's own latent type in its mixture
+_ATOM_SHARPNESS = 0.9
+# the geometric skew of the default human mixture over the support
+_REWEIGHT_DECAY = 0.5
 
 
 class Alignment(str, Enum):
@@ -99,12 +109,10 @@ def generate_latent_world(
     *,
     twin_dim: int | None = None,
     noise_sigma: float = 0.0,
-    twin_noise_sigma: float | None = None,
     alignment: Alignment | str = Alignment.IDENTICAL,
     missing_frac: float = 0.0,
     distortion_noise: float = 0.0,
     row_bias_scale: float = 0.0,
-    condition_number: float = 4.0,
     seed: int = 0,
 ) -> tuple[LatentWorld, MaskedMatrix, MaskedMatrix, np.ndarray]:
     """Sample a low-rank world and return (world, human, twin, hidden target).
@@ -124,6 +132,10 @@ def generate_latent_world(
     - independent: twin factors are unrelated to the human ones.
     """
     alignment = Alignment(alignment)
+    for name, value in (("noise_sigma", noise_sigma), ("missing_frac", missing_frac),
+                        ("distortion_noise", distortion_noise),
+                        ("row_bias_scale", row_bias_scale)):
+        check_real(name, value)
     if not 0.0 <= missing_frac < 0.5:
         raise DataError("missing_frac must lie in [0, 0.5)")
     if dim < 1 or n_users < 2 or n_questions < 2:
@@ -157,7 +169,7 @@ def generate_latent_world(
     elif alignment is Alignment.LINEAR_DISTORTION:
         q1, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
         q2, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-        spectrum = np.geomspace(1.0, condition_number, dim)
+        spectrum = np.geomspace(1.0, _CONDITION_NUMBER, dim)
         spectrum /= np.sqrt(spectrum[0] * spectrum[-1])
         mixing = q1 @ np.diag(spectrum) @ q2.T
         twin_users = users
@@ -173,7 +185,6 @@ def generate_latent_world(
         twin_questions = rng.normal(0.0, t_scale, (n_questions, d2))
         twin_target = rng.normal(0.0, t_scale, d2)
 
-    t_sigma = noise_sigma if twin_noise_sigma is None else twin_noise_sigma
     human_values = users @ questions.T
     if noise_sigma > 0:
         human_values = human_values + rng.normal(0.0, noise_sigma, human_values.shape)
@@ -186,8 +197,8 @@ def generate_latent_world(
     )
     if row_bias is not None:
         twin_full = twin_full + row_bias[:, None]
-    if t_sigma > 0:
-        twin_full = twin_full + rng.normal(0.0, t_sigma, twin_full.shape)
+    if noise_sigma > 0:
+        twin_full = twin_full + rng.normal(0.0, noise_sigma, twin_full.shape)
 
     human_mask = _coverage_mask(rng, human_values.shape, missing_frac)
     feat_mask = _coverage_mask(rng, (n_users, n_questions), missing_frac)
@@ -247,7 +258,6 @@ class DiscreteWorld:
     human_embeddings: np.ndarray      # n x d sampled human user mixtures
     target_coeffs: np.ndarray         # m, convex combination weights
     reweight_bound: float             # max human_mixture / twin_mixture
-    exact_reweighting: bool = True
 
     def conditional(self, question: int) -> np.ndarray:
         """(S, K) response distribution of each support atom for a question."""
@@ -279,9 +289,6 @@ def generate_discrete_world(
     *,
     support_size: int = 5,
     seed: int = 0,
-    question_concentration: float = 0.06,
-    atom_sharpness: float = 0.9,
-    reweight_decay: float = 0.5,
     twin_mixture: np.ndarray | None = None,
     human_mixture: np.ndarray | None = None,
     target_coeffs: np.ndarray | None = None,
@@ -290,10 +297,7 @@ def generate_discrete_world(
 
     Twin samples are an (n_twins, n_questions + 1) integer matrix of codes in
     1..K with the held-out question last. Human marginals are computed
-    analytically from the population mixture, not sampled. Small
-    ``question_concentration`` makes per-type response profiles nearly
-    deterministic; ``reweight_decay`` sets the geometric skew of the human
-    mixture over the support (decay 1 = no distortion).
+    analytically from the population mixture, not sampled.
     """
     if n_categories < 2 or support_size < 2 or n_questions < 2:
         raise DataError("need n_categories >= 2, support_size >= 2, n_questions >= 2")
@@ -301,12 +305,12 @@ def generate_discrete_world(
     s = support_size
     d = s  # one dominant latent type per support atom
 
-    atoms = atom_sharpness * np.eye(s) + (1.0 - atom_sharpness) * rng.dirichlet(
+    atoms = _ATOM_SHARPNESS * np.eye(s) + (1.0 - _ATOM_SHARPNESS) * rng.dirichlet(
         np.ones(d), size=s
     )
     atoms /= atoms.sum(axis=1, keepdims=True)
     profiles = rng.dirichlet(
-        np.full(n_categories, question_concentration), size=(n_questions + 1, d)
+        np.full(n_categories, _QUESTION_CONCENTRATION), size=(n_questions + 1, d)
     )
     if target_coeffs is None:
         coeffs = np.full(n_questions, 1.0 / n_questions)
@@ -319,7 +323,7 @@ def generate_discrete_world(
     else:
         mu = _simplex_vector("twin_mixture", twin_mixture, s, "S", positive=True)
     if human_mixture is None:
-        nu = mu * reweight_decay ** np.arange(s)
+        nu = mu * _REWEIGHT_DECAY ** np.arange(s)
         nu /= nu.sum()
     else:
         nu = _simplex_vector("human_mixture", human_mixture, s, "S")
@@ -347,7 +351,6 @@ def generate_discrete_world(
         human_embeddings=human_embeddings,
         target_coeffs=coeffs,
         reweight_bound=bound,
-        exact_reweighting=human_mixture is None or bool(np.all(nu <= bound * mu + 1e-12)),
     )
     marginals = [world.marginal(j) for j in range(n_questions)]
     target = world.marginal(n_questions)
@@ -357,17 +360,18 @@ def generate_discrete_world(
 def tv_error_bound(world: DiscreteWorld, alpha: float = 0.05) -> float:
     """A-priori bound on the target-question total variation of a TV-fitted ensemble.
 
-    Combines the world's extrapolation factor (m times the largest target
-    coefficient), the best-achievable population reweighting gap (zero for
-    exact-reweighting worlds), and the finite-sample term
-    sqrt(3) * A * sqrt((K + log(4/alpha)) / n). Holds with probability at
-    least 1 - alpha over twin sampling.
+    The world's extrapolation factor (m times the largest target
+    coefficient) times the finite-sample term
+    sqrt(3) * A * sqrt((K + log(4/alpha)) / n). The best-achievable
+    population reweighting gap adds nothing: the twin mixture is positive on
+    the whole support, so every human mixture is an exact reweighting of it,
+    with A = ``reweight_bound``. Holds with probability at least 1 - alpha
+    over twin sampling.
     """
     if not 0.0 < alpha < 1.0:
         raise DataError("alpha must lie in (0, 1)")
     m_cinf = world.n_questions * float(np.max(world.target_coeffs))
-    gap = 0.0 if world.exact_reweighting else np.nan
     sampling = np.sqrt(3.0) * world.reweight_bound * np.sqrt(
         (world.n_categories + np.log(4.0 / alpha)) / world.n_twins
     )
-    return float(m_cinf * (gap + sampling))
+    return float(m_cinf * sampling)

@@ -374,10 +374,7 @@ def alignment_report(human, twin, axis, seed=0, *, rank=None, impute_rank=None):
     imputed, demeaned copies, both baselines, then four SVDs whose bases
     are views of the full factors."""
     def dense_demeaned(matrix):
-        if isinstance(matrix, MaskedMatrix):
-            dense, used_rank = impute_dense(matrix, impute_rank, seed)
-        else:
-            dense, used_rank = np.asarray(matrix, dtype=np.float64), 0
+        dense, used_rank = impute_dense(matrix, impute_rank, seed)
         return dense - dense.mean(axis=0), used_rank
 
     axis = SubspaceAxis(axis)
@@ -387,9 +384,8 @@ def alignment_report(human, twin, axis, seed=0, *, rank=None, impute_rank=None):
         if impute_rank is None and human_impute_rank:
             rank = human_impute_rank
         else:
-            masked = human if isinstance(human, MaskedMatrix) else MaskedMatrix.from_dense(human)
-            grid = [r for r in DEFAULT_RANK_GRID if r <= min(masked.shape)]
-            rank = estimate_effective_rank(masked, grid, seed=seed)
+            grid = [r for r in DEFAULT_RANK_GRID if r <= min(human.shape)]
+            rank = estimate_effective_rank(human, grid, seed=seed)
     row_space = axis is SubspaceAxis.ROW_SPACE
     r_max = min(rank + 2, min(h.shape), min(t.shape))
     rng = np.random.default_rng(seed)
@@ -425,7 +421,6 @@ def write_matrix_csv_cells(
     *,
     row_labels: list[str] | None = None,
     col_labels: list[str] | None = None,
-    label_header: str = "id",
 ) -> None:
     """Write a (masked) matrix in the toolkit's CSV interchange format."""
     if not isinstance(matrix, MaskedMatrix):
@@ -439,7 +434,7 @@ def write_matrix_csv_cells(
         raise DataError("label lengths do not match matrix dimensions")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([label_header, *col_labels])
+        writer.writerow(["id", *col_labels])
         for i in range(n):
             row = [
                 _format_cell(matrix.values[i, j]) if matrix.mask[i, j] else "NA"

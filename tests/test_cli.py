@@ -320,6 +320,28 @@ class TestSynthCommand:
         assert payload == {"error": f"invalid value for {key!r}: {value!r}", "kind": "CliError"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("params,message", [
+        ({"noise_sigma": True, "missing_frac": False},
+         "noise_sigma must be a real number, got True"),
+        ({"noise_sigma": "0.1"}, "noise_sigma must be a real number, got '0.1'"),
+        ({"missing_frac": False}, "missing_frac must be a real number, got False"),
+        ({"alignment": "linear_distortion", "distortion_noise": "0.2"},
+         "distortion_noise must be a real number, got '0.2'"),
+        ({"alignment": "linear_distortion", "row_bias_scale": [1]},
+         "row_bias_scale must be a real number, got [1]"),
+    ])
+    def test_non_real_number_exit_2(self, tmp_path, capsys, params, message):
+        out = tmp_path / "x"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"synth": {"n": 30, "m": 6, **params}, "out": str(out)}))
+        rc = main(["synth", "--config", str(cfg)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == json.dumps({"error": f"invalid synth parameters: {message}",
+                                           "kind": "CliError"}) + "\n"
+        assert captured.err == ""
+        assert not (out / "world.json").exists()
+
     def test_integral_string_counts_accepted(self, tmp_path):
         out = tmp_path / "x"
         cfg = tmp_path / "c.json"
@@ -483,6 +505,23 @@ class TestOrientationAndGatingFlags:
         # predictions come back in the input orientation
         preds = read_matrix_csv(out / "predictions.csv")
         assert preds.shape == (20, 30)
+
+    @pytest.mark.parametrize("command,flags", [("calibrate", []),
+                                               ("eval-sweep", ["--taus", "0,inf"])])
+    def test_new_user_shape_error_in_the_files_layout(self, tmp_path, capsys, command, flags):
+        # the twin file still carries the held-out column: 60 x 12 against
+        # 60 x 13, which the error states as the files hold them
+        _, human, twin, _ = generate_latent_world(60, 12, 3, seed=1)
+        hp, tp = tmp_path / "h.csv", tmp_path / "t.csv"
+        write_matrix_csv(hp, human)
+        write_matrix_csv(tp, twin)
+        rc = main([command, "--human", str(hp), "--twin", str(tp), "--method", "ridge",
+                   "--orientation", "new_user", *flags, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        line, = capsys.readouterr().out.splitlines()
+        payload = json.loads(line)
+        assert payload["kind"] == "DataError"
+        assert "got (60, 12) and (60, 13);" in payload["error"]
 
     def test_new_user_completion_method(self, tmp_path):
         _, human, twin, _ = generate_latent_world(

@@ -237,8 +237,7 @@ class TestCsvOracleParity:
     def test_writes_byte_equal(self, tmp_path, shape):
         values = self.special(shape, seed=sum(shape))
         n, m = shape
-        labels = dict(row_labels=(self.LABELS * n)[:n], col_labels=(self.LABELS * m)[:m],
-                      label_header="ba,nan")
+        labels = dict(row_labels=(self.LABELS * n)[:n], col_labels=(self.LABELS * m)[:m])
         for kwargs in ({}, labels):
             for matrix in (values, MaskedMatrix.from_dense(values)):
                 write_matrix_csv(tmp_path / "new.csv", matrix, **kwargs)
@@ -256,8 +255,8 @@ class TestCsvOracleParity:
     def test_labels_are_not_missing_cells(self, tmp_path):
         path = tmp_path / "m.csv"
         write_matrix_csv(path, np.array([[np.nan, 1.0]]), row_labels=["banana"],
-                         col_labels=["nan", "NaN"], label_header="nan")
-        assert path.read_text() == "nan,nan,NaN\nbanana,NA,1\n"
+                         col_labels=["nan", "NaN"])
+        assert path.read_text() == "id,nan,NaN\nbanana,NA,1\n"
 
     @pytest.mark.parametrize("text", [
         "id,a,b,c,d\nr0,NA,na,Na,nA\nr1,1,2,3,4\n",

@@ -80,6 +80,20 @@ class TestLatentWorld:
         with pytest.raises(DataError):
             generate_latent_world(10, 10, 3, twin_dim=2, alignment="rotated_superset")
 
+    @pytest.mark.parametrize("key", ["noise_sigma", "missing_frac", "distortion_noise",
+                                     "row_bias_scale"])
+    @pytest.mark.parametrize("value", [True, False, "0.1", None, float("nan")])
+    def test_non_real_numbers_rejected(self, key, value):
+        with pytest.raises(DataError, match=f"^{key} must be a real number, got "):
+            generate_latent_world(10, 10, 2, alignment="linear_distortion", **{key: value})
+
+    def test_numpy_reals_accepted(self):
+        world, human, _, _ = generate_latent_world(
+            10, 10, 2, alignment="linear_distortion", noise_sigma=np.float64(0.1),
+            missing_frac=np.float32(0.25), distortion_noise=np.int64(0), row_bias_scale=1)
+        assert world.noise_sigma == 0.1 and world.row_bias is not None
+        assert not human.is_fully_observed()
+
 
 class TestDiscreteWorld:
     def test_determinism_bitwise(self):
@@ -110,8 +124,10 @@ class TestDiscreteWorld:
         assert world.n_questions * world.target_coeffs.max() == pytest.approx(1.0)
 
     def test_exact_reweighting_flag_and_bound(self):
+        # the human mixture is a reweighting of the twin mixture within the
+        # bound, so the bound carries no reweighting-gap term
         world, _, _, _ = generate_discrete_world(50, 10, 4, seed=13)
-        assert world.exact_reweighting
+        assert np.all(world.human_mixture <= world.reweight_bound * world.twin_mixture + 1e-12)
         assert world.reweight_bound == pytest.approx(
             float(np.max(world.human_mixture / world.twin_mixture))
         )
@@ -161,7 +177,6 @@ class TestDiscreteWorld:
         assert np.array_equal(world.human_mixture, human_mixture)
         assert np.array_equal(world.target_coeffs, target_coeffs)
         assert world.reweight_bound == np.max(human_mixture / twin_mixture) == 3.0
-        assert world.exact_reweighting
 
     @pytest.mark.parametrize("key,value,message", [
         ("target_coeffs", [0.5, 0.5, 0.5, 0.5, 0.5], "target_coeffs must be a length-m"),

@@ -48,7 +48,7 @@ def calls():
         "loo_evaluate": lambda: loo_evaluate(human, twin, RegressConfig("sc")),
         # the twin baseline of every target correlates 1 with the human
         "fisher_z_clamp": lambda: loo_evaluate(human, human, RegressConfig(), fisher_z=True),
-        "r_max_clamp": lambda: alignment_report(x, x + 0.1, rank=20),
+        "r_max_clamp": lambda: alignment_report(human, twin, rank=20),
     }
 
 
