@@ -357,11 +357,11 @@ def cmd_synth(args) -> int:
     params = {k: v for k, v in synth.items()
               if k != "kind" and k not in _SYNTH_COUNTS[kind] and v is not None}
     generate = generate_latent_world if kind == "latent" else generate_discrete_world
-    out = _out_dir(args, config)
     try:
         world, *data = generate(*counts, seed=seed, **params)
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid synth parameters: {exc}") from exc
+    out = _out_dir(args, config)  # made only once the parameters are accepted
 
     if kind == "latent":
         human, twin, target = data

@@ -332,7 +332,79 @@ def read_matrix_csv(path, *, return_labels: bool = False):
     one the csv module cannot read (longer than its field limit) raises
     :class:`DataError` in row order; a non-finite cell (``inf``,
     ``nan``) raises after every row has parsed, naming the first one.
+
+    The writer's own spelling (no quote, no CR, a missing cell spelled
+    ``NA``) is parsed by numpy's C reader, which converts a cell as
+    ``float()`` does. Every other accepted spelling, and every error, goes
+    through the per-row reader, as before.
     """
+    read = _read_plain(path)
+    matrix, row_labels, col_labels = _read_rows(path) if read is None else read
+    if return_labels:
+        return matrix, row_labels, col_labels
+    return matrix
+
+
+class _HandOver(Exception):
+    """A line :func:`_read_plain` cannot prove it reads as :func:`_read_rows`."""
+
+
+def _read_plain(path):
+    """``(matrix, row_labels, col_labels)`` of a file in the writer's spelling,
+    parsed by ``np.loadtxt``; None if any check cannot prove that parse equal
+    to :func:`_read_rows`'s, which then reads the file.
+
+    A line holds nothing the csv module reads specially or refuses (a quote,
+    a CR, a NUL before Python 3.11, more than its field limit), so its row is
+    the line split at its commas. A cell that starts with ``NA`` is spelled
+    ``nan``; numpy converts each cell with ``PyOS_string_to_double``, as
+    ``float()`` does, and fails on what ``float()`` accepts only after its own
+    preprocessing (``1_0``, non-ASCII digits). Lines stream into numpy, so
+    neither the file text nor a rewritten copy of it is held.
+    """
+    limit = csv.field_size_limit()
+    row_labels, missing = [], 0
+
+    def plain(line: str) -> bool:
+        return len(line) <= limit and '"' not in line and "\r" not in line and "\0" not in line
+
+    def data_lines(fh, m: int):
+        nonlocal missing
+        for line in fh:
+            # a blank or whitespace-only line has no comma, and m >= 1
+            if line.count(",") != m or not plain(line):
+                raise _HandOver
+            row_labels.append(line[:line.index(",")])
+            # only a cell follows a comma, so no label is respelled; "NA",
+            # bare or before whitespace, becomes NaN, as _read_rows reads it
+            # as missing, and anything else that starts "NA" fails to parse
+            spelled = line.replace(",NA", ",nan")
+            missing += len(spelled) - len(line)
+            yield spelled
+        if not row_labels:  # no data row, on which loadtxt would warn
+            raise _HandOver
+
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = fh.readline()
+            m = header.count(",")
+            if not (m and plain(header)):
+                return None
+            values = np.loadtxt(data_lines(fh, m), delimiter=",", comments=None,
+                                usecols=range(1, m + 1), ndmin=2)
+    except (_HandOver, OSError, ValueError):  # UnicodeDecodeError is a ValueError
+        return None
+    # each respelled cell read as NaN; any other non-finite value is a "nan"
+    # or "inf" cell, an error _read_rows reports
+    if np.count_nonzero(~np.isfinite(values)) != missing:
+        return None
+    # the header ends in its line break, since a data line follows it
+    return MaskedMatrix(values, ~np.isnan(values)), row_labels, header[:-1].split(",")[1:]
+
+
+def _read_rows(path):
+    """``(matrix, row_labels, col_labels)`` read row by row with the csv
+    module; see :func:`read_matrix_csv` for the rules and the errors."""
     no_rows = f"{path}: expected a header row plus at least one data row"
     row_labels, rows, non_finite, header = [], [], None, None
     try:
@@ -375,7 +447,4 @@ def read_matrix_csv(path, *, return_labels: bool = False):
         raise DataError(non_finite)
     values = np.array(rows)
     rows = None  # the row arrays go before MaskedMatrix copies the values
-    matrix = MaskedMatrix(values, ~np.isnan(values))
-    if return_labels:
-        return matrix, row_labels, col_labels
-    return matrix
+    return MaskedMatrix(values, ~np.isnan(values)), row_labels, col_labels

@@ -305,6 +305,16 @@ class TestSynthCommand:
         assert rc == 2
         assert "missing_frac" in json.loads(capsys.readouterr().out)["error"]
 
+    @pytest.mark.parametrize("params", [{"noise_sigma": True}, {"missing_frac": 0.9}],
+                             ids=["bool_noise_sigma", "missing_frac"])
+    def test_rejected_params_make_no_out_dir(self, tmp_path, capsys, params):
+        out = tmp_path / "x"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"synth": params, "out": str(out)}))
+        assert main(["synth", "--config", str(cfg)]) == 2
+        assert json.loads(capsys.readouterr().out)["kind"] == "CliError"
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind,key,value", [
         ("latent", "n", "x"), ("latent", "n", 30.7), ("latent", "m", True),
         ("latent", "dim", "2.5"), ("discrete", "m", 12.0),
@@ -591,6 +601,8 @@ class TestFailureModes:
                      "stacked, which ssv completes",
             "kind": "DataError"}
 
+    # the warning must stay a warning to be printed, also under -W error
+    @pytest.mark.filterwarnings("default::twincal.matcore.ConvergenceWarning")
     def test_warnings_print_without_a_source_line(self, tmp_path, capsys, monkeypatch):
         import twincal.regress
 

@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 import scalar_oracles as oracle
 import twincal
+from twincal import matcore
 from twincal.matcore import (
     DataError,
     EmptyColumnError,
@@ -218,17 +220,49 @@ class TestCsvRoundTrip:
 # formats each value with the same "%.17g", as the cell-at-a-time oracles, so
 # the tolerance is zero: written bytes, read values (bitwise), masks, labels
 # and error messages must all be equal.
+# files the reader accepts, each with its id
+CSV_READS = {
+    "na_cases": "id,a,b,c,d\nr0,NA,na,Na,nA\nr1,1,2,3,4\n",
+    "padded": "id,a,b,c\nr0, NA ,nA  ,\t\nr1, 1.5 ,1e3,1_0\n",
+    "empty": "id,a,b\nr0,,\nr1,-0,5e-324\n",
+    "crlf": "id,a,b\r\nr0,1,NA\r\nr1,,2.5\r\n",
+    "quoted": 'id,"a,1","b"\n"r,0","3.25","NA"\n"r""1",""," 7 "\n',
+    "signs": "id,a\nr0,+1E-3\nr1,-.5\n",
+}
+
+# files the reader rejects, each with its id
+CSV_ERRORS = {
+    "ragged": "id,a,b\nr0,1\n",
+    "ragged_long": "id,a,b\nr0,1,2,3\n",
+    "abc": "id,a,b\nr0,1,abc\n",
+    "padded_abc": "id,a,b\nr0,1, abc \n",
+    "padded_na_abc": "id,a,b\nr0, NA ,abc\n",              # padded NA before the bad cell
+    "nan": "id,a,b\nr0,1,nan\n",
+    "padded_nan": "id,a,b\nr0,1, NaN \n",
+    "inf": "id,a,b\nr0,1,inf\n",
+    "minus_inf": "id,a,b\nr0,-inf,NA\n",
+    "padded_na_inf": "id,a,b\nr0, NA ,inf\n",
+    "first_non_finite": "id,a,b\nr0,NA,2\nr1,nan,inf\n",  # the first non-finite in row order
+    "bad_cell_first": "id,a,b\nr0,1,abc\nr1,2\n",         # the bad cell comes first
+    "ragged_first": "id,a,b\nr0,1\nr1,2,abc\n",           # the ragged row comes first
+    "ragged_beats_nan": "id,a,b\nr0,1,nan\nr1,2\n",       # a ragged row beats an earlier nan
+    "bad_cell_beats_inf": "id,a,b\nr0,inf,1\nr1,2,abc\n",  # so does a bad cell
+    "no_rows": "id,a,b\n",
+    "empty": "",
+}
+
+
 class TestCsvOracleParity:
     LABELS = ["a,b", 'say "hi"', "two\nlines", "", "banana"]
 
     @staticmethod
-    def special(shape, seed):
+    def special(shape, seed, missing=0.2):
         rng = np.random.default_rng(seed)
         values = rng.normal(size=shape) * 10.0 ** rng.integers(-5, 6, size=shape)
         specials = [-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308, np.nan]
         flat = values.reshape(-1)
         flat[: len(specials)] = specials[: flat.size]
-        values[rng.random(shape) < 0.2] = np.nan
+        values[rng.random(shape) < missing] = np.nan
         if shape[0] > 2:
             values[1] = np.nan  # an all-missing row
         return values
@@ -258,14 +292,7 @@ class TestCsvOracleParity:
                          col_labels=["nan", "NaN"])
         assert path.read_text() == "id,nan,NaN\nbanana,NA,1\n"
 
-    @pytest.mark.parametrize("text", [
-        "id,a,b,c,d\nr0,NA,na,Na,nA\nr1,1,2,3,4\n",
-        "id,a,b,c\nr0, NA ,nA  ,\t\nr1, 1.5 ,1e3,1_0\n",
-        "id,a,b\nr0,,\nr1,-0,5e-324\n",
-        "id,a,b\r\nr0,1,NA\r\nr1,,2.5\r\n",
-        'id,"a,1","b"\n"r,0","3.25","NA"\n"r""1",""," 7 "\n',
-        "id,a\nr0,+1E-3\nr1,-.5\n",
-    ], ids=["na_cases", "padded", "empty", "crlf", "quoted", "signs"])
+    @pytest.mark.parametrize("text", CSV_READS.values(), ids=CSV_READS.keys())
     def test_reads_equal(self, tmp_path, text):
         path = tmp_path / "m.csv"
         path.write_bytes(text.encode())
@@ -275,27 +302,7 @@ class TestCsvOracleParity:
         assert new.values[new.mask].tobytes() == old.values[old.mask].tobytes()
         assert (new_rows, new_cols) == (old_rows, old_cols)
 
-    @pytest.mark.parametrize("text", [
-        "id,a,b\nr0,1\n",                        # ragged
-        "id,a,b\nr0,1,2,3\n",                    # ragged, long
-        "id,a,b\nr0,1,abc\n",
-        "id,a,b\nr0,1, abc \n",
-        "id,a,b\nr0, NA ,abc\n",                 # padded NA before the bad cell
-        "id,a,b\nr0,1,nan\n",
-        "id,a,b\nr0,1, NaN \n",
-        "id,a,b\nr0,1,inf\n",
-        "id,a,b\nr0,-inf,NA\n",
-        "id,a,b\nr0, NA ,inf\n",
-        "id,a,b\nr0,NA,2\nr1,nan,inf\n",         # the first non-finite in row order
-        "id,a,b\nr0,1,abc\nr1,2\n",              # the bad cell comes first
-        "id,a,b\nr0,1\nr1,2,abc\n",              # the ragged row comes first
-        "id,a,b\nr0,1,nan\nr1,2\n",              # a ragged row beats an earlier nan
-        "id,a,b\nr0,inf,1\nr1,2,abc\n",          # so does a bad cell
-        "id,a,b\n",
-        "",
-    ], ids=["ragged", "ragged_long", "abc", "padded_abc", "padded_na_abc", "nan", "padded_nan", "inf",
-            "minus_inf", "padded_na_inf", "first_non_finite", "bad_cell_first",
-            "ragged_first", "ragged_beats_nan", "bad_cell_beats_inf", "no_rows", "empty"])
+    @pytest.mark.parametrize("text", CSV_ERRORS.values(), ids=CSV_ERRORS.keys())
     def test_errors_equal(self, tmp_path, text):
         path = tmp_path / "m.csv"
         path.write_bytes(text.encode())
@@ -304,6 +311,123 @@ class TestCsvOracleParity:
         with pytest.raises(DataError) as new:
             read_matrix_csv(path)
         assert str(new.value) == str(old.value)
+
+
+def read_labelled(path):
+    return read_matrix_csv(path, return_labels=True)
+
+
+def read_either(read, path):
+    """``read(path)``'s matrix and labels, or the text of its DataError; any
+    warning raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return read(path)
+        except DataError as exc:
+            return str(exc)
+
+
+def assert_same_read(new, old):
+    if isinstance(old, str):
+        assert new == old
+        return
+    (new, new_rows, new_cols), (old, old_rows, old_cols) = new, old
+    assert np.array_equal(new.mask, old.mask)
+    assert new.values[new.mask].tobytes() == old.values[old.mask].tobytes()
+    assert (new_rows, new_cols) == (old_rows, old_cols)
+
+
+class TestCsvFastPath:
+    """The writer's spelling is parsed by numpy's C reader; every other file is
+    read by the row reader, with the same result."""
+
+    @staticmethod
+    def refuse_rows(monkeypatch):
+        def refused(path):
+            raise AssertionError(f"{path} was read row by row")
+
+        monkeypatch.setattr(matcore, "_read_rows", refused)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (9, 1), (1, 7), (2000, 150)])
+    def test_writer_files_take_the_c_path(self, tmp_path, monkeypatch, shape):
+        # 2000 x 150 is Twin-2K scale, with 10% missing
+        values = TestCsvOracleParity.special(shape, seed=sum(shape),
+                                             missing=0.1 if shape[0] > 1000 else 0.2)
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, values)
+        self.refuse_rows(monkeypatch)
+        assert_same_read(read_either(read_labelled, path),
+                         oracle.read_matrix_csv_cells(path, return_labels=True))
+
+    def test_labels_are_never_respelled(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, np.array([[np.nan, 1.0], [2.0, np.nan], [np.nan, np.nan]]),
+                         row_labels=["NA", "nan", "BANANA"], col_labels=["NA", "inf"])
+        self.refuse_rows(monkeypatch)
+        matrix, rows, cols = read_matrix_csv(path, return_labels=True)
+        assert (rows, cols) == (["NA", "nan", "BANANA"], ["NA", "inf"])
+        assert matrix.mask.tolist() == [[False, True], [True, False], [False, False]]
+
+    OVERLONG = csv.field_size_limit() // 4 + 1
+
+    @pytest.mark.parametrize("text", [
+        *CSV_READS.values(), *CSV_ERRORS.values(),
+        "id,a\nr0,1\n\nr1,2\n",
+        "id,a\nr0,1\n \t \nr1,2\n",
+        "\ufeffid,a\nr0,1\n",
+        "id,a\n\ufeffr0,NA\n",
+        "id,a,b\nr0,NAN,1\n",
+        "id,a,b\nr0,NA,nan\n",
+        "id,a,b\nr0,NA1,1\n",
+        "id,a,b\nr0, NA ,1\n",
+        "id,a,b\nr0,NA ,1\n",
+        "id,a,b\nr0,-NA,1\n",
+        "id,a,b\nr0,1_0,١\n",
+        "id,a,b\nr0,1e999,1\n",
+        "id,a,b\nr0,1,NA",
+        "id,a\nr0,1\x00\n",
+        "id," + ",".join(["c"] * OVERLONG) + "\nr0," + ",".join(["1.5"] * OVERLONG) + "\n",
+        # each valid, and read wrongly without the check that hands it over
+        "id,a\r\nr0,1\r\nr1,NA\r\n",
+        "id,a\rr0,1\rr1,NA\r",
+        'id,a\n"r0",1\n',
+        'id,"a"\nr0,1\n',
+        "id,a\nr\x000,1\n",
+        "id,a\n" + "r" * (OVERLONG * 4) + ",1\n",
+    ], ids=[*(f"reads_{k}" for k in CSV_READS), *(f"errors_{k}" for k in CSV_ERRORS),
+            "blank_line", "whitespace_line", "bom", "bom_label", "NAN", "nan_beside_NA", "NA1",
+            "padded_NA", "trailing_space_NA", "signed_NA", "underscore_arabic_digit",
+            "overflow", "no_final_newline", "nul", "overlong_line", "crlf_only", "cr_only",
+            "quoted_label", "quoted_header", "nul_label", "overlong_label"])
+    def test_hand_over_reads_as_the_row_reader(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        assert_same_read(read_either(read_labelled, path),
+                         read_either(matcore._read_rows, path))
+
+    def test_ragged_row_beats_a_later_bad_byte(self, tmp_path):
+        # the bad byte sits far past the text decoder's first chunks
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"id,a,b\nr0,1,2\nr1,1\n" + b"r2,1,2\n" * 20_000 + b"r3,\xff,1\n")
+        new = read_either(read_matrix_csv, path)
+        assert new == f"{path}: row 2 has 2 cells, expected 3"
+        assert new == read_either(matcore._read_rows, path)
+
+    def test_random_cells_read_as_the_row_reader(self, tmp_path):
+        tokens = ["1", "-0", "2.5e-3", "NA", "na", "", " NA", "NA ", "-NA", "+NA", "nan",
+                  "-nan", "NaN", "inf", "-Infinity", "1e999", "1e-400", "1_0", " 7 ",
+                  "\u00a03", "١", "NAN", "NA1", "#1", "0x1", "+.5", "1.", ".", "e5"]
+        rng = np.random.default_rng(0)
+        path = tmp_path / "m.csv"
+        for _ in range(300):
+            # mostly plain numbers and NA, so many files take the fast path
+            cells = rng.choice(tokens, size=(3, 3), p=None if rng.random() < 0.3 else
+                               [0.4, 0.2, 0.2, 0.2] + [0.0] * (len(tokens) - 4))
+            lines = ["id,a,b,c"] + [f"r{i}," + ",".join(row) for i, row in enumerate(cells)]
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            assert_same_read(read_either(read_labelled, path),
+                             read_either(matcore._read_rows, path))
 
 
 class TestCsvFormatChecks:
