@@ -33,7 +33,7 @@ for label, cfg in [
     print(f"  {label:>8}: {rmse:.2e}")
 
 print("\n-- effective rank from a held-out sweep --")
-est = tc.estimate_effective_rank(matrix, range(1, 9), seed=1)
+est = tc.estimate_effective_rank(matrix, seed=1)
 print(f"  estimated rank: {est} (true rank {rank})")
 
 print("\n-- stacked completion of a fully missing target column --")

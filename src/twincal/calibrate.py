@@ -328,9 +328,11 @@ def _loo_pass(
 ):
     """The one leave-one-out pass behind :func:`loo_evaluate` and the sweep.
 
-    Checks that the pair has equal shapes, in the layout given, and orients
-    it (a new user is held out as a row). Checks that a gated pass (``taus``
-    not None) runs a regression method at nonnegative thresholds. Then it
+    Checks that the pair has equal shapes, in the layout given, and that a
+    gated pass (``taus`` not None) runs a regression method at nonnegative
+    thresholds. Checks that every row and column of the twin, and of the
+    human for a regression method, has an observed cell, in the layout
+    given, and orients the pair (a new user is held out as a row). Then it
     predicts every target and correlates the prediction and the twin
     baseline with the observed human target (None where undefined). Returns
     the orientation, those correlation pairs, the train MSEs, the
@@ -343,14 +345,18 @@ def _loo_pass(
             f"{human.shape} and {twin.shape}; if the twin carries a trailing "
             "held-out column, drop it (synth writes twin_features.csv for this)"
         )
-    if orientation is Orientation.NEW_USER:
-        human = human.transpose()
-        twin = twin.transpose()
     if taus is not None:
         if not isinstance(method, RegressConfig):
             raise DataError("adaptive gating applies to regression methods only")
         for tau in taus:
             _check_tau(tau)
+    # the imputations need these too, but an error here names the files' axes
+    if isinstance(method, RegressConfig):
+        human.require_coverage()
+    twin.require_coverage()
+    if orientation is Orientation.NEW_USER:
+        human = human.transpose()
+        twin = twin.transpose()
     predictions, train_mses, twin_dense = _loo_predictions(
         human, twin, method, impute_rank, standardize, seed)
     correlations = []

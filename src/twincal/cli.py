@@ -121,7 +121,7 @@ _RULES = {
     "seed": _seed,
     **dict.fromkeys(("impute_rank", "rank", "n_categories", "max_iters", "n", "m", "dim"),
                     _integer),
-    **dict.fromkeys(("tau", "taus", "test_frac", "eta0", "tol", "epsilon_floor"), _number),
+    **dict.fromkeys(("tau", "taus", "test_frac"), _number),
     **dict.fromkeys(("fisher_z", "standardize"), _flag),
     "orientation": Orientation,
     "axis": SubspaceAxis,
@@ -174,7 +174,10 @@ def _matrices(args, config: dict) -> tuple[MaskedMatrix, MaskedMatrix]:
 
 
 def _out_dir(args, config: dict) -> Path:
+    """Make the output directory; ``args.made_dirs`` lists the directories
+    made, deepest first, which :func:`main` removes if the command fails."""
     path = Path(_resolve("out", args.out, config, default="twincal_out"))
+    args.made_dirs = [p for p in (path, *path.parents) if not p.exists()]
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -448,12 +451,18 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def main(argv=None) -> int:
+    args = None
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
             args = build_parser().parse_args(argv)
             return args.func(args)
     except (ValueError, KeyError, FloatingPointError, MemoryError, OSError) as exc:
+        for path in getattr(args, "made_dirs", ()):
+            try:
+                path.rmdir()
+            except OSError:  # not empty, so an output was written to it
+                break
         # DataError (CliError too) and OSError (a path that cannot be read or
         # written) mark bad input; np.linalg.LinAlgError is a ValueError
         payload = {"error": str(exc), "kind": type(exc).__name__}

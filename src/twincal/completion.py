@@ -375,11 +375,11 @@ def stacked_complete(task: StackedTask, cfg: CompletionConfig) -> np.ndarray:
     return _one_target(task, cfg, None, "stacked_complete")
 
 
-def estimate_effective_rank(matrix: MaskedMatrix, rank_grid=None, seed: int = 0) -> int:
-    """Pick the rank on ``rank_grid`` minimizing held-out imputation RMSE.
+def estimate_effective_rank(matrix: MaskedMatrix, seed: int = 0) -> int:
+    """Pick the rank minimizing held-out imputation RMSE.
 
-    The default grid is the ranks 1 to 8 (``DEFAULT_RANK_GRID``) that do not
-    exceed min(n, m). A seeded uniform sample of a tenth of the observed
+    The grid is the ranks 1 to 8 (``DEFAULT_RANK_GRID``) that do not exceed
+    min(n, m). A seeded uniform sample of a tenth of the observed
     entries is masked out (resampling up to 10 times if that breaks
     row/column coverage), the hard-SVD refill runs at each grid rank from
     one column-mean start with the step cap and tolerance
@@ -388,15 +388,8 @@ def estimate_effective_rank(matrix: MaskedMatrix, rank_grid=None, seed: int = 0)
     toward the smaller rank. An unconverged refill is scored as it stands,
     without a warning.
     """
-    if rank_grid is None:
-        rank_grid = [r for r in DEFAULT_RANK_GRID if r <= min(matrix.shape)]
-    grid = sorted(int(r) for r in rank_grid)
-    if not grid:
-        raise DataError("rank_grid must be nonempty")
-    if grid[0] < 1:
-        raise DataError(f"rank must be positive, got {grid[0]}")
-    _check_rank(grid[-1], matrix.shape)
     matrix.require_coverage()
+    grid = [r for r in DEFAULT_RANK_GRID if r <= min(matrix.shape)]
 
     obs = np.argwhere(matrix.mask)
     n_hold = max(1, int(round(_RANK_HOLDOUT_FRAC * len(obs))))

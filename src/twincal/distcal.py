@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .matcore import DataError, _mean_se, check_integer, check_real
+from .matcore import DataError, _mean_se, check_integer
 
 __all__ = [
     "Categorical",
@@ -118,40 +118,32 @@ class EnsembleWeights:
         object.__setattr__(self, "variant", variant)
 
 
-# the step at iteration t is eta0 / t**DECAY_POWER
+# the step at iteration t is _ETA0 / t**DECAY_POWER
+_ETA0 = 1.0
 DECAY_POWER = 0.5
-# stop early after this many iterations without a relative ``tol`` improvement
+# stop early after this many iterations without a relative _STALL_TOL improvement
 STALL_PATIENCE = 200
-# the default clamp on chi-square and KL denominators
+_STALL_TOL = 1e-8
+# the clamp on chi-square and KL denominators
 _EPSILON_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
 class MirrorDescentConfig:
-    """Step schedule eta0 / t**DECAY_POWER, iteration cap, numerical guards.
+    """The iteration cap of mirror descent.
 
     ``max_iters`` is the compute budget: subgradient steps on non-smooth
     objectives have no crisp convergence test, so the optimizer always
     returns its best iterate, stopping early only when the best objective
-    has not improved by a relative ``tol`` for ``STALL_PATIENCE`` steps.
-    The initialization is deterministic (uniform), so no seed is needed.
+    has not improved by a relative ``_STALL_TOL`` for ``STALL_PATIENCE``
+    steps. The step at iteration t is ``_ETA0 / t**DECAY_POWER``. The
+    initialization is deterministic (uniform), so no seed is needed.
     """
 
-    eta0: float = 1.0
     max_iters: int = 2000
-    tol: float = 1e-8
-    epsilon_floor: float = _EPSILON_FLOOR
 
     def __post_init__(self) -> None:
-        for name in ("eta0", "tol", "epsilon_floor"):
-            check_real(name, getattr(self, name))
         check_integer("max_iters", self.max_iters, 1)
-        if self.eta0 <= 0:
-            raise DataError("eta0 must be positive")
-        if not 0.0 < self.epsilon_floor <= 1e-3:
-            raise DataError("epsilon_floor must lie in (0, 1e-3]")
-        if self.tol <= 0:
-            raise DataError("tol must be positive")
 
 
 def _codes(codes, n_categories: int, name: str = "category codes") -> np.ndarray:
@@ -177,7 +169,7 @@ def _codes(codes, n_categories: int, name: str = "category codes") -> np.ndarray
 # Discrepancy measures.
 # ---------------------------------------------------------------------------
 
-def _discrepancies(kind: Discrepancy, p: np.ndarray, q: np.ndarray, eps: float):
+def _discrepancies(kind: Discrepancy, p: np.ndarray, q: np.ndarray):
     """Each row's discrepancy and its (sub)gradient with respect to q.
 
     ``p`` holds (m, K) truths and ``q`` (..., m, K) mixtures, so the optimizer
@@ -189,6 +181,7 @@ def _discrepancies(kind: Discrepancy, p: np.ndarray, q: np.ndarray, eps: float):
         diff = q - p
         return 0.5 * np.abs(diff).sum(axis=-1), 0.5 * np.sign(diff)
     if kind in (Discrepancy.CHI_SQUARE, Discrepancy.KL, Discrepancy.HELLINGER):
+        eps = _EPSILON_FLOOR
         qc = np.maximum(q, eps)
         if kind is Discrepancy.CHI_SQUARE:
             return (p**2 / qc).sum(axis=-1) - 1.0, np.where(q > eps, -((p / qc) ** 2), 0.0)
@@ -210,9 +203,9 @@ def _discrepancies(kind: Discrepancy, p: np.ndarray, q: np.ndarray, eps: float):
     return value, np.cumsum(slope[..., ::-1], axis=-1)[..., ::-1]
 
 
-def _scores(kind: Discrepancy, p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:
+def _scores(kind: Discrepancy, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Row discrepancies as reported: rounding below zero is clamped, except chi2."""
-    values = _discrepancies(kind, p, q, eps)[0]
+    values = _discrepancies(kind, p, q)[0]
     return values if kind is Discrepancy.CHI_SQUARE else np.maximum(values, 0.0)
 
 
@@ -225,7 +218,7 @@ def discrepancy(spec: Discrepancy | str, p: Categorical, q: Categorical) -> floa
     kind = Discrepancy(spec)
     if p.n_categories != q.n_categories:
         raise DataError("distributions must share the category count")
-    return float(_scores(kind, p.probs[None, :], q.probs[None, :], _EPSILON_FLOOR)[0])
+    return float(_scores(kind, p.probs[None, :], q.probs[None, :])[0])
 
 
 def _onehot(twin_cols: np.ndarray, n_categories: int) -> np.ndarray:
@@ -308,7 +301,7 @@ def split_questions(
 # Mirror-descent fitting.
 # ---------------------------------------------------------------------------
 
-def _objective(w, pi, p, onehot: np.ndarray, kinds, eps: float):
+def _objective(w, pi, p, onehot: np.ndarray, kinds):
     """Mean discrepancy over the rows of p and its gradient in (w, pi), per run.
 
     ``w`` (R, n) and ``pi`` (R, K) stack R runs and ``kinds`` names each
@@ -323,7 +316,7 @@ def _objective(w, pi, p, onehot: np.ndarray, kinds, eps: float):
     for r, kind in enumerate(kinds):
         groups.setdefault(kind, []).append(r)
     for kind, rows in groups.items():
-        values[rows], gq[rows] = _discrepancies(kind, p, q[rows], eps)
+        values[rows], gq[rows] = _discrepancies(kind, p, q[rows])
     grad_w = np.einsum("mkn,rmk->rn", onehot, gq) / p.shape[0]
     return values.mean(axis=1), grad_w, gq.mean(axis=1)
 
@@ -346,7 +339,7 @@ def objective_and_gradient(
     kind = Discrepancy(spec)
     p, onehot = _prepare(p_train, twin_cols)
     obj, grad_w, grad_pi = _objective(np.asarray(w)[None], np.asarray(pi)[None], p, onehot,
-                                      [kind], _EPSILON_FLOOR)
+                                      [kind])
     return float(obj[0]), grad_w[0], grad_pi[0]
 
 
@@ -356,8 +349,8 @@ def _mirror_descent(runs, p: np.ndarray, onehot: np.ndarray, cfg: MirrorDescentC
     ``runs`` lists (objective, start) pairs. A start is the face of its
     variant, uniform over the face's coordinates. Every step is one stacked
     ``_objective``. A run that has gone ``STALL_PATIENCE`` steps without a
-    relative ``tol`` improvement stops with its best iterate and leaves the
-    stack, so each run takes the steps, and keeps the bits, it would alone.
+    relative ``_STALL_TOL`` improvement stops with its best iterate and leaves
+    the stack, so each run takes the steps, and keeps the bits, it would alone.
     """
     n_cat, n = onehot.shape[1:]
     use_w = np.array([start is not EnsembleVariant.DUMMIES_ONLY for _, start in runs], bool)
@@ -381,7 +374,7 @@ def _mirror_descent(runs, p: np.ndarray, onehot: np.ndarray, cfg: MirrorDescentC
     for t in range(1, cfg.max_iters + 1):
         if not live.size:
             break
-        obj, grad_w, grad_pi = _objective(w, pi, p, onehot, kinds, cfg.epsilon_floor)
+        obj, grad_w, grad_pi = _objective(w, pi, p, onehot, kinds)
         bad = ~(np.isfinite(obj) & np.isfinite(grad_w).all(axis=1)
                 & np.isfinite(grad_pi).all(axis=1))
         if bad.any():
@@ -390,7 +383,7 @@ def _mirror_descent(runs, p: np.ndarray, onehot: np.ndarray, cfg: MirrorDescentC
         # step 1 counts as stale: there is no best objective to improve on yet
         if t > 1:
             prev = best[live]
-            stale = np.where(obj < prev - cfg.tol * np.maximum(1.0, np.abs(prev)), 0, stale + 1)
+            stale = np.where(obj < prev - _STALL_TOL * np.maximum(1.0, np.abs(prev)), 0, stale + 1)
         else:
             stale += 1
         better = obj < best[live]
@@ -407,10 +400,10 @@ def _mirror_descent(runs, p: np.ndarray, onehot: np.ndarray, cfg: MirrorDescentC
 
         # one common shift per run keeps the multiplicative update direction
         # intact; the exponent cap guards against overflow on near-clamped
-        # chi-square gradients (magnitudes ~ 1/epsilon_floor^2)
+        # chi-square gradients (magnitudes ~ 1/_EPSILON_FLOOR^2)
         shift = np.maximum(np.where(use_w, grad_w.max(axis=1), -np.inf),
                            np.where(use_pi, grad_pi.max(axis=1), -np.inf))
-        eta = cfg.eta0 / t**DECAY_POWER
+        eta = _ETA0 / t**DECAY_POWER
         # an off-face coordinate is exactly 0 and its factor finite, so it stays 0
         w = w * np.exp(np.minimum(-eta * (grad_w - shift[:, None]), 50.0))
         pi = pi * np.exp(np.minimum(-eta * (grad_pi - shift[:, None]), 50.0))
@@ -485,7 +478,7 @@ def evaluate_on_questions(
     with denominators clamped as in :func:`discrepancy`."""
     p, onehot = _prepare(p_list, twin_cols, n_categories)
     q = _predictions(onehot, weights)
-    return _scores(Discrepancy(metric), p, q, _EPSILON_FLOOR)
+    return _scores(Discrepancy(metric), p, q)
 
 
 def cross_table(
@@ -513,7 +506,7 @@ def cross_table(
 
     def test_metrics(weights: EnsembleWeights) -> dict:
         q = _predictions(test, weights)
-        scores = {m.value: _scores(m, p[test_idx], q, cfg.epsilon_floor) for m in Discrepancy}
+        scores = {m.value: _scores(m, p[test_idx], q) for m in Discrepancy}
         return {name: dict(zip(("mean", "se"), _mean_se(s))) for name, s in scores.items()}
 
     def cell(weights: EnsembleWeights, start: EnsembleVariant) -> dict:

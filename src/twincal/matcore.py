@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import sys
 import warnings
@@ -239,31 +240,9 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 # 17 significant digits round-trip finite doubles exactly.
 # ---------------------------------------------------------------------------
 
-# the missing cells read without the full rule; any other spelling of a
-# missing cell (" NA ", "NA " ...) fails float() and takes _read_cells
-_MISSING = frozenset(("", "NA", "Na", "nA", "na"))
 _NAN = float("nan")
 # the cells the writer turns into Python floats at a time
 _WRITE_BLOCK_CELLS = 1 << 13
-
-
-def _is_missing(cell: str) -> bool:
-    return cell.strip().upper() in ("", "NA")
-
-
-def _read_cells(path, i: int, cells: list[str], col_labels: list[str]) -> list[float]:
-    """Data row ``i``'s cells under the full rule, whitespace stripped; raises
-    :class:`DataError` naming the first cell that is not a number."""
-    values = []
-    for label, cell in zip(col_labels, cells):
-        cell = cell.strip()
-        try:
-            values.append(_NAN if _is_missing(cell) else float(cell))
-        except ValueError:
-            raise DataError(
-                f"{path}: row {i}, column {label!r}: not a number: {cell!r}"
-            ) from None
-    return values
 
 
 def _label_prefixes(labels) -> list[str]:
@@ -421,21 +400,23 @@ def _read_rows(path):
                 if len(row) != m + 1:
                     raise DataError(f"{path}: row {i} has {len(row)} cells, expected {m + 1}")
                 row_labels.append(row[0])
-                cells = row[1:]
-                try:
-                    values = np.array([_NAN if c in _MISSING else float(c) for c in cells])
-                except ValueError:
-                    values = np.array(_read_cells(path, i, cells, col_labels))
-                # a "nan" or "inf" cell reads as a float, so a row holding one has
-                # fewer finite values than cells that are not missing tokens
-                if (non_finite is None and np.count_nonzero(np.isfinite(values))
-                        + sum(map(_MISSING.__contains__, cells)) != m):
-                    j = next((j for j, cell in enumerate(cells)
-                              if not np.isfinite(values[j]) and not _is_missing(cell)), None)
-                    if j is not None:  # None: the row only spells "NA" with padding
-                        non_finite = (f"{path}: row {i}, column {col_labels[j]!r}: "
-                                      f"non-finite value {float(values[j])!r}")
-                rows.append(values)
+                values = []
+                for label, cell in zip(col_labels, row[1:]):
+                    cell = cell.strip()
+                    if cell.upper() in ("", "NA"):
+                        values.append(_NAN)
+                        continue
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise DataError(
+                            f"{path}: row {i}, column {label!r}: not a number: {cell!r}"
+                        ) from None
+                    if non_finite is None and not math.isfinite(value):
+                        non_finite = (f"{path}: row {i}, column {label!r}: "
+                                      f"non-finite value {value!r}")
+                    values.append(value)
+                rows.append(np.array(values))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:  # raised by the reader, so the rows before it parsed

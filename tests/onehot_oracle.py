@@ -14,7 +14,15 @@ before its runs were stacked.
 
 import numpy as np
 
-from twincal.distcal import DECAY_POWER, STALL_PATIENCE, Discrepancy, EnsembleVariant
+from twincal.distcal import (
+    _EPSILON_FLOOR,
+    _ETA0,
+    _STALL_TOL,
+    DECAY_POWER,
+    STALL_PATIENCE,
+    Discrepancy,
+    EnsembleVariant,
+)
 
 
 def onehot(twin_cols, n_categories):
@@ -108,7 +116,7 @@ def mirror_descent_run(start, p, indicators, kind, cfg):
     trace = np.empty(cfg.max_iters)
     stale = 0
     for t in range(1, cfg.max_iters + 1):
-        obj, grad_w, grad_pi = objective(w, pi, p, indicators, kind, cfg.epsilon_floor)
+        obj, grad_w, grad_pi = objective(w, pi, p, indicators, kind, _EPSILON_FLOOR)
         if not np.isfinite(obj) or (use_w and not np.all(np.isfinite(grad_w))) or (
             use_pi and not np.all(np.isfinite(grad_pi))
         ):
@@ -116,7 +124,7 @@ def mirror_descent_run(start, p, indicators, kind, cfg):
                 f"non-finite mirror-descent objective/gradient at iteration {t}"
             )
         trace[t - 1] = obj
-        if obj < best_obj - cfg.tol * max(1.0, abs(best_obj)):
+        if obj < best_obj - _STALL_TOL * max(1.0, abs(best_obj)):
             stale = 0
         else:
             stale += 1
@@ -128,12 +136,12 @@ def mirror_descent_run(start, p, indicators, kind, cfg):
 
         # one common shift keeps the multiplicative update direction intact;
         # the exponent cap guards against overflow on near-clamped chi-square
-        # gradients (magnitudes ~ 1/epsilon_floor^2)
+        # gradients (magnitudes ~ 1/_EPSILON_FLOOR^2)
         shift = max(
             grad_w.max() if use_w else -np.inf,
             grad_pi.max() if use_pi else -np.inf,
         )
-        eta = cfg.eta0 / t**DECAY_POWER
+        eta = _ETA0 / t**DECAY_POWER
         if use_w:
             w = w * np.exp(np.minimum(-eta * (grad_w - shift), 50.0))
         if use_pi:

@@ -26,7 +26,6 @@ import warnings
 import numpy as np
 
 from twincal.completion import (
-    DEFAULT_RANK_GRID,
     CompletionMethod,
     StackedTask,
     _check_rank,
@@ -384,8 +383,7 @@ def alignment_report(human, twin, axis, seed=0, *, rank=None, impute_rank=None):
         if impute_rank is None and human_impute_rank:
             rank = human_impute_rank
         else:
-            grid = [r for r in DEFAULT_RANK_GRID if r <= min(human.shape)]
-            rank = estimate_effective_rank(human, grid, seed=seed)
+            rank = estimate_effective_rank(human, seed=seed)
     row_space = axis is SubspaceAxis.ROW_SPACE
     r_max = min(rank + 2, min(h.shape), min(t.shape))
     rng = np.random.default_rng(seed)

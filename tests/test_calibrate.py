@@ -246,6 +246,25 @@ class TestLooEvaluate:
         with pytest.raises(DataError):
             loo_evaluate(human, twin, RIDGE)  # twin has m+1 columns here
 
+    @pytest.mark.parametrize("orientation,blank", [("new_question", "column"),
+                                                   ("new_user", "row")])
+    @pytest.mark.parametrize("side,method", [("human", RIDGE),
+                                             ("twin", CompletionConfig("hsv", rank=2))],
+                             ids=["human_ridge", "twin_hsv"])
+    def test_coverage_error_names_the_given_layout(self, orientation, blank, side, method):
+        # the held-out line is blank in the layout given (a row for a new
+        # user), and the error names it so, not by the transposed axis
+        _, human, twin, _ = generate_latent_world(20, 8, 2, seed=17, missing_frac=0.1)
+        pair = {"human": human, "twin": MaskedMatrix(twin.values[:, :8], twin.mask[:, :8])}
+        mask = pair[side].mask.copy()
+        if blank == "row":
+            mask[4] = False
+        else:
+            mask[:, 4] = False
+        pair[side] = MaskedMatrix(pair[side].values, mask)
+        with pytest.raises(DataError, match=f"^{blank} 4 has no observed entries$"):
+            loo_evaluate(pair["human"], pair["twin"], method, orientation)
+
 
 class TestErrorShrinksWithScale:
     def test_error_decreases_along_growing_worlds(self):

@@ -546,6 +546,45 @@ class TestOrientationAndGatingFlags:
         assert report.mean > 0.99
 
 
+class TestFailedCommandOutDir:
+    """A command the engine rejects after ``--out`` was made removes the
+    directories it made; one that existed before is kept."""
+
+    @staticmethod
+    def blank_row_pair(tmp_path):
+        # 60 x 12 with 10% missing, human row 4 blanked
+        hp, tp = write_pair(tmp_path, seed=1, n=60, m=12, alignment="linear_distortion",
+                            noise_sigma=0.1, row_bias_scale=0.5, missing_frac=0.1)
+        human = read_matrix_csv(hp)
+        mask = human.mask.copy()
+        mask[4] = False
+        write_matrix_csv(hp, MaskedMatrix(human.values, mask))
+        return ["--human", str(hp), "--twin", str(tp)]
+
+    @pytest.mark.parametrize("argv,error", [
+        (["calibrate", "--orientation", "new_user", "--method", "ridge"],
+         "row 4 has no observed entries"),
+        (["calibrate", "--orientation", "new_user", "--method", "sp",
+          "--profile", "movielens.new_user"], "column 4 has no observed entries"),
+        (["diagnose", "--orientation", "new_user"], "row 4 has no observed entries"),
+        (["calibrate", "--method", "ridge", "--tau", "nan"], "tau must be nonnegative"),
+    ], ids=["ridge_new_user", "sp_new_user", "diagnose_new_user", "nan_tau"])
+    @pytest.mark.parametrize("out", ["o", "a/b/c"])
+    def test_new_out_dir_is_removed(self, tmp_path, capsys, argv, error, out):
+        inputs = self.blank_row_pair(tmp_path)
+        assert main([*argv, *inputs, "--out", str(tmp_path / out)]) == 2
+        assert error in json.loads(capsys.readouterr().out)["error"]
+        assert not (tmp_path / out.split("/")[0]).exists()
+
+    def test_existing_out_dir_is_kept(self, tmp_path, capsys):
+        inputs = self.blank_row_pair(tmp_path)
+        out = tmp_path / "o"
+        out.mkdir()
+        assert main(["calibrate", "--method", "ridge", "--tau", "nan", *inputs,
+                     "--out", str(out)]) == 2
+        assert out.is_dir() and not any(out.iterdir())
+
+
 class TestFailureModes:
     def test_ragged_csv_exit_2(self, tmp_path, capsys):
         ragged = tmp_path / "ragged.csv"
@@ -953,8 +992,12 @@ class TestDistcalConfigValues:
 
     @pytest.mark.parametrize("key", ["eta0", "max_iters", "tol", "epsilon_floor"])
     def test_non_numeric_mirror_descent_value_exit_2(self, tmp_path, capsys, key):
+        # max_iters is the one setting; eta0, tol and epsilon_floor are
+        # constants, so the keys are unknown
         assert self.run(tmp_path, {"mirror_descent": {key: "x"}}) == 2
-        assert self.error(capsys) == f"invalid value for {key!r}: 'x'"
+        assert self.error(capsys) == (
+            "invalid value for 'max_iters': 'x'" if key == "max_iters" else
+            f"unknown mirror_descent keys: [{key!r}]; expected ['max_iters']")
 
     @pytest.mark.parametrize("key,value", [("test_frac", "x"), ("n_categories", "x"),
                                            ("n_categories", 2.5)])
@@ -964,7 +1007,7 @@ class TestDistcalConfigValues:
 
     def test_accepted_values_run(self, tmp_path):
         rc = self.run(tmp_path, {"n_categories": "3", "test_frac": "0.25",
-                                 "mirror_descent": {"max_iters": 5, "eta0": "0.5"}})
+                                 "mirror_descent": {"max_iters": "5"}})
         assert rc == 0
 
 
@@ -990,9 +1033,6 @@ WRONG_TYPES = [
     ("calibrate", "tau", True),
     ("eval-sweep", "taus", [0, True]),
     ("distcal", "test_frac", False),
-    ("distcal", "mirror_descent.eta0", True),
-    ("distcal", "mirror_descent.tol", [1e-8]),
-    ("distcal", "mirror_descent.epsilon_floor", {"x": 1}),
     ("calibrate", "fisher_z", 1),
     ("eval-sweep", "standardize", "maybe"),
     ("eval-sweep", "orientation", True),
@@ -1068,10 +1108,12 @@ class TestSettingRules:
 
     @pytest.mark.parametrize("eta0", [float("nan"), "nan"])
     def test_nan_eta0_exit_2(self, tmp_path, capsys, monkeypatch, eta0):
+        # the step size is a constant: the key is unknown, whatever its value
         rc, made = self.run(tmp_path / "run", monkeypatch, "distcal",
                             {"mirror_descent": {"eta0": eta0}})
         assert rc == 2
         captured = capsys.readouterr()
-        assert json.loads(captured.out) == {"error": "eta0 must be a real number, got nan",
-                                            "kind": "DataError"}
+        assert json.loads(captured.out) == {
+            "error": "unknown mirror_descent keys: ['eta0']; expected ['max_iters']",
+            "kind": "CliError"}
         assert captured.err == "" and made == set()

@@ -578,23 +578,27 @@ class TestOneTargetWarnings:
 class TestEffectiveRank:
     def test_exact_rank_three(self):
         m = low_rank_masked(50, 40, 3, 0.1, seed=23)
-        assert estimate_effective_rank(m, range(1, 9), seed=0) == 3
+        assert estimate_effective_rank(m, seed=0) == 3
 
-    def test_singleton_grid(self):
-        m = low_rank_masked(20, 10, 1, 0.1, seed=24)
-        assert estimate_effective_rank(m, [1], seed=0) == 1
+    def test_grid_clamped_to_the_smaller_side(self, monkeypatch):
+        m = low_rank_masked(20, 2, 1, 0.1, seed=24)
+        ranks = []
+        solve = completion._solve
+
+        def spy(values, mask, start, cfg):
+            ranks.append(cfg.rank)
+            return solve(values, mask, start, cfg)
+
+        monkeypatch.setattr(completion, "_solve", spy)
+        assert estimate_effective_rank(m, seed=0) == 1
+        assert ranks == [1, 2]
 
     def test_noise_matrix_deterministic(self):
         rng = np.random.default_rng(25)
         m = MaskedMatrix.from_dense(rng.normal(size=(30, 20)))
-        first = estimate_effective_rank(m, range(1, 6), seed=7)
-        second = estimate_effective_rank(m, range(1, 6), seed=7)
+        first = estimate_effective_rank(m, seed=7)
+        second = estimate_effective_rank(m, seed=7)
         assert first == second
-
-    def test_empty_grid_rejected(self):
-        m = low_rank_masked(10, 8, 2, 0.1, seed=26)
-        with pytest.raises(DataError):
-            estimate_effective_rank(m, [], seed=0)
 
     def test_no_warning_when_refill_stops_at_its_cap(self, monkeypatch):
         m = low_rank_masked(30, 20, 3, 0.2, seed=29)
@@ -609,16 +613,17 @@ class TestEffectiveRank:
         monkeypatch.setattr(completion, "_solve", spy)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rank = estimate_effective_rank(m, range(1, 6), seed=0)
-        assert rank in range(1, 6)
-        # the refill at rank 4, one above the matrix's, runs to its cap
-        assert converged == [True, True, True, False, True]
+            rank = estimate_effective_rank(m, seed=0)
+        assert rank == 3
+        # the refill at rank 4, one above the matrix's, runs to its cap, and
+        # so do those at ranks 6 to 8
+        assert converged == [True, True, True, False, True, False, False, False]
 
     def test_diagonal_only_matrix_has_no_covered_holdout(self):
         # every observed cell is the only one in its row: no holdout keeps coverage
         m = MaskedMatrix(np.diag(np.arange(1.0, 7.0)), np.eye(6, dtype=bool))
         with pytest.raises(DataError, match="holdout preserving row/column coverage"):
-            estimate_effective_rank(m, [1, 2], seed=0)
+            estimate_effective_rank(m, seed=0)
 
     @pytest.mark.parametrize("kwargs,name", [
         ({"max_iters": True}, "max_iters"), ({"max_iters": 2.5}, "max_iters"),

@@ -206,7 +206,7 @@ class TestDiagnoseCommand:
         assert len(imputed) == 2 and set(imputed) == set(searched)
         # the reused human estimate is the rank the report states
         rank = json.loads((out / "alignment.json").read_text())["rank"]
-        assert rank == estimate(human, range(1, 9), seed=0)
+        assert rank == estimate(human, seed=0)
 
 
 class TestAlignmentReport:

@@ -22,7 +22,7 @@ from twincal.distcal import (
     uniform_baseline,
     variance_ratio,
 )
-from twincal.matcore import DataError
+from twincal.matcore import DataError, _mean_se
 from twincal.synth import generate_discrete_world
 
 ALL = list(Discrepancy)
@@ -398,7 +398,7 @@ class TestMixtureMap:
             assert np.array_equal(q, want / want.sum(axis=1, keepdims=True))
             for kind in (Discrepancy.TV, Discrepancy.KL, Discrepancy.CDF_L2):
                 # one run, stacked as the optimizer stacks its runs
-                fit = distcal._objective(w[None], pi[None], p, got, [kind], 1e-9)
+                fit = distcal._objective(w[None], pi[None], p, got, [kind])
                 oracle = onehot_oracle.objective_and_gradient(w, pi, p, cols, kind)
                 for g, o in zip(fit, oracle):
                     assert np.array_equal(g[0], o)
@@ -448,6 +448,28 @@ class TestMixtureMap:
                 assert cell["weights"]["w"] == alone.w.tolist()
                 assert cell["weights"]["pi"] == alone.pi.tolist()
                 assert cell["train_objective_value"] == float(np.min(alone.trace))
+
+    def test_cross_table_test_metrics_are_evaluate_on_questions(self):
+        # six twins leave categories with no twin answer, so personas-only
+        # mixtures put q = 0 there and chi2 and KL read the clamp
+        world, p_all, samples, _ = generate_discrete_world(6, 10, 5, seed=15)
+        cols = samples[:, :10]
+        table = cross_table(p_all, cols, 5, cfg=MirrorDescentConfig(max_iters=60), seed=1)
+        test = table["test_questions"]
+        cells = [(cell["weights"], cell["test_metrics"])
+                 for variants in table["rows"].values() for cell in variants.values()]
+        baseline = uniform_baseline(6, 5)
+        cells.append(({"w": baseline.w, "pi": baseline.pi}, table["baseline"]))
+        clamped = 0
+        for weights, metrics in cells:
+            weights = EnsembleWeights(np.array(weights["w"]), np.array(weights["pi"]))
+            for metric in ALL:
+                scores = evaluate_on_questions(weights, [p_all[j] for j in test],
+                                               cols[:, test], 5, metric)
+                mean, se = _mean_se(scores)
+                assert metrics[metric.value] == {"mean": mean, "se": se}
+                clamped += metric is Discrepancy.CHI_SQUARE and mean > 1e6
+        assert clamped
 
     def test_cross_table_runs_each_start_once(self, monkeypatch):
         world, p_all, samples, _ = generate_discrete_world(30, 8, 3, seed=16)
@@ -559,7 +581,7 @@ class TestStackedMirrorDescent:
         p = np.array([[0.5, 0.0, 0.5], [0.2, 0.3, 0.5]])
         q = np.array([[[0.25, 0.5, 0.25], [0.2, 0.3, 0.5]],
                       [[0.5, 0.0, 0.5], [0.1, 0.6, 0.3]]])
-        _, got = distcal._discrepancies(kind, p, q, 1e-9)
+        _, got = distcal._discrepancies(kind, p, q)
         for run in range(len(q)):
             assert np.array_equal(got[run], onehot_oracle.grads_wrt_q(kind, p, q[run], 1e-9))
 
@@ -568,14 +590,14 @@ class TestStackedMirrorDescent:
         # p has zero cells; run 0 has q cells below eps (1e-12 and 0) and, in
         # row 0, a KS tie (|F - G| = 0.25 at the first two indices); run 1
         # matches p exactly in row 1, so every CDF gap there is 0
-        eps = 1e-9
+        eps = distcal._EPSILON_FLOOR
         p = np.array([[0.5, 0.0, 0.25, 0.25], [0.1, 0.2, 0.3, 0.4],
                       [0.0, 0.5, 0.5, 0.0]])
         q = np.array([[[0.25, 0.5, 1e-12, 0.25 - 1e-12], [0.4, 0.0, 0.35, 0.25],
                        [0.125, 0.375, 0.25, 0.25]],
                       [[0.7, 0.1, 0.1, 0.1], [0.1, 0.2, 0.3, 0.4],
                        [0.25, 0.25, 0.25, 0.25]]])
-        values, grads = distcal._discrepancies(kind, p, q, eps)
+        values, grads = distcal._discrepancies(kind, p, q)
         assert values.shape == q.shape[:2] and grads.shape == q.shape
         # the same formulas in the same float operations: bit for bit
         for run in range(len(q)):
@@ -593,8 +615,8 @@ class TestStackedMirrorDescent:
         world, p_all, samples, _ = generate_discrete_world(30, 8, 3, seed=16)
         real = distcal._discrepancies
 
-        def poisoned(kind, p, q, eps):
-            values, grads = real(kind, p, q, eps)
+        def poisoned(kind, p, q):
+            values, grads = real(kind, p, q)
             return values, np.full_like(grads, np.nan) if kind is Discrepancy.KL else grads
 
         monkeypatch.setattr(distcal, "_discrepancies", poisoned)
