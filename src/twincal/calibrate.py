@@ -331,10 +331,10 @@ def _loo_pass(
     Checks that the pair has equal shapes, in the layout given, and that a
     gated pass (``taus`` not None) runs a regression method at nonnegative
     thresholds. Checks that every row and column of the twin, and of the
-    human for a regression method, has an observed cell, in the layout
-    given, and orients the pair (a new user is held out as a row). Then it
-    predicts every target and correlates the prediction and the twin
-    baseline with the observed human target (None where undefined). Returns
+    human for a regression method or ``sp``, has an observed cell, in the
+    layout given, and orients the pair (a new user is held out as a row).
+    Then it predicts every target and correlates the prediction and the
+    twin baseline with the observed human target (None where undefined). Returns
     the orientation, those correlation pairs, the train MSEs, the
     predictions and the twin baseline, in the oriented layout.
     """
@@ -351,7 +351,7 @@ def _loo_pass(
         for tau in taus:
             _check_tau(tau)
     # the imputations need these too, but an error here names the files' axes
-    if isinstance(method, RegressConfig):
+    if isinstance(method, RegressConfig) or method.method.completes_human_alone:
         human.require_coverage()
     twin.require_coverage()
     if orientation is Orientation.NEW_USER:

@@ -51,6 +51,12 @@ class CompletionMethod(str, Enum):
     ALS = "als"
     SYNTHETIC_PRIOR = "sp"
 
+    @property
+    def completes_human_alone(self) -> bool:
+        """sp completes the human matrix alone, so the human must cover every
+        row and column; hsv, ssv and als complete it stacked on the twin."""
+        return self is CompletionMethod.SYNTHETIC_PRIOR
+
 
 @dataclass(frozen=True)
 class CompletionConfig:
@@ -306,7 +312,7 @@ def held_out_columns(human: MaskedMatrix, twin: MaskedMatrix, cfg: CompletionCon
     without warning.
     """
     n = human.n_rows
-    sp = cfg.method is CompletionMethod.SYNTHETIC_PRIOR
+    sp = cfg.method.completes_human_alone
     blocks = (human,) if sp else (human, twin)
     values = np.concatenate([block.values for block in blocks])
     observed = np.concatenate([block.mask for block in blocks])

@@ -7,12 +7,14 @@ linear families except the simplex-constrained one fit on column-centered
 data and recover the intercept afterward; the simplex family keeps
 convex-combination semantics with a fixed zero intercept.
 
-Behind it each family has one private solver that fits every target at
-once: the linear ones (``_*_coefficients``) work from a Gram matrix, and
-``_nn_parameters`` trains one stacked network. Each also solves the
-leave-one-out design, where every column of a matrix is regressed on the
-others. :func:`fit_ridge`, :func:`fit_elastic_net` and :func:`fit_simplex`
-are one-target cases of :func:`fit_columns`.
+There is one design, leave-one-out: each target is a column of a matrix,
+regressed on the other columns. Behind the dispatch each family has one
+private solver that fits every target of that design at once: the linear
+ones (``_*_coefficients``) work from the matrix's Gram, and
+``_nn_parameters`` trains one stacked network. A one-target fit of ``y``
+on ``x`` is the leave-one-out fit of ``y`` appended to ``x`` as its last
+column; :func:`fit_ridge`, :func:`fit_elastic_net` and :func:`fit_simplex`
+are such fits.
 """
 
 from __future__ import annotations
@@ -128,98 +130,99 @@ def fit_columns(
 ) -> LinearModel | NnModel:
     """Fit ``cfg.family`` for every target at once; one stacked model.
 
-    With ``y`` (n x t) target c is ``y[:, c]``, regressed on every column of
-    ``x``; a 1-d ``y`` gives a one-target model (1-d coefficients, scalar
-    intercept, an n-vector prediction). With ``exclude`` instead the design
-    is leave-one-out: target c is column ``exclude[c]`` of ``x``, regressed
-    on the other columns. The linear families center ``x`` (and ``y``)
-    unless the family is ``sc``, share one Gram matrix X'X/n across targets,
-    and recover the intercepts afterward; the si rank is clamped to each
-    target's design.
+    With ``exclude`` the design is leave-one-out: target c is column
+    ``exclude[c]`` of ``x``, regressed on the other columns, and the model
+    (m x t coefficients, zero at each target's own column) predicts an n x t
+    array. The linear families center ``x`` unless the family is ``sc``,
+    share one Gram matrix X'X/n across targets and recover the intercepts
+    afterward; the si rank is clamped to each target's design. With a 1-d
+    ``y`` instead the fit is that of ``y`` appended to ``x`` as column m,
+    less that column: 1-d coefficients, a scalar intercept, an n-vector
+    prediction.
     """
-    if (y is None) == (exclude is None):
+    if sum(arg is None for arg in (y, exclude)) != 1:
         raise DataError("fit_columns takes either y or a leave-one-out exclude")
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise DataError(f"X must be 2-d, got X{x.shape}")
     if y is not None:
         y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or y is not None and (y.ndim not in (1, 2) or len(y) != len(x)):
-        raise DataError(f"incompatible shapes X{x.shape}, y{np.shape(y)}")
-    n, m = x.shape
+        if y.shape != (len(x),):
+            raise DataError(f"y must be 1-d with one value per row of X, got "
+                            f"X{x.shape}, y{y.shape}")
+        m = x.shape[1]
+        model = fit_columns(np.column_stack([x, y]), cfg, exclude=np.array([m]))
+        if cfg.family == "nn":
+            first, *rest = (w[0] for w in model.weights)
+            return NnModel((first[:m], *rest), tuple(b[0, 0] for b in model.biases))
+        return LinearModel(model.coefficients[:m, 0], model.intercept[0], cfg.family)
+    exclude = np.asarray(exclude)
     if cfg.family == "nn":
-        targets = x[:, exclude] if y is None else y.reshape(n, -1)
-        weights, biases = _nn_parameters(x, targets, cfg, exclude)
-        if y is not None and y.ndim == 1:
-            return NnModel(tuple(w[0] for w in weights), tuple(b[0, 0] for b in biases))
-        return NnModel(weights, biases)
+        return NnModel(*_nn_parameters(x, cfg, exclude))
 
+    n, m = x.shape
     centered = cfg.family != "sc"
     means = x.mean(axis=0) if centered else np.zeros(m)
     xc = x - means if centered else x
     gram = xc.T @ xc / n
-    if y is None:
-        y_means, cross = means[exclude], gram[:, exclude]
-    else:
-        y_means = y.mean(axis=0) if centered else np.zeros(y.shape[1:])
-        cross = xc.T @ (y - y_means) / n
-    columns = cross.reshape(m, -1)
     if cfg.family == "ridge":
-        coef = _ridge_coefficients(gram, columns, cfg.lam, exclude)
+        coef = _ridge_coefficients(gram, exclude, cfg.lam)
     elif cfg.family == "sc":
-        coef = _simplex_coefficients(gram, columns, cfg.lam, exclude)
+        coef = _simplex_coefficients(gram, exclude, cfg.lam)
     elif cfg.family == "si":
-        width = m if exclude is None else m - 1
-        rank = min(n, width) if cfg.rank is None else min(cfg.rank, n, width)
-        coef = _si_coefficients(gram, columns, rank, cfg.lam, exclude)
+        rank = m - 1 if cfg.rank is None else cfg.rank
+        coef = _si_coefficients(gram, exclude, min(rank, n, m - 1), cfg.lam)
     else:
         l1_ratio = 1.0 if cfg.family == "lasso" else cfg.l1_ratio
-        coef = _elastic_net_coefficients(gram, columns, cfg.alpha, l1_ratio, exclude)
-    coef = coef.reshape(cross.shape)
-    return LinearModel(coef, y_means - means @ coef, cfg.family)
+        coef = _elastic_net_coefficients(gram, exclude, cfg.alpha, l1_ratio)
+    return LinearModel(coef, means[exclude] - means @ coef, cfg.family)
 
 
-def _sub_grams(gram: np.ndarray, exclude: np.ndarray | None):
+def _sub_grams(gram: np.ndarray, exclude: np.ndarray):
     """Per target, the coordinates it regresses on (t x (p-1), all but
-    ``exclude[c]``; without ``exclude`` 1 x p, shared) and its Gram there."""
+    ``exclude[c]``) and its Gram there."""
     p = gram.shape[0]
-    idx = np.arange(p)[None]
-    if exclude is not None:
-        keep = idx != np.asarray(exclude)[:, None]
-        idx = np.nonzero(keep)[1].reshape(len(keep), p - 1)
+    keep = np.arange(p) != exclude[:, None]
+    idx = np.nonzero(keep)[1].reshape(len(keep), p - 1)
     return idx, gram[idx[:, :, None], idx[:, None, :]]
 
 
-def _ridge_coefficients(
-    gram: np.ndarray, cross: np.ndarray, lam: float, exclude: np.ndarray | None = None
-) -> np.ndarray:
-    """l2-penalized least squares for every column of ``cross`` at once.
+def _ridge_coefficients(gram: np.ndarray, exclude: np.ndarray, lam: float) -> np.ndarray:
+    """l2-penalized least squares for every target of the leave-one-out design.
 
-    ``gram`` is the p x p feature Gram matrix X'X/n and ``cross`` the p x t
-    matrix X'Y/n; column c of the result solves (gram + lam I) b = cross[:, c].
-    With ``exclude`` the design is leave-one-out: target c is feature
-    ``exclude[c]`` itself (``cross[:, c] == gram[:, exclude[c]]``) and is
-    regressed on the other features. All such targets share P = (gram + lam
-    I)^-1, and target k's coefficients are -P[:, k] / P[k, k] with 0 at k
-    (the neighbourhood-regression identity).
+    ``gram`` is the p x p Gram matrix X'X/n, and target c is feature
+    ``exclude[c]``, regressed on the other features; column c of the result
+    holds its coefficients. All targets share P = (gram + lam I)^-1, and
+    target k's coefficients are -P[:, k] / P[k, k] with 0 at k (the
+    neighbourhood-regression identity). At lam 0 a target that the other
+    features fit exactly (a constant one, say) makes that matrix singular
+    though its own system need not be; then every target solves its own
+    system, its :func:`_sub_grams` Gram plus lam I, in one batched solve.
     """
-    system = gram + lam * np.eye(gram.shape[0])
+    p, t = len(gram), len(exclude)
     try:
-        if exclude is None:
-            return np.linalg.solve(system, cross)
-        inv = np.linalg.inv(system)
+        inv = np.linalg.inv(gram + lam * np.eye(p))
     except np.linalg.LinAlgError:
-        raise DataError("singular system; use lam > 0") from None
-    cols = np.arange(len(exclude))
+        idx, grams = _sub_grams(gram, exclude)
+        try:
+            own = np.linalg.solve(grams + lam * np.eye(p - 1),
+                                  gram[idx, exclude[:, None]][:, :, None])
+        except np.linalg.LinAlgError:
+            raise DataError("singular system; use lam > 0") from None
+        coef = np.zeros((p, t))
+        coef[idx, np.arange(t)[:, None]] = own[:, :, 0]
+        return coef
     coef = -inv[:, exclude] / inv[exclude, exclude]
-    coef[exclude, cols] = 0.0
+    coef[exclude, np.arange(t)] = 0.0
     return coef
 
 
-def _step_sizes(gram: np.ndarray, exclude: np.ndarray | None, shift: float, t: int):
+def _step_sizes(gram: np.ndarray, exclude: np.ndarray, shift: float):
     """Per target, 1/L with L the top eigenvalue of its own Gram (excluded row
     and column removed) plus ``shift``, floored at 1e-12; one ``eigvalsh``
     over the :func:`_sub_grams` stack serves every target."""
     lips = np.linalg.eigvalsh(_sub_grams(gram, exclude)[1])[:, -1] + shift
-    return 1.0 / np.maximum(np.broadcast_to(lips, (t,)), 1e-12)
+    return 1.0 / np.maximum(lips, 1e-12)
 
 
 def _proximal_gradient(hessian, cross, step, beta, prox, bounds, *, accelerate,
@@ -273,36 +276,31 @@ def _proximal_gradient(hessian, cross, step, beta, prox, bounds, *, accelerate,
 
 
 def _elastic_net_coefficients(
-    gram: np.ndarray,
-    cross: np.ndarray,
-    alpha: float,
-    l1_ratio: float,
-    exclude: np.ndarray | None = None,
+    gram: np.ndarray, exclude: np.ndarray, alpha: float, l1_ratio: float
 ) -> np.ndarray:
-    """Accelerated proximal gradient (FISTA) for every column of ``cross`` at once.
+    """Accelerated proximal gradient (FISTA) for every target at once.
 
-    Each column c minimizes (1/2) b'Gb - b'cross[:, c] + penalty, the
+    Target c minimizes (1/2) b'Gb - b'gram[:, exclude[c]] + penalty, the
     covariance form of (1/2n)||y - Xb||^2 + penalty; see
-    :func:`fit_elastic_net` for the penalty. ``gram``, ``cross`` and
-    ``exclude`` are as in ``_ridge_coefficients``; an excluded coordinate
-    stays exactly 0, and so do constant (zero-variance) features. Each
-    target starts at 0 and takes gradient steps 1/L on the smooth part, with
-    L the top eigenvalue of its own Gram plus alpha * (1 - l1_ratio), then
-    soft-thresholds at alpha * l1_ratio / L; see :func:`_proximal_gradient`
-    for the momentum, the stop rule and the ConvergenceWarnings.
+    :func:`fit_elastic_net` for the penalty. ``gram`` and ``exclude`` are as
+    in ``_ridge_coefficients``; an excluded coordinate stays exactly 0, and
+    so do constant (zero-variance) features. Each target starts at 0 and
+    takes gradient steps 1/L on the smooth part, with L the top eigenvalue
+    of its own Gram plus alpha * (1 - l1_ratio), then soft-thresholds at
+    alpha * l1_ratio / L; see :func:`_proximal_gradient` for the momentum,
+    the stop rule and the ConvergenceWarnings.
     """
-    p, t = cross.shape
+    p, t = len(gram), len(exclude)
     l2 = alpha * (1.0 - l1_ratio)
-    step = _step_sizes(gram, exclude, l2, t)[:, None]
+    step = _step_sizes(gram, exclude, l2)[:, None]
     # per target and coordinate, the soft threshold of the prox step, which
     # takes v to v less v clipped to [-thresh, thresh]; inf on a held-out or
     # constant coordinate, which that sends to exactly 0
     thresh = np.tile(step * (alpha * l1_ratio), (1, p))
     thresh[:, np.diag(gram) == 0.0] = np.inf
-    if exclude is not None:
-        thresh[np.arange(t), exclude] = np.inf
+    thresh[np.arange(t), exclude] = np.inf
     return _proximal_gradient(
-        gram + l2 * np.eye(p), cross, step, np.zeros((t, p)),
+        gram + l2 * np.eye(p), gram[:, exclude], step, np.zeros((t, p)),
         lambda v, bound: v - np.minimum(np.maximum(v, -bound), bound), thresh,
         accelerate=True, max_iters=_ENET_MAX_ITERS, tol=_ENET_TOL,
         message=f"elastic net did not converge within {_ENET_MAX_ITERS} steps",
@@ -352,17 +350,12 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return _project_rows(v[None, :])[0]
 
 
-def _simplex_coefficients(
-    gram: np.ndarray,
-    cross: np.ndarray,
-    lam: float,
-    exclude: np.ndarray | None = None,
-) -> np.ndarray:
-    """Projected gradient over the simplex for every column of ``cross`` at once.
+def _simplex_coefficients(gram: np.ndarray, exclude: np.ndarray, lam: float) -> np.ndarray:
+    """Projected gradient over the simplex for every target at once.
 
-    Column c minimizes (1/2) b'Gb - b'cross[:, c] + (lam/2)||b||^2 over
-    b >= 0, sum(b) = 1 (uncentered ``gram``; see :func:`fit_simplex`), with
-    ``exclude`` as in ``_ridge_coefficients``: an excluded coordinate is
+    Target c minimizes (1/2) b'Gb - b'gram[:, exclude[c]] + (lam/2)||b||^2
+    over b >= 0, sum(b) = 1 (uncentered ``gram``; see :func:`fit_simplex`),
+    with ``exclude`` as in ``_ridge_coefficients``: an excluded coordinate is
     outside the target's simplex. Each target starts uniform on its simplex
     and takes steps 1/L, with L the top eigenvalue of its own Gram (excluded
     row and column removed) plus lam, each followed by the projection and
@@ -371,15 +364,14 @@ def _simplex_coefficients(
     the last iterate is the best one up to rounding. A result off the
     simplex raises :class:`DataError`.
     """
-    p, t = cross.shape
+    p, t = len(gram), len(exclude)
     # 0 on a target's simplex, -inf on its excluded coordinate, which the
     # projection then sends to exactly 0
     held = np.zeros((t, p))
-    if exclude is not None:
-        held[np.arange(t), exclude] = -np.inf
-    start = np.where(held < 0.0, 0.0, 1.0 / (p if exclude is None else p - 1))
+    held[np.arange(t), exclude] = -np.inf
+    start = np.where(held < 0.0, 0.0, 1.0 / (p - 1))
     out = _proximal_gradient(
-        gram + lam * np.eye(p), cross, _step_sizes(gram, exclude, lam, t)[:, None], start,
+        gram + lam * np.eye(p), gram[:, exclude], _step_sizes(gram, exclude, lam)[:, None], start,
         lambda v, mask: _project_rows(v + mask), held,
         accelerate=False, max_iters=_SIMPLEX_MAX_ITERS, tol=_SIMPLEX_TOL,
         message=f"simplex fit did not converge within {_SIMPLEX_MAX_ITERS} steps",
@@ -402,25 +394,25 @@ def fit_simplex(x: np.ndarray, y: np.ndarray, lam: float = 0.0) -> LinearModel:
 
 
 def _si_coefficients(
-    gram: np.ndarray, cross: np.ndarray, rank: int, lam: float,
-    exclude: np.ndarray | None = None,
+    gram: np.ndarray, exclude: np.ndarray, rank: int, lam: float
 ) -> np.ndarray:
-    """Ridge in the top-``rank`` principal directions for every column of ``cross``.
+    """Ridge in the top-``rank`` principal directions for every target at once.
 
-    Column c's coefficients are V_r diag(1/(e_r + lam)) V_r' cross[:, c],
-    with (e_r, V_r) the top eigenpairs of the centered ``gram`` X'X/n (its
-    right singular pairs), less row and column ``exclude[c]`` with
-    ``exclude`` (as in ``_ridge_coefficients``). One batched ``eigh``
-    serves all targets; ``rank`` must lie in [1, coordinates per target].
+    Target c's coefficients are V_r diag(1/(e_r + lam)) V_r' g, with g the
+    rest of column ``exclude[c]`` of the centered ``gram`` X'X/n and (e_r,
+    V_r) the top eigenpairs of ``gram`` (its right singular pairs) less row
+    and column ``exclude[c]``; ``exclude`` is as in ``_ridge_coefficients``.
+    One batched ``eigh`` serves all targets; ``rank`` must lie in [1,
+    coordinates per target].
     """
     idx, grams = _sub_grams(gram, exclude)
     if not 1 <= rank <= idx.shape[1]:
         raise DataError(f"rank {rank} out of range for {idx.shape[1]} features")
     vals, vecs = np.linalg.eigh(grams)
     vals, vecs = vals[:, -rank:], vecs[:, :, -rank:]
-    cols = np.arange(cross.shape[1])[:, None]
-    theta = (np.swapaxes(vecs, 1, 2) @ cross[idx, cols][:, :, None])[:, :, 0]
-    coef = np.zeros(cross.shape)
+    cols = np.arange(len(exclude))[:, None]
+    theta = (np.swapaxes(vecs, 1, 2) @ gram[idx, exclude[:, None]][:, :, None])[:, :, 0]
+    coef = np.zeros((len(gram), len(exclude)))
     coef[idx, cols] = (vecs @ (theta / (vals + lam))[:, :, None])[:, :, 0]
     return coef
 
@@ -473,32 +465,30 @@ def nn_loss_and_grad(weights, biases, x, y, weight_decay: float = 0.0):
 
 
 def _nn_parameters(
-    x: np.ndarray, y: np.ndarray, cfg: RegressConfig, exclude: np.ndarray | None = None
+    x: np.ndarray, cfg: RegressConfig, exclude: np.ndarray
 ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Train one ReLU network per column of ``y`` on the rows of ``x``, at once.
+    """Train one ReLU network per target of the leave-one-out design, at once.
 
     Adam on minibatches; the last 10% of rows form a fixed validation split,
     and a network stops when its validation MSE fails to improve for
     ``cfg.patience`` epochs, keeping its best parameters. Fully
     deterministic given ``cfg.seed``. Returns weights and biases stacked on
     a leading axis of t networks (t x fan_in x fan_out, t x 1 x fan_out).
-    ``exclude`` is as in ``_ridge_coefficients``; network c's first-layer
-    row ``exclude[c]`` is held at 0. Each network gets the initial draws and
-    minibatches of its one-target fit, its own Adam state and its own early
-    stop, after which it leaves the stacks: it is neither computed nor
-    updated.
+    Network c predicts column ``exclude[c]`` of ``x`` from all of ``x``, its
+    first-layer row ``exclude[c]`` held at 0. Each network gets the initial
+    draws and minibatches of the one-target fit of that column on the
+    others, its own Adam state and its own early stop, after which it
+    leaves the stacks: it is neither computed nor updated.
     """
-    x = np.asarray(x, dtype=np.float64)
     n, m = x.shape
     if n < 2:
         raise DataError("the network family requires at least 2 rows")
 
-    t = y.shape[1]
+    t = len(exclude)
     live = np.ones((t, m, 1))               # 0 on a held-out input's first-layer row
-    if exclude is not None:
-        live[np.arange(t), exclude] = 0.0
+    live[np.arange(t), exclude] = 0.0
     rng = np.random.default_rng(cfg.seed)
-    sizes = [m if exclude is None else m - 1, *cfg.hidden_sizes, 1]
+    sizes = [m - 1, *cfg.hidden_sizes, 1]
     layers = len(sizes) - 1
     draws = [
         rng.normal(0.0, np.sqrt(2.0 / sizes[i]), (sizes[i], sizes[i + 1]))
@@ -512,7 +502,7 @@ def _nn_parameters(
 
     n_val = max(1, n // 10)
     x_train, x_val = x[: n - n_val], x[n - n_val :]
-    y = np.ascontiguousarray(np.asarray(y, dtype=np.float64).T)   # one row per network
+    y = np.ascontiguousarray(x[:, exclude].T)   # one row per network
     y_train, y_val = y[:, : n - n_val], y[:, n - n_val :]
 
     moments = [np.zeros_like(p) for p in params]

@@ -30,9 +30,11 @@ _CONDITION_NUMBER = 4.0
 # the Dirichlet concentration of each question's per-type response profile;
 # small values make the profiles nearly deterministic
 _QUESTION_CONCENTRATION = 0.06
+# the number of twin support atoms, one dominant latent type each
+_SUPPORT_SIZE = 5
 # the weight of each support atom's own latent type in its mixture
 _ATOM_SHARPNESS = 0.9
-# the geometric skew of the default human mixture over the support
+# the geometric skew of the human mixture over the (uniform) twin support
 _REWEIGHT_DECAY = 0.5
 
 
@@ -269,16 +271,12 @@ class DiscreteWorld:
         return Categorical(probs / probs.sum())
 
 
-def _simplex_vector(name: str, value, size: int, length: str,
-                    positive: bool = False) -> np.ndarray:
+def _simplex_vector(name: str, value, size: int, length: str) -> np.ndarray:
     """``value`` as a float vector, after checking that it has ``size``
-    entries, each nonnegative (positive if ``positive``; NaN is neither),
-    summing to 1."""
+    entries, each nonnegative (NaN is not), summing to 1."""
     vec = np.asarray(value, dtype=np.float64)
-    if (vec.shape != (size,) or not np.all(vec > 0 if positive else vec >= 0)
-            or abs(vec.sum() - 1) > 1e-10):
-        raise DataError(f"{name} must be a {'positive ' if positive else ''}"
-                        f"length-{length} simplex vector")
+    if vec.shape != (size,) or not np.all(vec >= 0) or abs(vec.sum() - 1) > 1e-10:
+        raise DataError(f"{name} must be a length-{length} simplex vector")
     return vec
 
 
@@ -287,23 +285,21 @@ def generate_discrete_world(
     n_questions: int,
     n_categories: int,
     *,
-    support_size: int = 5,
     seed: int = 0,
-    twin_mixture: np.ndarray | None = None,
-    human_mixture: np.ndarray | None = None,
     target_coeffs: np.ndarray | None = None,
 ) -> tuple[DiscreteWorld, list[Categorical], np.ndarray, Categorical]:
     """Sample a discrete world; returns (world, train marginals, twin samples, target marginal).
 
     Twin samples are an (n_twins, n_questions + 1) integer matrix of codes in
     1..K with the held-out question last. Human marginals are computed
-    analytically from the population mixture, not sampled.
+    analytically from the population mixture, not sampled. The support has
+    5 atoms; twins draw them uniformly and humans with weights falling
+    geometrically by half per atom.
     """
-    if n_categories < 2 or support_size < 2 or n_questions < 2:
-        raise DataError("need n_categories >= 2, support_size >= 2, n_questions >= 2")
+    if n_categories < 2 or n_questions < 2:
+        raise DataError("need n_categories >= 2 and n_questions >= 2")
     rng = np.random.default_rng(seed)
-    s = support_size
-    d = s  # one dominant latent type per support atom
+    s = d = _SUPPORT_SIZE  # one dominant latent type per support atom
 
     atoms = _ATOM_SHARPNESS * np.eye(s) + (1.0 - _ATOM_SHARPNESS) * rng.dirichlet(
         np.ones(d), size=s
@@ -318,15 +314,9 @@ def generate_discrete_world(
         coeffs = _simplex_vector("target_coeffs", target_coeffs, n_questions, "m")
     profiles[n_questions] = np.einsum("j,jdk->dk", coeffs, profiles[:n_questions])
 
-    if twin_mixture is None:
-        mu = np.full(s, 1.0 / s)
-    else:
-        mu = _simplex_vector("twin_mixture", twin_mixture, s, "S", positive=True)
-    if human_mixture is None:
-        nu = mu * _REWEIGHT_DECAY ** np.arange(s)
-        nu /= nu.sum()
-    else:
-        nu = _simplex_vector("human_mixture", human_mixture, s, "S")
+    mu = np.full(s, 1.0 / s)
+    nu = mu * _REWEIGHT_DECAY ** np.arange(s)
+    nu /= nu.sum()
     bound = float(np.max(nu / mu))
 
     twin_atoms = rng.choice(s, size=n_twins, p=mu)

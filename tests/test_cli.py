@@ -315,6 +315,21 @@ class TestSynthCommand:
         assert json.loads(capsys.readouterr().out)["kind"] == "CliError"
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,value", [("support_size", 3),
+                                           ("twin_mixture", [0.2] * 5),
+                                           ("human_mixture", [0.2] * 5)])
+    def test_fixed_discrete_dials_exit_2(self, tmp_path, capsys, key, value):
+        # the support and its two mixtures are constants, not settings
+        out = tmp_path / "x"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"synth": {"kind": "discrete", key: value}, "out": str(out)}))
+        assert main(["synth", "--config", str(cfg)]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["kind"] == "CliError"
+        assert payload["error"].startswith("invalid synth parameters: ")
+        assert repr(key) in payload["error"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind,key,value", [
         ("latent", "n", "x"), ("latent", "n", 30.7), ("latent", "m", True),
         ("latent", "dim", "2.5"), ("discrete", "m", 12.0),
@@ -565,7 +580,7 @@ class TestFailedCommandOutDir:
         (["calibrate", "--orientation", "new_user", "--method", "ridge"],
          "row 4 has no observed entries"),
         (["calibrate", "--orientation", "new_user", "--method", "sp",
-          "--profile", "movielens.new_user"], "column 4 has no observed entries"),
+          "--profile", "movielens.new_user"], "row 4 has no observed entries"),
         (["diagnose", "--orientation", "new_user"], "row 4 has no observed entries"),
         (["calibrate", "--method", "ridge", "--tau", "nan"], "tau must be nonnegative"),
     ], ids=["ridge_new_user", "sp_new_user", "diagnose_new_user", "nan_tau"])
@@ -575,6 +590,17 @@ class TestFailedCommandOutDir:
         assert main([*argv, *inputs, "--out", str(tmp_path / out)]) == 2
         assert error in json.loads(capsys.readouterr().out)["error"]
         assert not (tmp_path / out.split("/")[0]).exists()
+
+    @pytest.mark.parametrize("orientation", ["new_question", "new_user"])
+    def test_sp_coverage_error_names_the_files_axis(self, tmp_path, capsys, orientation):
+        # the empty human row is named as the file holds it, before any
+        # held-out problem is solved, in either orientation
+        inputs = self.blank_row_pair(tmp_path)
+        assert main(["calibrate", "--orientation", orientation, "--method", "sp",
+                     "--profile", f"movielens.{orientation}", *inputs,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "row 4 has no observed entries", "kind": "EmptyColumnError"}
 
     def test_existing_out_dir_is_kept(self, tmp_path, capsys):
         inputs = self.blank_row_pair(tmp_path)
@@ -602,7 +628,7 @@ class TestFailureModes:
     def test_solver_failure_is_error_json_exit_1(self, tmp_path, capsys, monkeypatch, error):
         import twincal.regress
 
-        def failing_fit(x, y, cfg, exclude=None):
+        def failing_fit(x, cfg, exclude):
             raise error("diverged")
 
         monkeypatch.setattr(twincal.regress, "_nn_parameters", failing_fit)

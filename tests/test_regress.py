@@ -34,18 +34,30 @@ def random_xy(n, m, seed, noise=0.0):
     return x, y, beta
 
 
-def gram_cross(x, y, centered=True):
-    """A kernel's one-target inputs: X'X/n and X'y/n (p x 1), centered or not."""
+def target_last(x, y, centered=True):
+    """A kernel's one-target inputs: the Gram matrix [x | y]'[x | y]/n,
+    centered or not, and ``exclude`` naming y's column, the last."""
+    xy = np.column_stack([x, y])
     if centered:
-        x, y = x - x.mean(axis=0), y - y.mean()
-    return x.T @ x / len(y), (x.T @ y / len(y))[:, None]
+        xy = xy - xy.mean(axis=0)
+    return xy.T @ xy / len(xy), np.array([xy.shape[1] - 1])
 
 
 class TestRidge:
     def test_identity_design_no_centering(self):
         y = np.array([2.0, -1.0, 0.5])
-        coef = _ridge_coefficients(*gram_cross(np.eye(3), y, centered=False), 0.0)[:, 0]
-        assert np.allclose(coef, y, atol=1e-12)
+        coef = _ridge_coefficients(*target_last(np.eye(3), y, centered=False), 0.0)[:, 0]
+        assert np.allclose(coef[:3], y, atol=1e-12) and coef[3] == 0.0
+
+    @pytest.mark.parametrize("exact", ["constant", "linear"])
+    def test_exact_fit_at_zero_lambda(self, exact):
+        # x fits y exactly, so the Gram of [x | y] is singular at lam 0 while
+        # y's own system is not: the fit is still y's least-squares fit
+        x, y, beta = random_xy(20, 4, seed=5)
+        beta, intercept = (np.zeros(4), 1.5) if exact == "constant" else (beta, -2.0)
+        model = fit_ridge(x, x @ beta + intercept, 0.0)
+        assert np.max(np.abs(model.coefficients - beta)) < 1e-12
+        assert abs(model.intercept - intercept) < 1e-12
 
     def test_huge_lambda_predicts_mean(self):
         x, y, _ = random_xy(30, 5, seed=0)
@@ -65,8 +77,10 @@ class TestRidge:
 
     def test_singular_at_zero_lambda(self):
         x = np.ones((4, 2))  # rank deficient
-        with pytest.raises(DataError):
-            _ridge_coefficients(*gram_cross(x, np.arange(4.0), centered=False), 0.0)
+        with pytest.raises(DataError, match="singular system"):
+            _ridge_coefficients(*target_last(x, np.arange(4.0), centered=False), 0.0)
+        with pytest.raises(DataError, match="singular system"):
+            fit_ridge(x, np.arange(4.0), 0.0)
 
     def test_coefficient_norm_shrinks_with_lambda(self):
         x, y, _ = random_xy(40, 8, seed=2, noise=0.5)
@@ -81,7 +95,7 @@ class TestElasticNet:
     def test_alpha_zero_matches_least_squares(self, monkeypatch):
         monkeypatch.setattr(regress, "_ENET_MAX_ITERS", 20000)
         x, y, beta = random_xy(50, 6, seed=3)
-        coef = _elastic_net_coefficients(*gram_cross(x, y), 0.0, 0.5)[:, 0]
+        coef = _elastic_net_coefficients(*target_last(x, y), 0.0, 0.5)[:6, 0]
         assert np.max(np.abs(coef - beta)) < 1e-6
 
     def test_orthonormal_design_closed_form(self):
@@ -91,7 +105,7 @@ class TestElasticNet:
         x = q * np.sqrt(24)
         y = rng.normal(size=24)
         alpha = 0.15
-        coef = _elastic_net_coefficients(*gram_cross(x, y, centered=False), alpha, 1.0)[:, 0]
+        coef = _elastic_net_coefficients(*target_last(x, y, centered=False), alpha, 1.0)[:6, 0]
         rho = x.T @ y / 24
         expected = np.sign(rho) * np.maximum(np.abs(rho) - alpha, 0.0)
         assert np.max(np.abs(coef - expected)) < 1e-10
@@ -200,7 +214,7 @@ class TestSi:
         v = rng.normal(size=5)
         x = np.outer(u, v)
         y = 2.0 * u
-        coef = _si_coefficients(*gram_cross(x, y, centered=False), 1, 0.0)[:, 0]
+        coef = _si_coefficients(*target_last(x, y, centered=False), 1, 0.0)[:5, 0]
         assert np.max(np.abs(x @ coef - y)) < 1e-8
 
     def test_coefficients_in_top_subspace(self):
@@ -327,14 +341,37 @@ class TestFitColumns:
     @pytest.mark.filterwarnings("ignore::twincal.matcore.ConvergenceWarning")
     @pytest.mark.parametrize("family", FAMILIES)
     def test_stacked_targets_match_one_target_fits(self, family):
-        x = random_xy(40, 5, seed=23)[0]
-        y = np.random.default_rng(24).normal(size=(40, 3))
+        x = random_xy(40, 6, seed=23)[0]
+        targets = np.array([0, 2, 5])
         cfg = RegressConfig(family, rank=3, hidden_sizes=(4,), epochs=5)
-        pred = fit_columns(x, cfg, y).predict(x)
+        pred = fit_columns(x, cfg, exclude=targets).predict(x)
         assert pred.shape == (40, 3)
-        for c in range(3):
-            one = fit_columns(x, cfg, y[:, c])
-            assert np.max(np.abs(pred[:, c] - one.predict(x))) <= SIMPLEX_TOL
+        for c, j in enumerate(targets):
+            others = np.delete(x, j, axis=1)
+            one = fit_columns(others, cfg, x[:, j])
+            assert np.max(np.abs(pred[:, c] - one.predict(others))) <= SIMPLEX_TOL
+
+    @pytest.mark.filterwarnings("ignore::twincal.matcore.ConvergenceWarning")
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_one_target_fit_is_the_loo_fit_of_y_last(self, family):
+        x, y, _ = random_xy(40, 5, seed=29, noise=0.5)
+        cfg = RegressConfig(family, rank=3, hidden_sizes=(4, 3), epochs=5)
+        one = fit_columns(x, cfg, y)
+        loo = fit_columns(np.column_stack([x, y]), cfg, exclude=np.array([5]))
+        if family == "nn":
+            assert np.array_equal(one.weights[0], loo.weights[0][0, :5])
+            for got, want in zip(one.weights[1:] + one.biases, loo.weights[1:] + loo.biases):
+                assert np.array_equal(got, want[0].reshape(got.shape))
+        else:
+            assert np.array_equal(one.coefficients, loo.coefficients[:5, 0])
+            assert loo.coefficients[5, 0] == 0.0
+            assert one.intercept == loo.intercept[0]
+
+    def test_two_d_y_rejected(self):
+        x = random_xy(10, 3, seed=25)[0]
+        for y in (x[:, :2], x[:, :1]):
+            with pytest.raises(DataError, match=r"X\(10, 3\), y\(10, \d\)"):
+                fit_columns(x, RegressConfig(), y)
 
     def test_one_target_warnings_name_the_caller(self):
         # a near-collinear design on which both one-target fits reach their caps
@@ -495,7 +532,7 @@ def loo_batched(t, kernel, centered=True):
     gram = tc.T @ tc / t.shape[0]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ConvergenceWarning)
-        coef = kernel(gram, gram.copy(), np.arange(t.shape[1]))
+        coef = kernel(gram, np.arange(t.shape[1]))
     n_warn = sum(issubclass(w.category, ConvergenceWarning) for w in caught)
     return coef, means - means @ coef, n_warn
 
@@ -503,32 +540,32 @@ def loo_batched(t, kernel, centered=True):
 FAMILIES_VS_ORACLE = {
     "ridge": (
         lambda x, y: oracle.ridge(x, y, 0.5),
-        lambda g, c, e: _ridge_coefficients(g, c, 0.5, e),
+        lambda g, e: _ridge_coefficients(g, e, 0.5),
         True, EXACTISH_TOL,
     ),
     "lasso": (
         lambda x, y: converged_enet(x, y, 0.05, 1.0),
-        lambda g, c, e: _elastic_net_coefficients(g, c, 0.05, 1.0, e),
+        lambda g, e: _elastic_net_coefficients(g, e, 0.05, 1.0),
         True, ENET_TOL,
     ),
     "en": (
         lambda x, y: converged_enet(x, y, 0.1, 0.3),
-        lambda g, c, e: _elastic_net_coefficients(g, c, 0.1, 0.3, e),
+        lambda g, e: _elastic_net_coefficients(g, e, 0.1, 0.3),
         True, ENET_TOL,
     ),
     "sc": (
         lambda x, y: oracle.simplex(x, y, 0.01, max_iters=300),
-        lambda g, c, e: _simplex_coefficients(g, c, 0.01, e),
+        lambda g, e: _simplex_coefficients(g, e, 0.01),
         False, SIMPLEX_TOL,
     ),
     "si": (
         lambda x, y: oracle.si(x, y, 4, 0.1),
-        lambda g, c, e: _si_coefficients(g, c, 4, 0.1, e),
+        lambda g, e: _si_coefficients(g, e, 4, 0.1),
         True, EXACTISH_TOL,
     ),
     "si-full": (
         lambda x, y: oracle.si(x, y, 8, 0.1),
-        lambda g, c, e: _si_coefficients(g, c, 8, 0.1, e),
+        lambda g, e: _si_coefficients(g, e, 8, 0.1),
         True, EXACTISH_TOL,
     ),
 }
@@ -570,7 +607,7 @@ class TestBatchedLooKernels:
         monkeypatch.setattr(regress, "_SIMPLEX_MAX_ITERS", cap)
         t = loo_world(n=n, m=m)
         gram = t.T @ t / n
-        coef = _simplex_coefficients(gram, gram.copy(), 0.01, np.arange(m))
+        coef = _simplex_coefficients(gram, np.arange(m), 0.01)
         for j in range(m):
             feats = np.arange(m) != j
             sub, cross = gram[np.ix_(feats, feats)], gram[feats, j]
@@ -585,7 +622,7 @@ class TestBatchedLooKernels:
         t = loo_world()
         m = t.shape[1]
         gram = centered_gram(t)
-        coef = _elastic_net_coefficients(gram, gram.copy(), alpha, l1, np.arange(m))
+        coef = _elastic_net_coefficients(gram, np.arange(m), alpha, l1)
         for j in range(m):
             feats = np.arange(m) != j
             sub, cross, b = gram[np.ix_(feats, feats)], gram[feats, j], coef[feats, j]
@@ -606,7 +643,7 @@ class TestBatchedLooKernels:
         t = loo_world()
         m = t.shape[1]
         coef, _, n_warn = loo_batched(
-            t, lambda g, c, e: _elastic_net_coefficients(g, c, alpha, l1, e)
+            t, lambda g, e: _elastic_net_coefficients(g, e, alpha, l1)
         )
         # each target of the batch takes the steps of its own one-target run
         gram = centered_gram(t)
@@ -614,7 +651,7 @@ class TestBatchedLooKernels:
         for j in range(m):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", ConvergenceWarning)
-                single = _elastic_net_coefficients(gram, gram[:, [j]], alpha, l1, [j])
+                single = _elastic_net_coefficients(gram, np.array([j]), alpha, l1)
             single_warn += len(caught)
             assert np.max(np.abs(coef[:, j] - single[:, 0])) <= EXACTISH_TOL
         assert n_warn == single_warn
@@ -631,13 +668,13 @@ class TestBatchedLooKernels:
         ]:
             assert np.max(np.abs(fit.coefficients - ref[0])) <= SIMPLEX_TOL
             assert abs(fit.intercept - ref[1]) <= SIMPLEX_TOL
-        # the elastic net's one-target fit is one column of the kernel, and
-        # it is as good as the converged oracle
-        xc, yc = x - x.mean(axis=0), y - y.mean()
-        gram, cross = xc.T @ xc / len(y), xc.T @ yc / len(y)
+        # the elastic net's one-target fit is the kernel's fit of y as the
+        # last column, and it is as good as the converged oracle
+        full, last = target_last(x, y)
         en = fit_elastic_net(x, y, 0.1, 0.3)
-        column = _elastic_net_coefficients(gram, cross[:, None], 0.1, 0.3)[:, 0]
-        assert np.array_equal(en.coefficients, column)
+        column = _elastic_net_coefficients(full, last, 0.1, 0.3)[:, 0]
+        assert np.array_equal(en.coefficients, column[:-1]) and column[-1] == 0.0
+        gram, cross = full[:-1, :-1], full[:-1, -1]
         ref = converged_enet(x, y, 0.1, 0.3)
         assert (enet_objective(gram, cross, en.coefficients, 0.1, 0.3)
                 <= enet_objective(gram, cross, ref[0], 0.1, 0.3) + ENET_OBJ_TOL)
@@ -656,17 +693,30 @@ class TestBatchedLooKernels:
         monkeypatch.setattr(regress, "_SIMPLEX_MAX_ITERS", 3)
         x = random_xy(20, 4, seed=33)[0]
         with pytest.raises(DataError, match="infeasible"):
-            _simplex_coefficients(*gram_cross(x, x.sum(axis=1), centered=False), 0.0)
+            _simplex_coefficients(*target_last(x, x.sum(axis=1), centered=False), 0.0)
+
+    def test_ridge_own_systems_match_the_shared_inverse(self, monkeypatch):
+        # the per-target solves that a singular shared matrix falls back to
+        # give the shared inverse's coefficients
+        t = loo_world()
+        gram, cols = centered_gram(t), np.arange(t.shape[1])
+        shared = _ridge_coefficients(gram, cols, 0.5)
+
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(regress.np.linalg, "inv", singular)
+        own = _ridge_coefficients(gram, cols, 0.5)
+        assert np.max(np.abs(own - shared)) <= EXACTISH_TOL
+        assert np.all(own[cols, cols] == 0.0)
 
     def test_si_rank_must_be_positive_and_fit_the_design(self):
         t = loo_world()
         gram = np.cov(t.T, bias=True)
         cols = np.arange(t.shape[1])
-        for rank in (0, -1, t.shape[1]):
+        for rank in (0, -1, t.shape[1], t.shape[1] + 1):
             with pytest.raises(DataError, match="rank"):
-                _si_coefficients(gram, gram.copy(), rank, 0.1, cols)
-        with pytest.raises(DataError, match="rank"):
-            _si_coefficients(gram, gram[:, :2], t.shape[1] + 1, 0.1)
+                _si_coefficients(gram, cols, rank, 0.1)
 
     @pytest.mark.filterwarnings("ignore::twincal.matcore.ConvergenceWarning")
     @pytest.mark.parametrize("m", [9, 48, 60])
@@ -685,7 +735,7 @@ class TestBatchedLooKernels:
 
         monkeypatch.setattr(regress.np.linalg, "eigvalsh", spy)
         monkeypatch.setattr(regress, "_SIMPLEX_MAX_ITERS", 1)
-        _simplex_coefficients(gram, gram.copy(), 0.0, cols)
+        _simplex_coefficients(gram, cols, 0.0)
         assert len(seen) == 1 and seen[0].shape == (m, m - 1)
         assert np.array_equal(seen[0][:, -1], np.array(loop))
 
@@ -723,7 +773,7 @@ class TestStackedNetwork:
         early = [e for e in epochs if e < NN_CFG.epochs]
         assert len(set(early)) >= 5, "targets should stop at different epochs"
 
-        weights, biases = _nn_parameters(t, t, NN_CFG, np.arange(10))
+        weights, biases = _nn_parameters(t, NN_CFG, np.arange(10))
         assert weights[0].shape == (10, 10, 6) and biases[0].shape == (10, 1, 6)
         # each network's own input row stays exactly 0
         assert np.all(weights[0][np.arange(10), np.arange(10)] == 0.0)
@@ -748,7 +798,7 @@ class TestStackedNetwork:
         later = max(range(10), key=lambda j: epochs[j])
         assert epochs[first] < epochs[later]
         batches = -(-(80 - 8) // NN_CFG.batch_size)   # per epoch, 72 training rows
-        expected = _nn_parameters(t, t, NN_CFG, np.arange(10))
+        expected = _nn_parameters(t, NN_CFG, np.arange(10))
         clean = regress.nn_loss_and_grad
 
         stacked = []   # networks in the stacks, per call
@@ -769,7 +819,7 @@ class TestStackedNetwork:
 
         # the first network to stop leaves the stacks: NaN after its stop changes nothing
         monkeypatch.setattr(regress, "nn_loss_and_grad", poisoned(first))
-        got = _nn_parameters(t, t, NN_CFG, np.arange(10))
+        got = _nn_parameters(t, NN_CFG, np.arange(10))
         for a, b in zip(got[0] + got[1], expected[0] + expected[1]):
             assert np.array_equal(a, b)
         stops = np.bincount(epochs, minlength=NN_CFG.epochs + 1)
@@ -779,4 +829,4 @@ class TestStackedNetwork:
         # a network still training raises at the same point
         monkeypatch.setattr(regress, "nn_loss_and_grad", poisoned(later))
         with pytest.raises(FloatingPointError, match=f"epoch {epochs[first]};"):
-            _nn_parameters(t, t, NN_CFG, np.arange(10))
+            _nn_parameters(t, NN_CFG, np.arange(10))

@@ -160,36 +160,32 @@ class TestDiscreteWorld:
 
     def test_custom_mixtures_validated(self):
         with pytest.raises(DataError):
-            generate_discrete_world(10, 5, 3, support_size=3, seed=0,
-                                    twin_mixture=np.array([0.5, 0.5, 0.5]))
-        with pytest.raises(DataError):
             generate_discrete_world(10, 5, 3, seed=0,
                                     target_coeffs=np.array([1.0, 1.0]))
 
-    def test_valid_custom_mixtures_kept_as_given(self):
-        twin_mixture = np.array([0.5, 0.25, 0.25])
-        human_mixture = np.array([0.125, 0.125, 0.75])
+    def test_valid_target_coeffs_kept_as_given(self):
         target_coeffs = np.array([0.4, 0.3, 0.2, 0.1, 0.0])
-        world, _, _, _ = generate_discrete_world(
-            10, 5, 3, support_size=3, seed=0, twin_mixture=twin_mixture,
-            human_mixture=human_mixture, target_coeffs=target_coeffs)
-        assert np.array_equal(world.twin_mixture, twin_mixture)
-        assert np.array_equal(world.human_mixture, human_mixture)
+        world, _, _, _ = generate_discrete_world(10, 5, 3, seed=0, target_coeffs=target_coeffs)
         assert np.array_equal(world.target_coeffs, target_coeffs)
-        assert world.reweight_bound == np.max(human_mixture / twin_mixture) == 3.0
+
+    def test_support_mixtures_are_fixed(self):
+        # five atoms, uniform for the twins, halving per atom for the humans
+        world, _, _, _ = generate_discrete_world(10, 5, 3, seed=0)
+        assert np.array_equal(world.twin_mixture, np.full(5, 0.2))
+        assert np.allclose(world.human_mixture, 0.5 ** np.arange(5) / (2 - 0.5**4), rtol=1e-15)
+        assert world.reweight_bound == pytest.approx(5 / (2 - 0.5**4), rel=1e-15)
+        for key in ("support_size", "twin_mixture", "human_mixture"):
+            with pytest.raises(TypeError, match=key):
+                generate_discrete_world(10, 5, 3, seed=0, **{key: 3})
 
     @pytest.mark.parametrize("key,value,message", [
         ("target_coeffs", [0.5, 0.5, 0.5, 0.5, 0.5], "target_coeffs must be a length-m"),
         ("target_coeffs", [0.25, 0.25, 0.5], "target_coeffs must be a length-m"),
         ("target_coeffs", [np.nan, 0.25, 0.25, 0.25, 0.25], "target_coeffs must be a length-m"),
-        ("twin_mixture", [0.0, 0.5, 0.5], "twin_mixture must be a positive length-S"),
-        ("twin_mixture", [np.nan, 0.5, 0.5], "twin_mixture must be a positive length-S"),
-        ("human_mixture", [-0.5, 0.5, 1.0], "human_mixture must be a length-S"),
-        ("human_mixture", [np.nan, 0.0, 1.0], "human_mixture must be a length-S"),
     ])
     def test_non_simplex_vector_named(self, key, value, message):
         with pytest.raises(DataError, match=f"^{message} simplex vector$"):
-            generate_discrete_world(10, 5, 3, support_size=3, seed=0, **{key: np.array(value)})
+            generate_discrete_world(10, 5, 3, seed=0, **{key: np.array(value)})
 
     def test_noiseless_identical_alignment_correlates_perfectly(self):
         # twin columns equal human columns: every method's input is consistent
