@@ -20,6 +20,7 @@ import numpy as np
 from .completion import held_out_columns, impute_dense
 from .matcore import (
     DataError,
+    EmptyColumnError,
     MaskedMatrix,
     UndefinedCorrelationError,
     mean_correlation,
@@ -44,6 +45,10 @@ __all__ = [
 class Orientation(str, Enum):
     NEW_QUESTION = "new_question"
     NEW_USER = "new_user"
+
+
+# the files' names for the axis a pair shares and for the axis its targets run along
+_AXES = {Orientation.NEW_QUESTION: ("row", "column"), Orientation.NEW_USER: ("column", "row")}
 
 
 @dataclass(frozen=True)
@@ -73,8 +78,7 @@ class CalibrationTask:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "orientation", Orientation(self.orientation))
-        shared, extra = (("row", "column") if self.orientation is Orientation.NEW_QUESTION
-                         else ("column", "row"))
+        shared, extra = _AXES[self.orientation]
         human, twin = self._oriented()
         if twin.n_rows != human.n_rows:
             raise DataError(f"human and twin must have equal {shared} counts")
@@ -333,6 +337,8 @@ def _loo_pass(
     thresholds. Checks that every row and column of the twin, and of the
     human for a regression method or ``sp``, has an observed cell, in the
     layout given, and orients the pair (a new user is held out as a row).
+    For a completion method it then checks that holding out a target empties
+    no human row, naming the row in the layout given.
     Then it predicts every target and correlates the prediction and the
     twin baseline with the observed human target (None where undefined). Returns
     the orientation, those correlation pairs, the train MSEs, the
@@ -355,8 +361,19 @@ def _loo_pass(
         human.require_coverage()
     twin.require_coverage()
     if orientation is Orientation.NEW_USER:
-        human = human.transpose()
-        twin = twin.transpose()
+        human, twin = human.transpose(), twin.transpose()
+    if not isinstance(method, RegressConfig):
+        # the error names the first row that held_out_columns' per-target check
+        # would meet, in the files' layout: a row with one cell empties when its
+        # cell's column is held out, an empty row at the first target
+        counts = human.mask.sum(axis=1)
+        thin = np.flatnonzero(counts < 2)
+        if thin.size:
+            held = np.where(counts[thin] == 1, human.mask[thin].argmax(axis=1), 0)
+            i = thin[np.argmin(held)]
+            line, target = _AXES[orientation]
+            tail = f" with {target} {held.min()} held out" if counts[i] else ""
+            raise EmptyColumnError(f"{line} {i} has no observed entries{tail}")
     predictions, train_mses, twin_dense = _loo_predictions(
         human, twin, method, impute_rank, standardize, seed)
     correlations = []

@@ -116,12 +116,16 @@ def _check_rank(rank: int, shape: tuple[int, int], what: str = "") -> None:
         raise DataError(f"rank {rank} exceeds min{shape}{what}")
 
 
-def _mean_filled(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _mean_filled(values: np.ndarray, mask: np.ndarray, prior=None) -> np.ndarray:
     """``values`` with each missing cell set to its column's observed mean
-    (0 for a column with no observed cell)."""
+    (0 for a column with no observed cell); a ``prior`` (column j, values)
+    then sets column j: the kernels' start."""
     counts = np.maximum(mask.sum(axis=0), 1)
     col_means = np.where(mask, values, 0.0).sum(axis=0) / counts
-    return np.where(mask, values, col_means)
+    start = np.where(mask, values, col_means)
+    if prior is not None:
+        start[:, prior[0]] = prior[1]
+    return start
 
 
 def _small_change(recon: np.ndarray, recon_prev: np.ndarray, tol: float) -> bool:
@@ -137,19 +141,19 @@ def _small_change(recon: np.ndarray, recon_prev: np.ndarray, tol: float) -> bool
 def _refill(
     values: np.ndarray,
     mask: np.ndarray,
-    start: np.ndarray,
     rank: int,
     lam: float,
     max_iters: int,
     tol: float,
+    prior: tuple[int, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """The refill kernel behind hard/soft/synthetic-prior impute and the rank search.
 
-    From ``start`` (observed cells equal to ``values``), alternate between a
-    (soft-)thresholded rank-``rank`` truncated SVD of the filled matrix and
-    refilling missing cells from the reconstruction. Returns (filled,
-    reconstruction, converged); observed cells of ``filled`` equal ``values``
-    exactly.
+    From the column-mean start (column j set from a ``prior`` (j, values)),
+    alternate between a (soft-)thresholded rank-``rank`` truncated SVD of
+    the filled matrix and refilling missing cells from the reconstruction.
+    Returns (filled, reconstruction, converged); observed cells of
+    ``filled`` equal ``values`` exactly.
 
     No thin SVD is taken. The top ``rank`` singular directions V of the
     filled matrix X on its smaller side are the top eigenvectors of its Gram
@@ -160,13 +164,14 @@ def _refill(
     σ at or below lam gets the factor 0.
 
     Three full-size buffers are the loop's own: the fill, refilled in place
-    once X·V is taken (``start`` is only read), and two reconstructions
-    that take turns, the stop rule's difference landing in the older one.
+    once X·V is taken, and two reconstructions that take turns, the stop
+    rule's difference landing in the older one. The column-mean start is
+    held only until the first refill makes the fill anew.
     """
-    filled = recon = start
+    filled = _mean_filled(values, mask, prior)
     # the last two reconstruction products (transposed for a wide X)
     product = prev = None
-    tall = start.shape[0] >= start.shape[1]
+    tall = filled.shape[0] >= filled.shape[1]
     for _ in range(max_iters):
         x = filled if tall else filled.T
         eig, vecs = np.linalg.eigh(x.T @ x)
@@ -177,13 +182,13 @@ def _refill(
             scores *= np.divide(sv - lam, sv, out=np.zeros(rank), where=sv > lam)
         product, prev = np.matmul(scores, top.T, out=prev), product
         recon = product if tall else product.T
-        if filled is start:
+        if prev is None:  # the first refill: a new fill, and the start is dropped
             filled = np.where(mask, values, recon)
         else:
             np.copyto(filled, recon)
             np.copyto(filled, values, where=mask)
-        if prev is not None and _small_change(product, prev, tol):
-            return filled, recon, True
+            if _small_change(product, prev, tol):
+                return filled, recon, True
     return filled, recon, False
 
 
@@ -192,21 +197,15 @@ def _warn_not_converged(name: str, max_iters: int) -> None:
                    "returning the best iterate", ConvergenceWarning)
 
 
-def _checked_start(matrix: MaskedMatrix, rank: int) -> np.ndarray:
-    """Check the rank and the row/column coverage, then the column-mean start."""
-    _check_rank(rank, matrix.shape)
-    matrix.require_coverage()
-    return _mean_filled(matrix.values, matrix.mask)
-
-
-def _solve(values: np.ndarray, mask: np.ndarray, start: np.ndarray,
-           cfg: CompletionConfig) -> tuple[np.ndarray, bool]:
-    """(result, converged) of ``cfg.method`` from ``start``: the refill kernel's
-    fill for hsv, ssv and sp (lam for ssv only), the ALS reconstruction for als."""
+def _solve(values: np.ndarray, mask: np.ndarray, cfg: CompletionConfig,
+           prior: tuple[int, np.ndarray] | None = None) -> tuple[np.ndarray, bool]:
+    """(result, converged) of ``cfg.method``: the refill kernel's fill for hsv,
+    ssv and sp (lam for ssv only, the ``prior`` column for sp), the ALS
+    reconstruction for als."""
     if cfg.method is CompletionMethod.ALS:
-        return _als(values, mask, start, cfg)
+        return _als(values, mask, cfg)
     lam = cfg.lam if cfg.method is CompletionMethod.SOFT_SVD else 0.0
-    filled, _, converged = _refill(values, mask, start, cfg.rank, lam, cfg.max_iters, cfg.tol)
+    filled, _, converged = _refill(values, mask, cfg.rank, lam, cfg.max_iters, cfg.tol, prior)
     return filled, converged
 
 
@@ -215,8 +214,9 @@ def _impute(matrix: MaskedMatrix, cfg: CompletionConfig, method: CompletionMetho
     """Check that ``cfg`` selects ``method``, solve, and warn if unconverged."""
     if cfg.method is not method:
         raise DataError(f"expected method {method.value!r}, got {cfg.method.value!r}")
-    start = _checked_start(matrix, cfg.rank)
-    result, converged = _solve(matrix.values, matrix.mask, start, cfg)
+    _check_rank(cfg.rank, matrix.shape)
+    matrix.require_coverage()
+    result, converged = _solve(matrix.values, matrix.mask, cfg)
     if not converged:
         _warn_not_converged(name, cfg.max_iters)
     return result
@@ -257,15 +257,14 @@ def _als_half_step(
         raise DataError("singular normal equations in ALS; use lam > 0") from None
 
 
-def _als_sweeps(values: np.ndarray, mask: np.ndarray, start: np.ndarray,
-                cfg: CompletionConfig):
+def _als_sweeps(values: np.ndarray, mask: np.ndarray, cfg: CompletionConfig):
     """Yield the factors (A, B) after each alternating half-step.
 
-    Factors start from the rank-r SVD of ``start`` (the column-mean fill):
-    deterministic, and immune to the saddle stalls random factors hit on
-    matrices with an entirely missing column (the held-out shape).
+    Factors start from the rank-r SVD of the column-mean fill: deterministic,
+    and immune to the saddle stalls random factors hit on matrices with an
+    entirely missing column (the held-out shape).
     """
-    left, sv, right_t = np.linalg.svd(start, full_matrices=False)
+    left, sv, right_t = np.linalg.svd(_mean_filled(values, mask), full_matrices=False)
     root = np.sqrt(sv[: cfg.rank])
     a = left[:, : cfg.rank] * root
     b = right_t[: cfg.rank].T * root
@@ -278,11 +277,10 @@ def _als_sweeps(values: np.ndarray, mask: np.ndarray, start: np.ndarray,
         yield a, b
 
 
-def _als(values: np.ndarray, mask: np.ndarray, start: np.ndarray,
-         cfg: CompletionConfig) -> tuple[np.ndarray, bool]:
+def _als(values: np.ndarray, mask: np.ndarray, cfg: CompletionConfig) -> tuple[np.ndarray, bool]:
     """The ALS kernel: (last reconstruction A @ B.T, converged)."""
     recon_prev: np.ndarray | None = None
-    for a, b in _als_sweeps(values, mask, start, cfg):
+    for a, b in _als_sweeps(values, mask, cfg):
         recon = a @ b.T
         if recon_prev is not None and _small_change(recon, recon_prev, cfg.tol):
             return recon, True
@@ -329,11 +327,9 @@ def held_out_columns(human: MaskedMatrix, twin: MaskedMatrix, cfg: CompletionCon
             if not covered.all():
                 raise DataError(f"{what} {np.argmin(covered)} has no observed entries "
                                 f"with column {j} held out")
-        start = _mean_filled(values, mask)
-        if sp:
-            start[:, j] = prior[:, j]
-        result, converged[t] = _solve(values, mask, start, cfg)
+        result, converged[t] = _solve(values, mask, cfg, (j, prior[:, j]) if sp else None)
         predictions[:, t] = result[:n, j]
+        del result  # not held while the next target is solved
     return predictions, converged
 
 
@@ -388,7 +384,7 @@ def estimate_effective_rank(matrix: MaskedMatrix, seed: int = 0) -> int:
     min(n, m). A seeded uniform sample of a tenth of the observed
     entries is masked out (resampling up to 10 times if that breaks
     row/column coverage), the hard-SVD refill runs at each grid rank from
-    one column-mean start with the step cap and tolerance
+    the column-mean start with the step cap and tolerance
     :func:`impute_dense` fills with (the :class:`CompletionConfig`
     defaults), and the rank with the smallest held-out RMSE wins; ties break
     toward the smaller rank. An unconverged refill is scored as it stands,
@@ -413,12 +409,11 @@ def estimate_effective_rank(matrix: MaskedMatrix, seed: int = 0) -> int:
     )
     rows, cols = obs[picks[-1]].T
     truth = matrix.values[rows, cols]
-    start = _mean_filled(matrix.values, train_mask)
     rmses = []
     for rank in grid:
         cfg = CompletionConfig(CompletionMethod.HARD_SVD, rank=rank)
-        filled, _ = _solve(matrix.values, train_mask, start, cfg)
-        rmses.append(float(np.sqrt(np.mean((filled[rows, cols] - truth) ** 2))))
+        guess = _solve(matrix.values, train_mask, cfg)[0][rows, cols]
+        rmses.append(float(np.sqrt(np.mean((guess - truth) ** 2))))
     return grid[int(np.argmin(rmses))]
 
 
@@ -438,5 +433,7 @@ def impute_dense(
     if rank is None:
         rank = estimate_effective_rank(matrix, seed=seed)
     cfg = CompletionConfig(CompletionMethod.HARD_SVD, rank=rank)
-    filled, _ = _solve(matrix.values, matrix.mask, _checked_start(matrix, rank), cfg)
+    _check_rank(rank, matrix.shape)
+    matrix.require_coverage()
+    filled, _ = _solve(matrix.values, matrix.mask, cfg)
     return filled, rank

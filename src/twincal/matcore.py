@@ -123,14 +123,10 @@ class MaskedMatrix:
 
     def require_coverage(self) -> None:
         """Raise unless every row and column has at least one observed entry."""
-        col_counts = self.mask.sum(axis=0)
-        if np.any(col_counts == 0):
-            j = int(np.flatnonzero(col_counts == 0)[0])
-            raise EmptyColumnError(f"column {j} has no observed entries")
-        row_counts = self.mask.sum(axis=1)
-        if np.any(row_counts == 0):
-            i = int(np.flatnonzero(row_counts == 0)[0])
-            raise EmptyColumnError(f"row {i} has no observed entries")
+        for what, axis in (("column", 0), ("row", 1)):
+            covered = self.mask.any(axis=axis)
+            if not covered.all():
+                raise EmptyColumnError(f"{what} {np.argmin(covered)} has no observed entries")
 
 
 def check_integer(name: str, value, minimum: int | None = None) -> None:

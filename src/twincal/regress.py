@@ -43,6 +43,9 @@ FAMILIES = ("ridge", "lasso", "en", "nn", "sc", "si")
 # proximal-gradient families
 _ENET_MAX_ITERS, _ENET_TOL = 2000, 1e-7
 _SIMPLEX_MAX_ITERS, _SIMPLEX_TOL = 5000, 1e-12
+# the network family's minibatch rows, and the epochs without a better
+# validation MSE after which a network stops
+_NN_BATCH_SIZE, _NN_PATIENCE = 128, 20
 
 
 @dataclass(frozen=True)
@@ -58,8 +61,6 @@ class RegressConfig:
     weight_decay: float = 0.0
     epochs: int = 200
     learning_rate: float = 1e-3
-    batch_size: int = 128
-    patience: int = 20
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -67,8 +68,7 @@ class RegressConfig:
             raise DataError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         for name in ("lam", "alpha", "l1_ratio", "weight_decay", "learning_rate"):
             check_real(name, getattr(self, name))
-        for name, minimum in (("epochs", 1), ("batch_size", 1), ("patience", None),
-                              ("seed", None)):
+        for name, minimum in (("epochs", 1), ("seed", None)):
             check_integer(name, getattr(self, name), minimum)
         if self.rank is not None:
             check_integer("rank", self.rank)
@@ -471,7 +471,7 @@ def _nn_parameters(
 
     Adam on minibatches; the last 10% of rows form a fixed validation split,
     and a network stops when its validation MSE fails to improve for
-    ``cfg.patience`` epochs, keeping its best parameters. Fully
+    ``_NN_PATIENCE`` epochs, keeping its best parameters. Fully
     deterministic given ``cfg.seed``. Returns weights and biases stacked on
     a leading axis of t networks (t x fan_in x fan_out, t x 1 x fan_out).
     Network c predicts column ``exclude[c]`` of ``x`` from all of ``x``, its
@@ -516,8 +516,8 @@ def _nn_parameters(
     ids = np.arange(t)      # the networks still training; every stack holds only these
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(x_train))
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
+        for start in range(0, len(order), _NN_BATCH_SIZE):
+            batch = order[start : start + _NN_BATCH_SIZE]
             loss, grad_w, grad_b = nn_loss_and_grad(
                 params[:layers], params[layers:], x_train[batch], y_train[:, batch],
                 cfg.weight_decay,
@@ -546,7 +546,7 @@ def _nn_parameters(
         for b, p in zip(best, params):
             b[ids[take]] = p[take]
         stale = np.where(better, 0, stale + 1)
-        keep = better | (stale < cfg.patience)
+        keep = better | (stale < _NN_PATIENCE)
         if not keep.all():
             ids = ids[keep]
             if not ids.size:

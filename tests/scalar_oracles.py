@@ -25,12 +25,12 @@ import warnings
 
 import numpy as np
 
+import twincal.regress as regress
 from twincal.completion import (
     CompletionMethod,
     StackedTask,
     _check_rank,
     _mean_filled,
-    _refill,
     als_impute,
     estimate_effective_rank,
     hard_impute,
@@ -164,8 +164,11 @@ def nn_loss_and_grad(weights, biases, x, y, weight_decay=0.0):
 def nn(x, y, cfg):
     """Adam with minibatches and early stopping on the last 10% of rows.
 
-    Returns the weights, the biases and the number of epochs run.
+    The batch size and the patience are ``twincal.regress``'s constants, read
+    at each call, so a test that patches them patches the oracle too. Returns
+    the weights, the biases and the number of epochs run.
     """
+    batch_size, patience = regress._NN_BATCH_SIZE, regress._NN_PATIENCE
     n, m = x.shape
     rng = np.random.default_rng(cfg.seed)
     sizes = [m, *cfg.hidden_sizes, 1]
@@ -193,8 +196,8 @@ def nn(x, y, cfg):
     for epoch in range(cfg.epochs):
         epochs = epoch + 1
         order = rng.permutation(len(y_train))
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
+        for start in range(0, len(order), batch_size):
+            batch = order[start : start + batch_size]
             loss, grad_w, grad_b = nn_loss_and_grad(
                 weights, biases, x_train[batch], y_train[batch], cfg.weight_decay
             )
@@ -222,7 +225,7 @@ def nn(x, y, cfg):
             stale = 0
         else:
             stale += 1
-            if stale >= cfg.patience:
+            if stale >= patience:
                 break
     if best_params is not None:
         weights, biases = best_params
@@ -291,7 +294,7 @@ def synthetic_prior_impute(task, cfg):
     mask = np.column_stack([task.human.mask, np.zeros(n, dtype=bool)])
     start = _mean_filled(values, mask)
     start[:, m] = twin_col
-    filled, _, _ = _refill(values, mask, start, cfg.rank, 0.0, cfg.max_iters, cfg.tol)
+    filled, _, _ = gram_refill(values, mask, start, cfg.rank, 0.0, cfg.max_iters, cfg.tol)
     return filled[:, m]
 
 

@@ -566,13 +566,16 @@ class TestFailedCommandOutDir:
     directories it made; one that existed before is kept."""
 
     @staticmethod
-    def blank_row_pair(tmp_path):
-        # 60 x 12 with 10% missing, human row 4 blanked
+    def blank_row_pair(tmp_path, blank=4, keep=None):
+        # 60 x 12 with 10% missing, the human cells at ``blank`` (row 4) made
+        # missing, then the cell at ``keep``, if any, observed again
         hp, tp = write_pair(tmp_path, seed=1, n=60, m=12, alignment="linear_distortion",
                             noise_sigma=0.1, row_bias_scale=0.5, missing_frac=0.1)
         human = read_matrix_csv(hp)
         mask = human.mask.copy()
-        mask[4] = False
+        mask[blank] = False
+        if keep is not None:
+            mask[keep] = True
         write_matrix_csv(hp, MaskedMatrix(human.values, mask))
         return ["--human", str(hp), "--twin", str(tp)]
 
@@ -601,6 +604,19 @@ class TestFailedCommandOutDir:
                      "--out", str(tmp_path / "o")]) == 2
         assert json.loads(capsys.readouterr().out) == {
             "error": "row 4 has no observed entries", "kind": "EmptyColumnError"}
+
+    @pytest.mark.parametrize("method", ["hsv", "ssv", "als", "sp"])
+    def test_completion_held_out_error_names_the_files_axis(self, tmp_path, capsys, method):
+        # question (column) 5 is answered only by user (row) 2, so holding
+        # that user out empties it; the new --out directory is removed
+        inputs = self.blank_row_pair(tmp_path, blank=np.s_[:, 5], keep=(2, 5))
+        assert main(["calibrate", "--orientation", "new_user", "--method", method,
+                     "--profile", "movielens.new_user", *inputs,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "column 5 has no observed entries with row 2 held out",
+            "kind": "EmptyColumnError"}
+        assert not (tmp_path / "o").exists()
 
     def test_existing_out_dir_is_kept(self, tmp_path, capsys):
         inputs = self.blank_row_pair(tmp_path)

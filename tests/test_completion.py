@@ -44,11 +44,17 @@ def cfg(method, rank, **kw):
 
 def soft_reconstruction(m, config):
     """The shrunken low-rank model that soft_impute's refill kernel ends on."""
-    start = _mean_filled(m.values, m.mask)
-    _, recon, _ = _refill(
-        m.values, m.mask, start, config.rank, config.lam, config.max_iters, config.tol
-    )
+    _, recon, _ = _refill(m.values, m.mask, config.rank, config.lam, config.max_iters, config.tol)
     return recon
+
+
+def started(oracle_refill):
+    """``oracle_refill`` behind the kernel's signature, from the start the
+    kernel builds (``completion._mean_filled``, looked up at each call)."""
+    def refill(values, mask, rank, lam, max_iters, tol, prior=None):
+        start = completion._mean_filled(values, mask, prior)
+        return oracle_refill(values, mask, start, rank, lam, max_iters, tol)
+    return refill
 
 
 def als_half_step_loop(target, mask, basis, lam):
@@ -112,10 +118,8 @@ class TestRefillBuffers:
         matrix = low_rank_masked(n, m, 3, 0.3, seed=n + 2 * m)
         if transposed:                     # Fortran-ordered values and mask
             matrix = matrix.transpose()
+        got = _refill(matrix.values, matrix.mask, 3, lam, max_iters, tol)
         start = _mean_filled(matrix.values, matrix.mask)
-        held = start.copy(order="K")
-        got = _refill(matrix.values, matrix.mask, start, 3, lam, max_iters, tol)
-        assert same_bits(start, held)      # the caller's start is only read
         want = oracle.gram_refill(matrix.values, matrix.mask, start, 3, lam, max_iters, tol)
         assert got[2] is want[2] is converges
         assert same_bits(got[0], want[0])
@@ -124,7 +128,7 @@ class TestRefillBuffers:
     def test_impute_dense_same_bits(self, monkeypatch):
         matrix = low_rank_masked(40, 15, 3, 0.3, seed=4)
         got, rank = impute_dense(matrix)
-        monkeypatch.setattr(completion, "_refill", oracle.gram_refill)
+        monkeypatch.setattr(completion, "_refill", started(oracle.gram_refill))
         want, want_rank = impute_dense(matrix)
         assert rank == want_rank and same_bits(got, want)
 
@@ -146,12 +150,12 @@ class TestRefillOracle:
         monkeypatch.setattr(np.linalg, name, wrapper)
         return calls
 
-    def run_both(self, monkeypatch, values, mask, start, rank, lam, max_iters, tol):
+    def run_both(self, monkeypatch, values, mask, rank, lam, max_iters, tol):
         eighs = self.counted(monkeypatch, "eigh")
         svds = self.counted(monkeypatch, "svd")
-        got = _refill(values, mask, start, rank, lam, max_iters, tol)
+        got = _refill(values, mask, rank, lam, max_iters, tol)
         assert not svds
-        want = oracle.svd_refill(values, mask, start, rank, lam, max_iters, tol)
+        want = started(oracle.svd_refill)(values, mask, rank, lam, max_iters, tol)
         assert len(svds) == len(eighs)        # the same iteration count
         side = min(values.shape)              # the Gram of the smaller side
         assert set(eighs) == {(side, side)}
@@ -173,9 +177,8 @@ class TestRefillOracle:
                                      max_iters, tol, converges):
         matrix = low_rank_masked(n, m, 3, 0.3, seed=n + 2 * m)
         rank = min(n, m) if rank == "full" else rank
-        start = _mean_filled(matrix.values, matrix.mask)
         converged, iters = self.run_both(monkeypatch, matrix.values, matrix.mask,
-                                         start, rank, lam, max_iters, tol)
+                                         rank, lam, max_iters, tol)
         assert converged is converges
         assert iters > 1
 
@@ -187,7 +190,7 @@ class TestRefillOracle:
         start = _mean_filled(values, matrix.mask)
         sv = np.linalg.svd(start, compute_uv=False)
         lam = 0.5 * (sv[2] + sv[3])   # shrinks ranks 4..6 to nothing at the start
-        self.run_both(monkeypatch, values, matrix.mask, start, 6, lam, 300, 1e-9)
+        self.run_both(monkeypatch, values, matrix.mask, 6, lam, 300, 1e-9)
 
     @pytest.mark.parametrize("n,m", [(20, 8), (8, 20)])
     @pytest.mark.parametrize("lam", [0.0, 0.5])
@@ -195,7 +198,9 @@ class TestRefillOracle:
         values, mask, start = rank_one_start(n, m, seed=42)
         x = start if n >= m else start.T
         assert np.linalg.eigvalsh(x.T @ x)[0] <= 0.0
-        self.run_both(monkeypatch, values, mask, start, min(n, m), lam, 50, 1e-9)
+        # the kernel and the oracle both start from the truth, not the column means
+        monkeypatch.setattr(completion, "_mean_filled", lambda values, mask, prior: start)
+        self.run_both(monkeypatch, values, mask, min(n, m), lam, 50, 1e-9)
 
     @pytest.mark.parametrize("n,m", [(30, 12), (12, 30)])
     @pytest.mark.parametrize("method,rank,lam,max_iters", [
@@ -216,7 +221,7 @@ class TestRefillOracle:
             return out, sum(issubclass(w.category, ConvergenceWarning) for w in caught)
 
         kernel, kernel_warnings = run()
-        monkeypatch.setattr(completion, "_refill", oracle.svd_refill)
+        monkeypatch.setattr(completion, "_refill", started(oracle.svd_refill))
         reference, reference_warnings = run()
         assert kernel_warnings == reference_warnings == (max_iters == 5)
         assert_refill_close(kernel, reference)
@@ -231,7 +236,7 @@ class TestRefillOracle:
         task = StackedTask(human, twin, target_col=m)
         config = cfg("sp", 2, max_iters=300, tol=1e-9)
         kernel = synthetic_prior_impute(task, config)
-        monkeypatch.setattr(completion, "_refill", oracle.svd_refill)
+        monkeypatch.setattr(completion, "_refill", started(oracle.svd_refill))
         assert_refill_close(kernel, synthetic_prior_impute(task, config))
 
     @pytest.mark.parametrize("n,m", [(48, 16), (16, 48)])
@@ -244,7 +249,7 @@ class TestRefillOracle:
             tables.append(MaskedMatrix(np.where(truth.mask, noisy, np.nan), truth.mask))
         # impute_dense searches the rank (estimate_effective_rank), then refills
         kernel = [impute_dense(t, seed=5) for t in tables]
-        monkeypatch.setattr(completion, "_refill", oracle.svd_refill)
+        monkeypatch.setattr(completion, "_refill", started(oracle.svd_refill))
         reference = [impute_dense(t, seed=5) for t in tables]
         assert [rank for _, rank in kernel] == [rank for _, rank in reference]
         assert {rank for _, rank in kernel} != {1}
@@ -351,8 +356,7 @@ class TestAls:
         m = low_rank_masked(15, 10, 3, 0.3, seed=10)
         values = np.where(m.mask, m.values, 0.0)
         objectives = []
-        start = _mean_filled(m.values, m.mask)
-        sweeps = _als_sweeps(m.values, m.mask, start, cfg("als", 3, lam=0.1))
+        sweeps = _als_sweeps(m.values, m.mask, cfg("als", 3, lam=0.1))
         for count, (a, b) in enumerate(sweeps):
             objectives.append(oracle.als_objective(values, m.mask, a, b, 0.1))
             if count >= 40:
@@ -362,8 +366,7 @@ class TestAls:
     def test_training_rmse_nonincreasing(self):
         m = low_rank_masked(15, 10, 2, 0.3, seed=11)
         rmses = []
-        start = _mean_filled(m.values, m.mask)
-        sweeps = _als_sweeps(m.values, m.mask, start, cfg("als", 2, lam=1e-6))
+        sweeps = _als_sweeps(m.values, m.mask, cfg("als", 2, lam=1e-6))
         for count, (a, b) in enumerate(sweeps):
             resid = np.where(m.mask, np.where(m.mask, m.values, 0) - a @ b.T, 0.0)
             rmses.append(np.sqrt((resid**2).sum() / m.mask.sum()))
@@ -585,9 +588,9 @@ class TestEffectiveRank:
         ranks = []
         solve = completion._solve
 
-        def spy(values, mask, start, cfg):
+        def spy(values, mask, cfg):
             ranks.append(cfg.rank)
-            return solve(values, mask, start, cfg)
+            return solve(values, mask, cfg)
 
         monkeypatch.setattr(completion, "_solve", spy)
         assert estimate_effective_rank(m, seed=0) == 1

@@ -239,12 +239,14 @@ class TestSi:
 
 
 class TestNn:
-    def test_realizable_linear_target(self):
+    def test_realizable_linear_target(self, monkeypatch):
         rng = np.random.default_rng(15)
         x = rng.normal(size=(200, 3))
         y = x @ np.array([1.0, -2.0, 0.5])
+        monkeypatch.setattr(regress, "_NN_PATIENCE", 100)
+        monkeypatch.setattr(regress, "_NN_BATCH_SIZE", 64)
         cfg = RegressConfig(family="nn", hidden_sizes=(16,), epochs=800,
-                            learning_rate=1e-2, patience=100, batch_size=64, seed=0)
+                            learning_rate=1e-2, seed=0)
         model = fit_columns(x, cfg, y)
         mse = float(np.mean((model.predict(x) - y) ** 2))
         assert mse < 1e-3
@@ -744,9 +746,16 @@ class TestBatchedLooKernels:
 # The stacked network against one-target Adam loops.
 # ---------------------------------------------------------------------------
 
-# every network stops early except the constant column's, at 7 distinct epochs
-NN_CFG = RegressConfig(family="nn", hidden_sizes=(6, 4), epochs=80, patience=4,
-                       learning_rate=1e-2, batch_size=16, weight_decay=0.01, seed=2)
+# every network stops early except the constant column's, at 7 distinct
+# epochs, with minibatches of 16 rows and a patience of 4 (small_nn_steps)
+NN_CFG = RegressConfig(family="nn", hidden_sizes=(6, 4), epochs=80,
+                       learning_rate=1e-2, weight_decay=0.01, seed=2)
+
+
+@pytest.fixture
+def small_nn_steps(monkeypatch):
+    monkeypatch.setattr(regress, "_NN_BATCH_SIZE", 16)
+    monkeypatch.setattr(regress, "_NN_PATIENCE", 4)
 
 
 def nn_loo_oracle(t, cfg):
@@ -766,6 +775,7 @@ def assert_close(actual, expected, rtol):
     assert np.max(np.abs(actual - expected) / np.maximum(1.0, np.abs(expected))) <= rtol
 
 
+@pytest.mark.usefixtures("small_nn_steps")
 class TestStackedNetwork:
     def test_loo_matches_one_target_loops(self):
         t = loo_world(n=80, m=10)
@@ -797,7 +807,7 @@ class TestStackedNetwork:
         first = int(np.argmin(epochs))
         later = max(range(10), key=lambda j: epochs[j])
         assert epochs[first] < epochs[later]
-        batches = -(-(80 - 8) // NN_CFG.batch_size)   # per epoch, 72 training rows
+        batches = -(-(80 - 8) // regress._NN_BATCH_SIZE)   # per epoch, 72 training rows
         expected = _nn_parameters(t, NN_CFG, np.arange(10))
         clean = regress.nn_loss_and_grad
 
